@@ -58,8 +58,8 @@ class WeakTurbulenceParams:
 def weak_turb_params(geom: ChannelGeometry, cn2: float,
                      eta_convention: str = "consistent") -> WeakTurbulenceParams:
     """Weak-turbulence parameter set for the given geometry and Cn2."""
-    if cn2 < 0.0:
-        raise DomainError("weak_turb_params: cn2 must be >= 0")
+    if not (cn2 >= 0.0 and math.isfinite(cn2)):
+        raise DomainError("weak_turb_params: cn2 must be finite and >= 0")
     if eta_convention not in ("literal", "consistent"):
         raise DomainError(f"unknown eta_convention {eta_convention!r}")
     warnings = []

@@ -21,11 +21,13 @@ models.
 
 from __future__ import annotations
 
+import ctypes
 import math
 from dataclasses import dataclass, field, replace
 from typing import Optional, Sequence
 
 import numpy as np
+import scipy.fft
 
 from .errors import ConfigError, DomainError
 from .numerics import RngStream
@@ -300,24 +302,42 @@ def evaluate_phase(screen: SparseScreen, points, shift_x: float = 0.0) -> np.nda
     return np.cos(theta) @ screen.amp_cos + np.sin(theta) @ screen.amp_sin
 
 
+def _grid_tables(screen: SparseScreen, xs: np.ndarray, ys: np.ndarray):
+    """Cos/sin tables of one screen on the grid axes: ``([cx; sx], cy, sy)``.
+
+    ``cx = cos(kx x)`` and ``sx = sin(kx x)`` are stacked into one 2K x n
+    array, the right-hand factor of :func:`_phase_on_grid`'s matmul.
+    """
+    ax = np.outer(screen.kx, xs)
+    ay = np.outer(screen.ky, ys)
+    return np.concatenate([np.cos(ax), np.sin(ax)]), np.cos(ay), np.sin(ay)
+
+
 def _phase_on_grid(screen: SparseScreen, xs: np.ndarray, ys: np.ndarray,
                    shift_x: float = 0.0, cache=None) -> np.ndarray:
-    """Screen phase on the full grid via a rank-K factorization.
+    """Screen phase on the full grid via a rank-2K real factorization.
 
-    phi = Re[(a - i b)^T applied to exp(i kx x) (x) exp(i ky y)]; the two
-    K x n factor matrices turn the evaluation into one complex matmul.  For
-    frozen-turbulence series the factors are cached and the shift enters as
-    a per-component scalar twist.
+    With cx = cos(kx x), sx = sin(kx x), cy = cos(ky y), sy = sin(ky y),
+
+        phi(y, x) = sum_j cx_j (a_j cy_j + b_j sy_j) + sx_j (b_j cy_j - a_j sy_j),
+
+    i.e. one real matmul [a cy + b sy; b cy - a sy]^T @ [cx; sx] of 2K x n
+    factors, half the flops of the equivalent complex product.  ``cache``
+    holds the tables of :func:`_grid_tables` (frozen-turbulence series reuse
+    them at every step); without it they are computed here.  A shift s along
+    x rotates each (a_j, b_j) by kx_j s, which keeps the shift exact.  In the
+    pool workers of :func:`run_ensemble` this matmul runs on one BLAS thread
+    (see :func:`_run_all`).
     """
-    w = screen.amp_cos - 1j * screen.amp_sin
-    if cache is None:
-        ux = np.exp(1j * np.outer(screen.kx, xs + shift_x))
-        uy = np.exp(1j * np.outer(screen.ky, ys))
-    else:
-        ux, uy = cache
-        if shift_x != 0.0:
-            w = w * np.exp(1j * screen.kx * shift_x)
-    return ((w[:, None] * uy).T @ ux).real
+    right, cy, sy = cache if cache is not None else _grid_tables(screen, xs, ys)
+    a = screen.amp_cos[:, None]
+    b = screen.amp_sin[:, None]
+    if shift_x != 0.0:
+        turn = screen.kx[:, None] * shift_x
+        c, s = np.cos(turn), np.sin(turn)
+        a, b = a * c + b * s, b * c - a * s
+    left = np.concatenate([a * cy + b * sy, b * cy - a * sy])
+    return left.T @ right
 
 
 # ---------------------------------------------------------------------------
@@ -333,7 +353,14 @@ def _window_1d(xs: np.ndarray, half_extent: float) -> np.ndarray:
 
 
 class _Propagator:
-    """Cached vacuum propagator phases and absorbing window for one grid."""
+    """Cached vacuum propagator phases and absorbing window for one grid.
+
+    The FFTs run on the calling thread only (no ``workers=``).  A pool
+    worker of :func:`run_ensemble` also runs its BLAS on one thread, so that
+    each worker keeps to one core (see :func:`_run_all`); extra FFT threads
+    would only compete with the other workers, or in a single process with
+    the BLAS threads that spin on after the screen matmul.
+    """
 
     def __init__(self, grid: Grid, k: float):
         kax = grid.kaxis()
@@ -343,6 +370,7 @@ class _Propagator:
         self.kk = kk
         w1 = _window_1d(grid.axis(), grid.extent / 2.0)
         self.window = w1[None, :] * w1[:, None]
+        self.absorption = 1.0 - self.window**2  # power fraction the window removes
         self._cache: dict[float, np.ndarray] = {}
 
     def phase(self, dz: float) -> np.ndarray:
@@ -353,15 +381,17 @@ class _Propagator:
         return p
 
     def vacuum(self, u: np.ndarray, dz: float) -> tuple[np.ndarray, float]:
-        """One windowed vacuum step; returns (field, absorbed power)."""
-        spec = np.fft.fft2(u)
+        """One windowed vacuum step; returns (field, absorbed power).
+
+        ``u`` is overwritten.  The absorbed power is sum |u|^2 (1 - w^2) dA,
+        taken in one pass before the window w is applied.
+        """
+        spec = scipy.fft.fft2(u, overwrite_x=True)
         spec *= self.phase(dz)
-        u = np.fft.ifft2(spec)
-        cell = self.grid.spacing**2
-        before = float(np.sum(np.abs(u) ** 2)) * cell
+        u = scipy.fft.ifft2(spec, overwrite_x=True)
+        absorbed = float(np.vdot(u, self.absorption * u).real) * self.grid.spacing**2
         u *= self.window
-        after = float(np.sum(np.abs(u) ** 2)) * cell
-        return u, before - after
+        return u, absorbed
 
 
 def split_step(fld: Field, screens: Sequence[SparseScreen], geom: ChannelGeometry,
@@ -597,8 +627,41 @@ class _Engine:
 _WORKER_ENGINE: Optional[_Engine] = None
 
 
+# C entry points of openblas_set_num_threads(int) in the OpenBLAS builds that
+# NumPy and SciPy wheels load (64-bit-integer and plain, prefixed or not).
+_BLAS_THREAD_SETTERS = ("scipy_openblas_set_num_threads64_",
+                        "scipy_openblas_set_num_threads",
+                        "openblas_set_num_threads64_", "openblas_set_num_threads")
+
+
+def _one_blas_thread() -> None:
+    """Set every OpenBLAS loaded in this process to one thread.
+
+    The libraries are found in ``/proc/self/maps``; where there is none, or
+    none exports a setter, nothing changes.
+    """
+    try:
+        with open("/proc/self/maps") as fh:
+            libs = sorted({ln.split()[-1] for ln in fh if "openblas" in ln.lower()})
+    except OSError:
+        return
+    for path in libs:
+        try:
+            lib = ctypes.CDLL(path)
+        except OSError:
+            continue
+        for sym in _BLAS_THREAD_SETTERS:
+            fn = getattr(lib, sym, None)
+            if fn is not None:
+                fn.argtypes = [ctypes.c_int]
+                fn.restype = None
+                fn(1)
+                break
+
+
 def _worker_init(config: SimConfig, apertures):
     global _WORKER_ENGINE
+    _one_blas_thread()
     _WORKER_ENGINE = _Engine(config, apertures)
 
 
@@ -607,6 +670,17 @@ def _worker_run(index: int):
 
 
 def _run_all(config: SimConfig, apertures: Sequence[float], workers: int):
+    """Run realizations ``0 .. n_realizations - 1`` and collect their records.
+
+    With ``workers > 1`` the realizations go to a process pool in chunks of
+    8.  Each pool worker sets its OpenBLAS to one thread before it starts.
+    A worker inherits the parent's BLAS thread count (one per core), so
+    without this every worker would run that many busy-waiting BLAS threads
+    for the screen matmul, and two workers on two cores would share them
+    with four.  The parent keeps its threads, so ``workers=1`` is unchanged.
+    The records do not depend on the thread count: OpenBLAS splits a matmul
+    over blocks of the output, not over the summed index.
+    """
     indices = range(config.n_realizations)
     report = EnsembleReport(n_realizations=config.n_realizations)
     results = {}
@@ -682,10 +756,7 @@ def run_timeseries(config: SimConfig, duration: Optional[float] = None,
     stream = RngStream(config.seed, 0)
     screens = engine.screens_for(stream)
     xs = config.grid.axis()
-    caches = [
-        (np.exp(1j * np.outer(s.kx, xs)), np.exp(1j * np.outer(s.ky, xs)))
-        for s in screens
-    ]
+    caches = [_grid_tables(s, xs, xs) for s in screens]
     n_steps = int(round(duration / config.dt))
     report = EnsembleReport(n_realizations=n_steps)
     by_aperture = {a: [] for a in apertures}

@@ -12,6 +12,7 @@ quadrature means and variances) follows from these mixtures.
 
 from __future__ import annotations
 
+import cmath
 import math
 from dataclasses import dataclass
 from typing import Optional, Union
@@ -47,6 +48,10 @@ TAIL_BOUND = 1e-9
 @dataclass(frozen=True)
 class Coherent:
     alpha: complex
+
+    def __post_init__(self):
+        if not cmath.isfinite(self.alpha):
+            raise DomainError("Coherent: alpha must be finite")
 
     @property
     def mean_n(self) -> float:

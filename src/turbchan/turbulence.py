@@ -126,8 +126,8 @@ def spectral_density(model: SpectrumModel, kappa_perp, kappa_z=0.0):
 
 def rytov_variance(geom: ChannelGeometry, cn2: float) -> float:
     """Rytov variance sigma_R^2 = 1.23 Cn2 k^(7/6) L^(11/6)."""
-    if cn2 < 0.0:
-        raise DomainError("rytov_variance: cn2 must be >= 0")
+    if not (cn2 >= 0.0 and math.isfinite(cn2)):
+        raise DomainError("rytov_variance: cn2 must be finite and >= 0")
     return 1.23 * cn2 * geom.k ** (7.0 / 6.0) * geom.path_length ** (11.0 / 6.0)
 
 

@@ -124,6 +124,11 @@ class TestFlagsAndErrors:
         with pytest.raises(DomainError):
             weak_turb_params(FIG2, -1e-15)
 
+    @pytest.mark.parametrize("cn2", [math.nan, math.inf, -math.inf])
+    def test_non_finite_cn2_raises(self, cn2):
+        with pytest.raises(DomainError):
+            weak_turb_params(FIG2, cn2)
+
     def test_bad_convention_raises(self):
         with pytest.raises(DomainError):
             weak_turb_params(FIG2, CN2, "blue")

@@ -1,5 +1,7 @@
 """Wave-optics engine: source, screens, split-step, observables, drivers."""
 
+import concurrent.futures as cf
+import ctypes
 import math
 
 import numpy as np
@@ -24,6 +26,10 @@ from turbchan.propagation import (
     screen_structure_function,
     split_step,
     transmittance,
+    _grid_tables,
+    _one_blas_thread,
+    _phase_on_grid,
+    _Propagator,
 )
 from turbchan.turbulence import ChannelGeometry, Kolmogorov, VonKarmanTatarskii
 
@@ -37,6 +43,27 @@ VACUUM = VonKarmanTatarskii(cn2=0.0, outer_scale=80.0, inner_scale=1e-3)
 SMALL_GEOM = ChannelGeometry(wavelength=808e-9, path_length=1000.0,
                              beam_radius=0.0508, aperture_radius=0.04)
 SMALL_SPEC = VonKarmanTatarskii(cn2=5e-15, outer_scale=1000.0, inner_scale=1e-3)
+
+
+def _blas_thread_counts():
+    """Thread count of every loaded OpenBLAS that exports a getter."""
+    try:
+        with open("/proc/self/maps") as fh:
+            libs = sorted({ln.split()[-1] for ln in fh if "openblas" in ln.lower()})
+    except OSError:
+        return []
+    counts = []
+    for path in libs:
+        lib = ctypes.CDLL(path)
+        for sym in ("scipy_openblas_get_num_threads64_", "scipy_openblas_get_num_threads",
+                    "openblas_get_num_threads64_", "openblas_get_num_threads"):
+            fn = getattr(lib, sym, None)
+            if fn is not None:
+                fn.argtypes = []
+                fn.restype = ctypes.c_int
+                counts.append(fn())
+                break
+    return counts
 
 
 def small_config(**kw):
@@ -128,6 +155,19 @@ class TestScreens:
         moved = evaluate_phase(s, pts + np.array([shift, 0.0]), shift_x=0.0)
         assert np.allclose(shifted, moved, rtol=1e-12, atol=1e-12)
 
+    @pytest.mark.parametrize("cached,shift", [(False, 0.0), (True, 0.0123),
+                                              (False, -0.0071)])
+    def test_phase_on_grid_matches_pointwise(self, cached, shift):
+        s = self.screens()[0]
+        xs = Grid(n=64, extent=0.2).axis()
+        ys = xs + 0.0017  # distinct y axis, so a swap of x and y would show
+        cache = _grid_tables(s, xs, ys) if cached else None
+        got = _phase_on_grid(s, xs, ys, shift_x=shift, cache=cache)
+        gx, gy = np.meshgrid(xs, ys)  # [iy, ix], the layout of the grid phase
+        want = evaluate_phase(s, np.column_stack([gx.ravel(), gy.ravel()]),
+                              shift_x=shift).reshape(gx.shape)
+        assert np.max(np.abs(got - want)) <= 1e-12 * np.max(np.abs(want))
+
     def test_zero_shift_is_identity(self):
         s = self.screens()[0]
         pts = np.array([[0.004, 0.002]])
@@ -202,6 +242,24 @@ class TestSplitStepVacuum:
         assert out.leaked_power < 1e-6
         assert not out.warnings
 
+    def test_one_pass_absorbed_power(self):
+        # a collimated beam spread far past a cramped grid: the window
+        # absorbs a large share, which must equal the power before minus after
+        geom = ChannelGeometry(wavelength=809e-9, path_length=20000.0,
+                               beam_radius=0.0278, aperture_radius=0.02)
+        grid = Grid(n=128, extent=0.3)
+        u0 = gaussian_source(geom, grid).values
+        prop = _Propagator(grid, geom.k)
+        got, absorbed = prop.vacuum(u0.copy(), geom.path_length)
+        ref = np.fft.ifft2(np.fft.fft2(u0) * prop.phase(geom.path_length))
+        cell = grid.spacing**2
+        before = float(np.sum(np.abs(ref) ** 2)) * cell
+        ref *= prop.window
+        after = float(np.sum(np.abs(ref) ** 2)) * cell
+        assert before - after > 0.05
+        assert absorbed == pytest.approx(before - after, rel=1e-12)
+        assert np.max(np.abs(got - ref)) <= 1e-12 * np.max(np.abs(ref))
+
     def test_focused_transmittance_closed_form(self):
         geom = FIG2_GEOM
         grid = default_grid(geom, VACUUM, n=512)
@@ -268,6 +326,20 @@ class TestEnsemble:
         seq = run_ensemble(cfg, workers=1)
         par = run_ensemble(cfg, workers=2)
         assert seq == par
+
+    def test_worker_count_invariance_two_chunks(self):
+        # 16 realizations make two chunks of 8, one per pool worker
+        cfg = small_config(n_realizations=16, seed=505)
+        assert run_ensemble(cfg, workers=1) == run_ensemble(cfg, workers=2)
+
+    def test_pool_workers_use_one_blas_thread(self):
+        before = _blas_thread_counts()
+        if not before:
+            pytest.skip("no OpenBLAS with a thread-count getter is loaded")
+        with cf.ProcessPoolExecutor(max_workers=1, initializer=_one_blas_thread) as pool:
+            in_worker = pool.submit(_blas_thread_counts).result(timeout=60)
+        assert in_worker == [1] * len(before)
+        assert _blas_thread_counts() == before  # the parent keeps its threads
 
     def test_all_records_valid(self):
         cfg = small_config(n_realizations=6)

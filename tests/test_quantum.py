@@ -65,6 +65,12 @@ class TestLossPmf:
         with pytest.raises(DomainError):
             loss_pmf(Fock(1), 1.2)
 
+    @pytest.mark.parametrize("alpha", [math.nan, math.inf, complex(1.0, math.nan),
+                                       complex(0.0, -math.inf)])
+    def test_coherent_rejects_non_finite_alpha(self, alpha):
+        with pytest.raises(DomainError):
+            Coherent(alpha)
+
 
 class TestChannelPmf:
     def test_narrow_beta_approaches_fixed_eta(self):

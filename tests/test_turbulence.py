@@ -98,6 +98,11 @@ class TestRytovAndFresnel:
     def test_rytov_zero_cn2(self):
         assert rytov_variance(FIG2_GEOM, 0.0) == 0.0
 
+    @pytest.mark.parametrize("cn2", [-1e-15, math.nan, math.inf, -math.inf])
+    def test_rytov_rejects_bad_cn2(self, cn2):
+        with pytest.raises(DomainError):
+            rytov_variance(FIG2_GEOM, cn2)
+
     def test_fig2_fresnel_number(self):
         with mpmath.workdps(50):
             k = 2 * mpmath.pi / mpmath.mpf("809e-9")
