@@ -302,15 +302,45 @@ def evaluate_phase(screen: SparseScreen, points, shift_x: float = 0.0) -> np.nda
     return np.cos(theta) @ screen.amp_cos + np.sin(theta) @ screen.amp_sin
 
 
+def _cis(theta: np.ndarray, out: np.ndarray) -> np.ndarray:
+    """Write exp(i theta) into the complex array ``out``; ``theta`` is scratch.
+
+    Half-angle identity: with t = tan(theta / 2) and d = 2 / (1 + t^2),
+
+        cos theta = d - 1,    sin theta = t d.
+
+    NumPy's float64 ``tan`` is vectorized while ``cos`` and ``sin`` are
+    scalar libm calls, so one ``tan`` and four in-place passes over
+    ``theta``, ``out.real`` and ``out.imag`` cost less than the two calls
+    they replace, and allocate nothing.  Both parts agree with ``np.cos``
+    and ``np.sin`` to a few units of 2^-52 in absolute terms, also at
+    arguments of thousands of radians, and ||cis| - 1| <= 1e-15.  Near
+    theta = +-pi, t is large and d small: cos rounds to -1 and sin = t d
+    keeps its relative accuracy.  A NaN or infinite theta gives NaN.
+    """
+    t = np.multiply(theta, 0.5, out=theta)
+    np.tan(t, out=t)
+    c, s = out.real, out.imag
+    np.multiply(t, t, out=c)
+    c += 1.0
+    np.divide(2.0, c, out=c)
+    np.multiply(t, c, out=s)
+    c -= 1.0
+    return out
+
+
 def _grid_tables(screen: SparseScreen, xs: np.ndarray, ys: np.ndarray):
     """Cos/sin tables of one screen on the grid axes: ``([cx; sx], cy, sy)``.
 
     ``cx = cos(kx x)`` and ``sx = sin(kx x)`` are stacked into one 2K x n
-    array, the right-hand factor of :func:`_phase_on_grid`'s matmul.
+    array, the right-hand factor of :func:`_phase_on_grid`'s matmul.  The
+    tables are the real and imaginary parts of exp(i kx x) and exp(i ky y),
+    computed by :func:`_cis`; ``cy`` and ``sy`` are views of one complex
+    K x n array.
     """
-    ax = np.outer(screen.kx, xs)
-    ay = np.outer(screen.ky, ys)
-    return np.concatenate([np.cos(ax), np.sin(ax)]), np.cos(ay), np.sin(ay)
+    ex = _cis(np.outer(screen.kx, xs), np.empty((screen.kx.size, xs.size), complex))
+    ey = _cis(np.outer(screen.ky, ys), np.empty((screen.ky.size, ys.size), complex))
+    return np.concatenate([ex.real, ex.imag]), ey.real, ey.imag
 
 
 def _phase_on_grid(screen: SparseScreen, xs: np.ndarray, ys: np.ndarray,
@@ -355,6 +385,12 @@ def _window_1d(xs: np.ndarray, half_extent: float) -> np.ndarray:
 class _Propagator:
     """Cached vacuum propagator phases and absorbing window for one grid.
 
+    ``rotation`` is an n x n complex buffer, allocated once, into which
+    :func:`split_step` writes each screen's exp(i phi) before multiplying
+    the field by it; every engine (serial, or one per pool worker) owns one
+    propagator and so reuses one buffer for all its realizations.  A field
+    never holds a reference to it.
+
     The FFTs run on the calling thread only (no ``workers=``).  A pool
     worker of :func:`run_ensemble` also runs its BLAS on one thread, so that
     each worker keeps to one core (see :func:`_run_all`); extra FFT threads
@@ -371,6 +407,7 @@ class _Propagator:
         w1 = _window_1d(grid.axis(), grid.extent / 2.0)
         self.window = w1[None, :] * w1[:, None]
         self.absorption = 1.0 - self.window**2  # power fraction the window removes
+        self.rotation = np.empty((grid.n, grid.n), complex)
         self._cache: dict[float, np.ndarray] = {}
 
     def phase(self, dz: float) -> np.ndarray:
@@ -403,6 +440,10 @@ def split_step(fld: Field, screens: Sequence[SparseScreen], geom: ChannelGeometr
     vacuum step per slab (adjacent half steps merged).  With no screens this
     is a single vacuum Fresnel propagation over the whole path.  The result
     carries the absorbed-power fraction and a warning when it exceeds 1%.
+
+    The screen factor exp(i phi) is computed by :func:`_cis` into the
+    propagator's ``rotation`` buffer, with the freshly computed phase as its
+    scratch, so the step allocates no n x n temporaries for it.
     """
     prop = _prop or _Propagator(fld.grid, geom.k)
     xs = fld.grid.axis()
@@ -420,7 +461,7 @@ def split_step(fld: Field, screens: Sequence[SparseScreen], geom: ChannelGeometr
         for i, screen in enumerate(screens):
             cache = _caches[i] if _caches is not None else None
             phi = _phase_on_grid(screen, xs, xs, shift_x, cache=cache)
-            u *= np.exp(1j * phi)
+            u *= _cis(phi, prop.rotation)
             step = dz if i + 1 < len(screens) else dz / 2.0
             u, dp = prop.vacuum(u, step)
             leaked += dp

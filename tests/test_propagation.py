@@ -26,6 +26,7 @@ from turbchan.propagation import (
     screen_structure_function,
     split_step,
     transmittance,
+    _cis,
     _grid_tables,
     _one_blas_thread,
     _phase_on_grid,
@@ -213,6 +214,79 @@ class TestScreens:
         dz = FIG2_GEOM.path_length
         d_theory = 2.914 * FIG2_GEOM.k**2 * cn2 * dz * seps ** (5.0 / 3.0)
         assert np.all(np.abs(d_est / d_theory - 1.0) < 0.12)
+
+
+EPS = np.finfo(float).eps
+
+
+class TestCis:
+    def cis(self, theta):
+        theta = np.array(theta, dtype=float)  # a copy: _cis overwrites it
+        out = np.empty(theta.shape, complex)
+        with np.errstate(invalid="ignore"):
+            assert _cis(theta, out) is out
+        return out
+
+    @pytest.mark.parametrize("span", [50.0, 4000.0, 6000.0])
+    def test_matches_cos_sin(self, span):
+        # the FIG2 grid tables at n=512 reach |kx x| of about 5300 rad
+        theta = np.random.default_rng(7).uniform(-span, span, 200_000)
+        z = self.cis(theta)
+        assert np.max(np.abs(z.real - np.cos(theta))) <= 4 * EPS
+        assert np.max(np.abs(z.imag - np.sin(theta))) <= 4 * EPS
+        assert np.max(np.abs(np.abs(z) - 1.0)) <= 1e-15
+
+    def test_zero_and_pi(self):
+        assert self.cis([0.0])[0] == 1.0
+        for theta in (math.pi, -math.pi):
+            z = self.cis([theta])[0]
+            assert z.real == -1.0
+            assert abs(z.imag - math.sin(theta)) <= 4 * EPS
+        near = [np.nextafter(v, d) for v in (0.0, math.pi, -math.pi)
+                for d in (-math.inf, math.inf)]
+        z = self.cis(near)
+        assert np.max(np.abs(z.real - np.cos(near))) <= 4 * EPS
+        assert np.max(np.abs(z.imag - np.sin(near))) <= 4 * EPS
+
+    def test_nan_in_nan_out(self):
+        z = self.cis([math.nan, math.inf, -math.inf, 0.5])
+        assert np.all(np.isnan(z.real[:3])) and np.all(np.isnan(z.imag[:3]))
+        assert np.isfinite(z[3])
+
+
+class TestSplitStepScreens:
+    def case(self):
+        config = small_config()
+        src = gaussian_source(config.geometry, config.grid)
+        screens = [sample_screens(config.spectrum, config.geometry, config.n_screens,
+                                  config.n_components, RngStream(config.seed, i))
+                   for i in range(2)]
+        return config, src, screens
+
+    def test_matches_exp_path(self):
+        config, src, screens = self.case()
+        geom = config.geometry
+        got = split_step(src, screens[0], geom, shift_x=0.013)
+        # the same symmetric split step with np.exp(1j * phi) for the rotation
+        prop = _Propagator(config.grid, geom.k)
+        xs = config.grid.axis()
+        dz = screens[0][0].slab_thickness
+        u, _ = prop.vacuum(src.values.copy(), dz / 2.0)
+        for i, screen in enumerate(screens[0]):
+            u = u * np.exp(1j * _phase_on_grid(screen, xs, xs, 0.013))
+            u, _ = prop.vacuum(u, dz if i + 1 < len(screens[0]) else dz / 2.0)
+        assert np.max(np.abs(got.values - u)) <= 1e-13
+
+    def test_rotation_buffer_reuse(self):
+        config, src, screens = self.case()
+        geom = config.geometry
+        prop = _Propagator(config.grid, geom.k)
+        shared = [split_step(src, s, geom, _prop=prop) for s in screens]
+        fresh = [split_step(src, s, geom, _prop=_Propagator(config.grid, geom.k))
+                 for s in screens]
+        for a, b in zip(shared, fresh):
+            assert np.array_equal(a.values, b.values)
+            assert not np.shares_memory(a.values, prop.rotation)
 
 
 class TestSplitStepVacuum:
