@@ -12,8 +12,7 @@ results never depend on how work is scheduled across workers.
 
 from __future__ import annotations
 
-import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 from scipy import integrate, special
@@ -22,11 +21,8 @@ from .errors import DomainError, NumericsError, SolverError
 
 __all__ = [
     "RngStream",
-    "gaussian",
-    "uniform",
     "bessel_i01",
     "bessel_i01_scaled",
-    "lambert_w0",
     "lambert_w0_exp",
     "marcum_q1",
     "adaptive_quad",
@@ -40,16 +36,13 @@ _TWO64 = 2**64
 class RngStream:
     """One independent, reproducible random stream.
 
-    Drawing advances an internal counter-based generator; ``reset`` rewinds
-    to the start of the stream.  Streams with distinct ``stream_index`` are
-    independent by construction and safe to hand to separate workers.
+    Each :meth:`generator` call returns a generator at the start of the
+    stream.  Streams with distinct ``stream_index`` are independent by
+    construction and safe to hand to separate workers.
     """
 
     master_seed: int
     stream_index: int = 0
-    _gen: np.random.Generator | None = field(
-        default=None, init=False, repr=False, compare=False
-    )
 
     def generator(self) -> np.random.Generator:
         """Fresh generator positioned at the start of this stream."""
@@ -58,29 +51,6 @@ class RngStream:
             dtype=np.uint64,
         )
         return np.random.Generator(np.random.Philox(key=key))
-
-    @property
-    def gen(self) -> np.random.Generator:
-        if self._gen is None:
-            self._gen = self.generator()
-        return self._gen
-
-    def reset(self) -> None:
-        self._gen = None
-
-    def spawn(self, index: int) -> "RngStream":
-        """Derived stream for sub-tasks; index offsets are caller-defined."""
-        return RngStream(self.master_seed, self.stream_index + index)
-
-
-def gaussian(stream: RngStream) -> float:
-    """Next standard-normal draw from the stream."""
-    return float(stream.gen.standard_normal())
-
-
-def uniform(stream: RngStream) -> float:
-    """Next uniform draw in [0, 1) from the stream."""
-    return float(stream.gen.random())
 
 
 # ---------------------------------------------------------------------------
@@ -110,32 +80,6 @@ def bessel_i01_scaled(x):
     if np.any(xa < 0.0):
         raise DomainError("bessel_i01_scaled: x must be non-negative")
     return special.i0e(x), special.i1e(x)
-
-
-def lambert_w0(x: float) -> float:
-    """Principal-branch Lambert W: the w >= -1 with w * e^w = x.
-
-    Defined for x >= -1/e.  scipy's value is polished with Newton steps so
-    the residual |w e^w - x| stays below 1e-12 * max(1, |x|).
-    """
-    if not math.isfinite(x):
-        raise DomainError("lambert_w0: x must be finite")
-    branch_point = -1.0 / math.e
-    if x < branch_point:
-        if x > branch_point * (1.0 + 1e-12):  # rounding right at the branch point
-            return -1.0
-        raise DomainError(f"lambert_w0: x={x} < -1/e")
-    w = float(special.lambertw(x, 0).real)
-    for _ in range(3):
-        ew = math.exp(w)
-        resid = w * ew - x
-        if abs(resid) <= 1e-13 * max(1.0, abs(x)):
-            break
-        denom = ew * (w + 1.0)
-        if denom == 0.0:
-            break
-        w -= resid / denom
-    return w
 
 
 def lambert_w0_exp(y):

@@ -66,7 +66,6 @@ __all__ = [
     "model_cdf",
     "model_moments",
     "fractional_moment",
-    "eta_variance",
 ]
 
 
@@ -692,6 +691,142 @@ PdtModel = Union[TruncLogNormal, BetaPdt, BeamWander, CircularBeam,
 
 
 # ---------------------------------------------------------------------------
+# Fixed-node mixture rule: every PDT as one weighted point set
+# ---------------------------------------------------------------------------
+
+
+def _gl_panels(edges) -> tuple[np.ndarray, np.ndarray]:
+    """64-node Gauss-Legendre nodes and weights on each panel between edges."""
+    edges = np.asarray(edges, dtype=float)
+    half = 0.5 * np.diff(edges)[:, None]
+    mid = 0.5 * (edges[1:] + edges[:-1])[:, None]
+    return (mid + half * _GL64_X).ravel(), (half * _GL64_W).ravel()
+
+
+def _normalized(weight: np.ndarray, log_density: np.ndarray) -> np.ndarray:
+    """Quadrature weights times the density, scaled to total mass 1.
+
+    The density is given by its logarithm up to a constant, so a normalizer
+    that underflows (a log-normal truncated far into its tail) never
+    appears.
+    """
+    w = weight * np.exp(log_density - log_density.max())
+    return w / w.sum()
+
+
+def _tln_nodes(model: TruncLogNormal):
+    """64 nodes in x = ln eta, where the density is normal(-mu, sigma2) on x <= 0.
+
+    The window ends at x = 0 or 9 sigma above the mean of the density tilted
+    by eta^2 (the highest moment :func:`model_moments` takes), whichever is
+    lower, and reaches down to where the log-density is 40.5 (9 sigma's
+    worth) below its largest value on the window.
+    """
+    m, sig = -model.mu, math.sqrt(model.sigma2)
+    hi = min(0.0, m + 2.0 * model.sigma2 + 9.0 * sig)
+    lo = m - math.hypot(9.0 * sig, min(m, hi) - m)
+    x, w = _gl_panels([lo, hi])
+    return np.exp(x), _normalized(w, -0.5 * ((x - m) / sig) ** 2)
+
+
+# Fixed panel edges in y = logit eta.  The log-density's complex
+# singularities sit at y = i pi (2k + 1), over y = 0, and its tails are
+# exponential in y: panels 4 wide next to y = 0 that double in width away
+# from it stay short against both.
+_LOGIT_EDGES = 4.0 * 2.0 ** np.arange(12)
+_LOGIT_EDGES = np.concatenate([-_LOGIT_EDGES[::-1], [0.0], _LOGIT_EDGES])
+
+
+def _reach(log_density, mode: float, step: float, drop: float = 40.0) -> float:
+    """mode + step 2^k for the least k >= 0 at which a log-concave density
+    has fallen by ``drop`` below its value at the mode."""
+    top = log_density(mode)
+    while top - log_density(mode + step) < drop:
+        step *= 2.0
+    return mode + step
+
+
+def _beta_nodes(model: BetaPdt):
+    """64 nodes per panel in y = logit eta, where the log-density is
+    a ln eta + b ln(1 - eta), log-concave with mode ln(a/b).
+
+    The outer ends lie where the density has fallen by e^-40, at least 9 sd
+    from the mode; sd = sqrt(trigamma(a) + trigamma(b)) is the standard
+    deviation in y.  Panels split at mode -+ 3 sd and at the fixed edges in
+    between, so that eta^p-weighted integrands, whose bulk lies ln(1 + p/a)
+    further toward eta = 1, stay resolved when a is small.
+    """
+    a, b = model.a, model.b
+
+    def log_density(y):
+        return -a * np.logaddexp(0.0, -y) - b * np.logaddexp(0.0, y)
+
+    mode = math.log(a / b)
+    sd = math.sqrt(special.zeta(2.0, a) + special.zeta(2.0, b))  # trigamma
+    lo, hi = _reach(log_density, mode, -9.0 * sd), _reach(log_density, mode, 9.0 * sd)
+    inner = _LOGIT_EDGES[(_LOGIT_EDGES > lo) & (_LOGIT_EDGES < hi)]
+    y, w = _gl_panels(np.unique(np.concatenate(
+        ([lo, mode - 3.0 * sd, mode + 3.0 * sd, hi], inner))))
+    return special.expit(y), _normalized(w, log_density(y))
+
+
+def _bw_nodes(model: BeamWander):
+    """Nodes in t = r0 / R, for which eta = eta0 exp(-t^lambda).
+
+    t = sqrt(u), u = ln(eta0/eta)^(2/lambda) exponential with rate
+    R^2 / 2 sigma_bw^2, so t is Rayleigh with scale s = sigma_bw / R; it is
+    cut where its tail is e^-45.  eta(t) has a knee at t = 1, steep for
+    large lambda (lambda ~ 10 at a^2/S = 20), so panels split at t = 1 and
+    at eta/eta0 = e^-80, with 64 nodes each.
+    """
+    eta0, lam, R = model.geometry()
+    s = math.sqrt(model.sigma_bw2) / R
+    t_max = s * math.sqrt(90.0)
+    knees = [k for k in (1.0, 80.0 ** (1.0 / lam)) if k < t_max]
+    t, w = _gl_panels([0.0, *knees, t_max])
+    return eta0 * np.exp(-(t**lam)), _normalized(w * t, -0.5 * (t / s) ** 2)
+
+
+def _mixture(components):
+    """One point set from ``(mass, (eta, weight))`` components."""
+    etas, weights = zip(*((eta, mass * w) for mass, (eta, w) in components))
+    return np.concatenate(etas), np.concatenate(weights)
+
+
+def _eta_nodes(model: PdtModel) -> tuple[np.ndarray, np.ndarray]:
+    """The PDT as one weighted point set ``(eta, weight)``; the weights sum to 1.
+
+    An expectation over the PDT, <f(eta)>, is ``weight @ f(eta)``.
+    Truncated log-normal, Beta and beam-wandering PDTs use fixed
+    Gauss-Legendre panels in a variable in which their density is smooth;
+    CircularBeam is the mixture of BeamWander rules over its Gauss-Hermite
+    spot nodes, TotalProb that of its conditionals' rules over its radial
+    nodes plus its atoms, and EllipticBeam its cached samples with equal
+    weights.
+    """
+    if isinstance(model, TruncLogNormal):
+        return _tln_nodes(model)
+    if isinstance(model, BetaPdt):
+        return _beta_nodes(model)
+    if isinstance(model, BeamWander):
+        return _bw_nodes(model)
+    if isinstance(model, CircularBeam):
+        spots, masses = model.spot_nodes()
+        return _mixture((mass, _bw_nodes(BeamWander(model.sigma_bw2, float(s),
+                                                    model.aperture, model.convention)))
+                        for s, mass in zip(spots, masses))
+    if isinstance(model, TotalProb):
+        point = np.ones(1)
+        return _mixture([(mass, _eta_nodes(cond)) for mass, cond in model.node_models]
+                        + [(mass, (np.array([loc]), point))
+                           for mass, loc in _model_atoms(model)])
+    if isinstance(model, EllipticBeam):
+        samples = model.samples()
+        return samples, np.full(samples.size, 1.0 / samples.size)
+    raise TypeError(f"unknown PDT model {model!r}")
+
+
+# ---------------------------------------------------------------------------
 # Generic density / CDF / moment machinery
 # ---------------------------------------------------------------------------
 
@@ -718,21 +853,6 @@ def model_density(model: PdtModel, eta) -> np.ndarray:
 
 def _model_atoms(model: PdtModel):
     return model.atoms if isinstance(model, TotalProb) and model.atoms else []
-
-
-def _bw_fractional(model: BeamWander, p: float, tol: float) -> float:
-    """<eta^p> of one beam-wandering component.
-
-    In u = ln(eta0/eta)^(2/lambda) the density is exponential, so the
-    integrand is smooth: <eta^p> = eta0^p int rate e^(-rate u - p u^(lam/2)) du.
-    """
-    eta0, lam, R = model.geometry()
-    rate = 0.5 * R * R / model.sigma_bw2
-    val = adaptive_quad(
-        lambda u: rate * np.exp(-rate * u - p * u ** (lam / 2.0)),
-        0.0, np.inf, tol=tol,
-    )
-    return float(eta0**p * val)
 
 
 def model_cdf(model: PdtModel, eta, tol: float = 1e-8):
@@ -778,35 +898,18 @@ def model_cdf(model: PdtModel, eta, tol: float = 1e-8):
     return float(out[0]) if scalar else out
 
 
-def fractional_moment(model: PdtModel, p: float, tol: float = 1e-8) -> float:
-    """<eta^p> for p >= 0, by quadrature (or the sample mean for elliptic)."""
-    if p < 0.0:
-        raise DomainError("fractional_moment: p must be >= 0")
-    if isinstance(model, EllipticBeam):
-        return float(np.mean(model.samples() ** p))
-    if isinstance(model, BeamWander):
-        return _bw_fractional(model, p, tol)
-    if isinstance(model, CircularBeam):
-        nodes, wts = model.spot_nodes()
-        return float(sum(
-            w * _bw_fractional(
-                BeamWander(model.sigma_bw2, float(s), model.aperture,
-                           model.convention), p, tol)
-            for s, w in zip(nodes, wts)
-        ))
-    total = adaptive_quad(lambda x: model_density(model, x) * x**p, 0.0, 1.0,
-                          tol=tol)
-    for w, loc in _model_atoms(model):
-        total += w * loc**p
-    return float(total)
+def fractional_moment(model: PdtModel, p: float) -> float:
+    """<eta^p> for p >= 0: the sum of eta^p over the model's weighted point set.
+
+    See :func:`_eta_nodes`; for EllipticBeam this is the mean over its cached
+    samples.
+    """
+    if not (math.isfinite(p) and p >= 0.0):
+        raise DomainError(f"fractional_moment: p={p} must be finite and >= 0")
+    eta, weight = _eta_nodes(model)
+    return float(weight @ eta**p)
 
 
-def model_moments(model: PdtModel, tol: float = 1e-8) -> MomentPair:
+def model_moments(model: PdtModel) -> MomentPair:
     """First two moments of the model's own PDT."""
-    return MomentPair(fractional_moment(model, 1.0, tol),
-                      fractional_moment(model, 2.0, tol))
-
-
-def eta_variance(model: PdtModel) -> float:
-    m = model_moments(model)
-    return m.variance
+    return MomentPair(fractional_moment(model, 1.0), fractional_moment(model, 2.0))

@@ -411,9 +411,10 @@ class _Propagator:
         self._cache: dict[float, np.ndarray] = {}
 
     def phase(self, dz: float) -> np.ndarray:
+        """Vacuum kernel exp(-i kk dz / 2k), through :func:`_cis`; cached per dz."""
         p = self._cache.get(dz)
         if p is None:
-            p = np.exp(-0.5j * self.kk * dz / self.k)
+            p = _cis(self.kk * (-0.5 * dz / self.k), np.empty(self.kk.shape, complex))
             self._cache[dz] = p
         return p
 

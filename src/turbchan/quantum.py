@@ -4,10 +4,12 @@ A pure-loss channel of transmittance eta maps photon statistics by
 Bernoulli thinning: coherent stays Poisson (mean eta |alpha|^2), Fock n
 becomes Binomial(n, eta), thermal stays geometric with mean eta nbar.  A
 fluctuating channel is the eta-mixture of loss channels weighted by the
-PDT, and a measured record enters as the uniform average over its sampled
-transmittances.  The Glauber-Sudarshan P function itself is never
-represented; everything observable here (photon-number distributions,
-quadrature means and variances) follows from these mixtures.
+PDT.  Every mixture is a finite sum over a weighted point set of
+transmittances: a PDT model's fixed-node rule (``pdt._eta_nodes``), or a
+measured record's samples with equal weights.  The Glauber-Sudarshan P
+function itself is never represented; everything observable here
+(photon-number distributions, quadrature means and variances) follows from
+these mixtures.
 """
 
 from __future__ import annotations
@@ -18,10 +20,11 @@ from dataclasses import dataclass
 from typing import Optional, Union
 
 import numpy as np
-from scipy import integrate, special
+from scipy import special
 
 from .errors import DomainError
-from .pdt import EllipticBeam, PdtModel, fractional_moment, model_density, TotalProb
+from .pdt import PdtModel, _eta_nodes, fractional_moment
+from .pdt import model_density  # noqa: F401  (benchmarks/workloads.py traces it here)
 from .stats import EmpiricalSample, integrated_autocorr_time
 
 __all__ = [
@@ -43,6 +46,7 @@ __all__ = [
 ]
 
 TAIL_BOUND = 1e-9
+_BLOCK = 8192  # transmittances per block of channel_pmf
 
 
 @dataclass(frozen=True)
@@ -149,39 +153,37 @@ def default_n_max(state: InputState) -> int:
     return max(n, 1)
 
 
-def _pmf_vector(state: InputState, eta: float, n_max: int) -> np.ndarray:
-    """Photon-number pmf after a fixed-loss channel, entries 0..n_max."""
+def _n_log(n: np.ndarray, x: np.ndarray) -> np.ndarray:
+    """n ln x for n = 0, 1, ... along rows and x >= 0 down a column, with
+    0 ln 0 = 0 (``special.xlogy`` gives the same, at three times the cost)."""
+    with np.errstate(divide="ignore", invalid="ignore"):
+        out = n * np.log(x)
+    out[:, 0] = 0.0
+    return out
+
+
+def _pmf_matrix(state: InputState, eta, n_max: int) -> np.ndarray:
+    """Photon-number pmfs after fixed-loss channels: row i, entries 0..n_max,
+    for transmittance eta[i]."""
+    eta = np.asarray(eta, dtype=float)[:, None]
     n = np.arange(n_max + 1)
     if isinstance(state, Coherent):
         mu = eta * state.mean_n
-        if mu == 0.0:
-            out = np.zeros(n_max + 1)
-            out[0] = 1.0
-            return out
-        return np.exp(n * math.log(mu) - mu - special.gammaln(n + 1.0))
+        return np.exp(_n_log(n, mu) - mu - special.gammaln(n + 1.0))
     if isinstance(state, Fock):
         if state.n > n_max:
             raise DomainError(f"n_max={n_max} below Fock occupation {state.n}")
-        out = np.zeros(n_max + 1)
-        k = np.arange(state.n + 1)
-        if eta == 0.0:
-            out[0] = 1.0
-        elif eta == 1.0:
-            out[state.n] = 1.0
-        else:
-            logc = (special.gammaln(state.n + 1.0) - special.gammaln(k + 1.0)
-                    - special.gammaln(state.n - k + 1.0))
-            out[: state.n + 1] = np.exp(
-                logc + k * math.log(eta) + (state.n - k) * math.log1p(-eta)
-            )
+        k = n[: state.n + 1]
+        logc = (special.gammaln(state.n + 1.0) - special.gammaln(k + 1.0)
+                - special.gammaln(state.n - k + 1.0))
+        out = np.zeros((eta.shape[0], n_max + 1))
+        out[:, : state.n + 1] = np.exp(
+            logc + special.xlogy(k, eta) + special.xlog1py(state.n - k, -eta)
+        )
         return out
     # thermal
     m = eta * state.nbar
-    if m == 0.0:
-        out = np.zeros(n_max + 1)
-        out[0] = 1.0
-        return out
-    return np.exp(n * math.log(m) - (n + 1) * math.log1p(m))
+    return np.exp(_n_log(n, m) - (n + 1) * np.log1p(m))
 
 
 def _stats_from_pmf(pmf: np.ndarray) -> PhotonStats:
@@ -202,7 +204,7 @@ def loss_pmf(state: InputState, eta: float, n_max: Optional[int] = None) -> Phot
         raise DomainError("loss_pmf: eta must be in [0, 1]")
     if n_max is None:
         n_max = default_n_max(state)
-    pmf = _pmf_vector(state, eta, n_max)
+    pmf = _pmf_matrix(state, [eta], n_max)[0]
     stats = _stats_from_pmf(pmf)
     if stats.tail_bound > TAIL_BOUND:
         raise DomainError(
@@ -216,38 +218,25 @@ def channel_pmf(state: InputState, channel: ChannelSpec,
                 n_max: Optional[int] = None) -> PhotonStats:
     """Photon statistics after a (possibly fluctuating) loss channel.
 
-    PDT channels integrate the fixed-loss pmf over the transmittance
-    density by adaptive quadrature; empirical channels average uniformly
-    over the recorded sample (the statistics-level realization of time
-    averaging).  The elliptic-beam model contributes through its cached
-    sample set.
+    A fluctuating channel is a weighted point set of transmittances (eta_i,
+    w_i): an empirical record gives its samples equal weights, a PDT model
+    its fixed-node rule (``pdt._eta_nodes``; EllipticBeam, its cached
+    samples).  The pmf is sum_i w_i pmf(state, eta_i), taken over blocks of
+    at most ``_BLOCK`` transmittances to bound memory for long records.
     """
     if n_max is None:
         n_max = default_n_max(state)
     if isinstance(channel, FixedEta):
         return loss_pmf(state, channel.eta, n_max)
     if isinstance(channel, EmpiricalChannel):
-        values = channel.sample.values
-        pmf = np.zeros(n_max + 1)
-        # chunked to bound memory for long records
-        for block in np.array_split(values, max(1, values.size // 65536)):
-            for eta in block:
-                pmf += _pmf_vector(state, float(eta), n_max)
-        pmf /= values.size
-        return _stats_from_pmf(pmf)
-    model = channel.model
-    if isinstance(model, EllipticBeam):
-        return channel_pmf(state, EmpiricalChannel(
-            EmpiricalSample(model.samples())), n_max)
-    res = integrate.quad_vec(
-        lambda e: model_density(model, e) * _pmf_vector(state, e, n_max),
-        0.0, 1.0, epsabs=1e-12, epsrel=1e-10,
-    )
-    pmf = res[0]
-    if isinstance(model, TotalProb) and model.atoms:
-        for w, loc in model.atoms:
-            pmf += w * _pmf_vector(state, loc, n_max)
-    return _stats_from_pmf(np.clip(pmf, 0.0, None))
+        eta = channel.sample.values
+        weight = np.full(eta.size, 1.0 / eta.size)
+    else:
+        eta, weight = _eta_nodes(channel.model)
+    pmf = np.zeros(n_max + 1)
+    for i in range(0, eta.size, _BLOCK):
+        pmf += weight[i:i + _BLOCK] @ _pmf_matrix(state, eta[i:i + _BLOCK], n_max)
+    return _stats_from_pmf(pmf)
 
 
 def _channel_eta_moments(channel: ChannelSpec) -> tuple[float, float]:

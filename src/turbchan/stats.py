@@ -39,6 +39,8 @@ class EmpiricalSample:
         v = np.asarray(self.values, dtype=float)
         if v.size == 0:
             raise DomainError("EmpiricalSample: empty sample")
+        if not np.all(np.isfinite(v)):
+            raise DomainError("EmpiricalSample: values must be finite")
         if np.any(v < -1e-12) or np.any(v > 1.0 + 1e-12):
             raise DomainError("EmpiricalSample: values must lie in [0, 1]")
         object.__setattr__(self, "values", np.sort(np.clip(v, 0.0, 1.0)))

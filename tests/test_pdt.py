@@ -2,10 +2,12 @@
 
 import math
 
+import mpmath
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from scipy import integrate, special
 from scipy import stats as sps
 
 from turbchan import pdt
@@ -415,3 +417,86 @@ class TestGenericOps:
             half = pdt.fractional_moment(model, 0.5)
             one = pdt.fractional_moment(model, 1.0)
             assert half * half <= one + 1e-9, model
+
+
+# The beam-wandering fit of the benchmark's pdt_photon records (seed 7).
+BENCH_BW = pdt.BeamWander(sigma_bw2=8.893695683025529e-05, S=0.001186280206523416,
+                          aperture=0.02)
+
+
+def bw_quad_moment(model, p):
+    """<eta^p> of a BeamWander PDT by adaptive quadrature in u.
+
+    u = ln(eta0/eta)^(2/lambda) is exponential with rate R^2 / 2 sigma_bw^2
+    (bw_cdf), and eta = eta0 exp(-u^(lambda/2)); the range is cut at 50/rate,
+    with breakpoints at the mean 1/rate and at the knee u = 1.
+    """
+    eta0, lam, R = model.geometry()
+    rate = 0.5 * R * R / model.sigma_bw2
+    pts = [u for u in (1.0 / rate, 1.0) if u < 50.0 / rate]
+    val, _ = integrate.quad(lambda u: rate * math.exp(-rate * u - p * u ** (lam / 2.0)),
+                            0.0, 50.0 / rate, points=pts, limit=200, epsabs=0.0,
+                            epsrel=1e-12)
+    return eta0**p * val
+
+
+def tln_moment(mu, sigma2, p):
+    """exp(-p mu + p^2 sigma2 / 2) Phi((mu - p sigma2)/sigma) / Phi(mu/sigma)."""
+    mu, sigma2 = mpmath.mpf(mu), mpmath.mpf(sigma2)
+    sig = mpmath.sqrt(sigma2)
+    return float(mpmath.exp(-p * mu + p * p * sigma2 / 2)
+                 * mpmath.ncdf((mu - p * sigma2) / sig) / mpmath.ncdf(mu / sig))
+
+
+class TestFixedNodeRule:
+    """fractional_moment through pdt._eta_nodes against closed forms and quadrature."""
+
+    @pytest.mark.parametrize("mu", [-1.0, -0.2, 0.0, 0.5, 2.0, 10.0])
+    @pytest.mark.parametrize("sigma2", [1e-4, 0.03, 0.5, 2.0])
+    def test_lognormal_closed_form(self, mu, sigma2):
+        # mu <= 0 puts the untruncated mode at eta >= 1: heavy truncation
+        model = pdt.TruncLogNormal(mu, sigma2)
+        for p in (0.0, 0.5, 1.0, 2.0):
+            assert pdt.fractional_moment(model, p) == pytest.approx(
+                tln_moment(mu, sigma2, p), rel=1e-12, abs=0.0)
+
+    @given(st.floats(math.log(0.2), math.log(1000.0)),
+           st.floats(math.log(0.2), math.log(1000.0)),
+           st.sampled_from([0.0, 0.5, 1.0, 2.0]))
+    @settings(max_examples=200, deadline=None)
+    def test_beta_closed_form(self, log_a, log_b, p):
+        a, b = math.exp(log_a), math.exp(log_b)
+        want = math.exp(special.betaln(a + p, b) - special.betaln(a, b))
+        assert pdt.fractional_moment(pdt.BetaPdt(a, b), p) == pytest.approx(want, rel=1e-10)
+
+    @pytest.mark.parametrize("ratio", [0.02, 0.05, 0.33, 1.0, 3.0, 20.0])
+    @pytest.mark.parametrize("sigma_bw2", [1e-7, 1e-6, 1e-5, 1e-4, 1e-3, 1e-2])
+    def test_beam_wander_grid(self, ratio, sigma_bw2):
+        # a^2/S = ratio; lambda runs from 2 (0.02) to 10 (20).  At 0.05 and
+        # 1e-7 (rate ~ 2e4) quadrature over u in [0, inf) missed the mass:
+        # <eta^0> came out as 3e-18 and <eta> as 3e-19, not 0.0952
+        a = 0.02
+        model = pdt.BeamWander(sigma_bw2, a * a / ratio, a)
+        assert pdt.fractional_moment(model, 0.0) == pytest.approx(1.0, abs=1e-12)
+        for p in (0.5, 1.0, 2.0):
+            assert pdt.fractional_moment(model, p) == pytest.approx(
+                bw_quad_moment(model, p), rel=1e-8)
+
+    def test_beam_wander_benchmark_fit(self):
+        for p in (0.0, 0.5, 1.0, 2.0):
+            assert pdt.fractional_moment(BENCH_BW, p) == pytest.approx(
+                bw_quad_moment(BENCH_BW, p), rel=1e-12)
+
+    def test_weights_carry_all_mass(self):
+        m = pdt.MomentPair(0.5, 0.3)
+        for model in (pdt.CircularBeam(1e-4, math.log(4e-4), 0.1, 0.02),
+                      pdt.totalprob_model("beta", 1e-4, 4e-4, m, 0.02),
+                      pdt.totalprob_model("lognormal", 1e-4, 4e-4, m, 0.02)):
+            eta, weight = pdt._eta_nodes(model)
+            assert np.all(weight >= 0.0) and np.all((eta >= 0.0) & (eta <= 1.0))
+            assert weight.sum() == pytest.approx(1.0, abs=1e-12), model
+
+    @pytest.mark.parametrize("p", [math.nan, math.inf, -math.inf, -0.5])
+    def test_rejects_bad_order(self, p):
+        with pytest.raises(DomainError):
+            pdt.fractional_moment(pdt.BetaPdt(2.0, 2.0), p)

@@ -334,6 +334,15 @@ class TestSplitStepVacuum:
         assert absorbed == pytest.approx(before - after, rel=1e-12)
         assert np.max(np.abs(got - ref)) <= 1e-12 * np.max(np.abs(ref))
 
+    @pytest.mark.parametrize("steps", [10, 20])
+    def test_kernel_matches_exp(self, steps):
+        # slab and half-slab steps of the 10-screen FIG2 ensemble at n=512
+        grid = default_grid(FIG2_GEOM, FIG2_SPEC, n=512)
+        prop = _Propagator(grid, FIG2_GEOM.k)
+        dz = FIG2_GEOM.path_length / steps
+        ref = np.exp(-0.5j * prop.kk * dz / prop.k)
+        assert np.max(np.abs(prop.phase(dz) - ref)) <= 1e-13
+
     def test_focused_transmittance_closed_form(self):
         geom = FIG2_GEOM
         grid = default_grid(geom, VACUUM, n=512)

@@ -4,6 +4,8 @@ import math
 
 import numpy as np
 import pytest
+from scipy import integrate
+from scipy import stats as sps
 
 from turbchan import pdt
 from turbchan.errors import DomainError
@@ -19,11 +21,25 @@ from turbchan.quantum import (
     default_n_max,
     ergodicity_report,
     loss_pmf,
+    _pmf_matrix,
     quadrature_moments,
 )
 from turbchan.stats import EmpiricalSample
 
 BETA22 = pdt.BetaPdt(2.0, 2.0)
+TARGET = pdt.MomentPair(0.45, 0.23)
+
+
+def quad_vec_pmf(state, model):
+    """Mixture pmf by adaptive vector quadrature of the density, plus atoms."""
+    n_max = default_n_max(state)
+    pmf, _ = integrate.quad_vec(
+        lambda e: pdt.model_density(model, e) * loss_pmf(state, e, n_max).pmf,
+        0.0, 1.0, epsabs=1e-13, epsrel=1e-11,
+    )
+    for w, loc in getattr(model, "atoms", None) or []:
+        pmf = pmf + w * loss_pmf(state, loc, n_max).pmf
+    return pmf
 
 
 class TestLossPmf:
@@ -108,12 +124,73 @@ class TestChannelPmf:
         ps = channel_pmf(Fock(1), EmpiricalChannel(EmpiricalSample(vals)))
         assert ps.pmf[1] == pytest.approx(vals.mean(), rel=1e-12)
 
+    @pytest.mark.parametrize("model", [
+        pdt.totalprob_model("lognormal", 1e-4, 4e-4, TARGET, 0.02),
+        pdt.totalprob_model("beta", 1e-4, 4e-4, TARGET, 0.02),
+        pdt.BeamWander(1e-4, 4e-4, 0.02),
+        # the beam-wandering fit of the benchmark's pdt_photon records (seed 7)
+        pdt.BeamWander(8.893695683025529e-05, 0.001186280206523416, 0.02),
+    ], ids=["totalprob_lognormal", "totalprob_beta", "beam_wander", "beam_wander_fit"])
+    def test_matches_quad_vec_reference(self, model):
+        st = Coherent(2.0)
+        got = channel_pmf(st, PdtChannel(model)).pmf
+        assert np.max(np.abs(got - quad_vec_pmf(st, model))) <= 1e-12
+
+    def test_atoms_enter_as_fixed_loss_pmfs(self):
+        # wide wander: every radial node is infeasible for Beta, so the
+        # model is 64 atoms
+        with pytest.warns(UserWarning, match="degenerate"):
+            model = pdt.totalprob_model("beta", 4e-4, 4e-4, TARGET, 0.02)
+        assert not model.node_models
+        st = Coherent(2.0)
+        want = sum(w * loss_pmf(st, loc).pmf for w, loc in model.atoms)
+        got = channel_pmf(st, PdtChannel(model)).pmf
+        assert np.max(np.abs(got - want)) <= 1e-15
+
+    def test_circular_beam(self):
+        # the circular-beam fit of the benchmark's pdt_photon records (seed 7)
+        model = pdt.CircularBeam(sigma_bw2=7.949231888223333e-05,
+                                 mu_S=-6.704201330198932, sigma_S2=0.01582727787537576,
+                                 aperture=0.02)
+        st = Coherent(2.0)
+        ps = channel_pmf(st, PdtChannel(model))
+        assert ps.tail_bound <= 1e-9
+        assert ps.mean == pytest.approx(st.mean_n * pdt.fractional_moment(model, 1.0),
+                                        rel=1e-9)
+
+    def test_long_record_spans_blocks(self):
+        vals = np.random.default_rng(3).beta(2.0, 5.0, 20_000)
+        ps = channel_pmf(Fock(1), EmpiricalChannel(EmpiricalSample(vals)))
+        assert ps.pmf[1] == pytest.approx(vals.mean(), rel=1e-12)
+        ps = channel_pmf(Coherent(2.0), EmpiricalChannel(EmpiricalSample(vals)))
+        assert ps.mean == pytest.approx(4.0 * vals.mean(), rel=1e-9)
+
     def test_elliptic_channel_uses_samples(self):
         model = pdt.EllipticBeam(sigma_bw2=1e-4, mu_S=math.log(4e-4),
                                  Sigma=0.05 * np.eye(2), aperture=0.02,
                                  cache_size=5000)
         ps = channel_pmf(Fock(1), PdtChannel(model))
         assert ps.pmf[1] == pytest.approx(model.samples().mean(), rel=1e-12)
+
+
+class TestPmfMatrix:
+    ETAS = np.array([0.0, 1e-300, 0.2, 0.5, 0.9, 1.0])
+
+    def test_coherent_is_poisson(self):
+        got = _pmf_matrix(Coherent(2.0), self.ETAS, 25)
+        want = sps.poisson.pmf(np.arange(26), 4.0 * self.ETAS[:, None])
+        assert np.allclose(got, want, rtol=1e-13, atol=0.0)
+
+    def test_fock_is_binomial(self):
+        got = _pmf_matrix(Fock(4), self.ETAS, 6)
+        want = sps.binom.pmf(np.arange(7), 4, self.ETAS[:, None])
+        assert np.allclose(got, want, rtol=1e-13, atol=0.0)
+
+    def test_thermal_is_geometric(self):
+        m = 1.7 * self.ETAS[:, None]
+        got = _pmf_matrix(Thermal(1.7), self.ETAS, 30)
+        want = (m / (1.0 + m)) ** np.arange(31) / (1.0 + m)
+        assert np.allclose(got, want, rtol=1e-13, atol=0.0)
 
 
 class TestQuadratureMoments:

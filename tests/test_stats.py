@@ -43,6 +43,11 @@ class TestEcdf:
         with pytest.raises(DomainError):
             EmpiricalSample(np.array([0.5, 1.5]))
 
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    def test_non_finite_rejected(self, bad):
+        with pytest.raises(DomainError):
+            EmpiricalSample([0.2, bad])
+
 
 class TestKsStat:
     def test_self_model_quantile(self):
