@@ -1,8 +1,8 @@
 """Numerical kernels used throughout the package.
 
-Special functions (modified Bessel I0/I1, Lambert W, first-order Marcum Q),
-adaptive quadrature with an absolute-error contract, a damped-Newton solver
-for 2x2 moment-matching systems, and counter-based random streams.
+Special functions (Lambert W, first-order Marcum Q), adaptive quadrature
+with an absolute-error contract, a damped-Newton solver for 2x2
+moment-matching systems, and counter-based random streams.
 
 Random streams are Philox counter-based generators keyed by
 ``(master_seed, stream_index)``: the same pair always reproduces the same
@@ -21,8 +21,6 @@ from .errors import DomainError, NumericsError, SolverError
 
 __all__ = [
     "RngStream",
-    "bessel_i01",
-    "bessel_i01_scaled",
     "lambert_w0_exp",
     "marcum_q1",
     "adaptive_quad",
@@ -56,30 +54,6 @@ class RngStream:
 # ---------------------------------------------------------------------------
 # Special functions
 # ---------------------------------------------------------------------------
-
-_BESSEL_X_MAX = 700.0  # exp overflow guard for the unscaled forms
-
-
-def bessel_i01(x: float) -> tuple[float, float]:
-    """Modified Bessel functions (I0(x), I1(x)) for 0 <= x <= 700."""
-    if not np.all(np.isfinite(x)):
-        raise DomainError("bessel_i01: x must be finite")
-    if np.any(np.asarray(x) < 0.0):
-        raise DomainError("bessel_i01: x must be non-negative")
-    if np.any(np.asarray(x) > _BESSEL_X_MAX):
-        raise DomainError(f"bessel_i01: x > {_BESSEL_X_MAX} overflows; "
-                          "use bessel_i01_scaled")
-    return special.i0(x), special.i1(x)
-
-
-def bessel_i01_scaled(x):
-    """Scaled forms (e^-x I0(x), e^-x I1(x)), valid for any x >= 0."""
-    xa = np.asarray(x, dtype=float)
-    if not np.all(np.isfinite(xa)):
-        raise DomainError("bessel_i01_scaled: x must be finite")
-    if np.any(xa < 0.0):
-        raise DomainError("bessel_i01_scaled: x must be non-negative")
-    return special.i0e(x), special.i1e(x)
 
 
 def lambert_w0_exp(y):

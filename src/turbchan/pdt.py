@@ -13,6 +13,14 @@ Six families, ordered by how much physics they assume:
   with log-normal or Beta conditional distributions whose moments follow
   the Gaussian-beam radial profile.
 
+Every family carries the same three members:
+
+* ``density(eta)``: the density at a 1-D float array of transmittances;
+* ``cdf(eta)``: the CDF there;
+* ``nodes``: the PDT as one weighted point set ``(eta, weight)`` whose
+  weights sum to 1, built on first use, cached on the model and returned as
+  read-only arrays.  An expectation <f(eta)> is ``weight @ f(eta)``.
+
 The beam-wandering geometry functions carry a convention switch for the
 maximal transmittance: ``paper_literal`` keeps eta0 = 1 - exp(-a^2/S) as
 printed, ``consistent`` (default) uses eta0 = 1 - exp(-2 a^2/S), which is
@@ -29,7 +37,8 @@ import math
 import warnings as _warnings
 from dataclasses import dataclass, field
 from enum import Enum
-from typing import Optional, Sequence, Union
+from functools import cached_property
+from typing import Sequence, Union
 
 import numpy as np
 from scipy import special
@@ -50,18 +59,14 @@ __all__ = [
     "lognormal_from_moments",
     "beta_from_moments",
     "bw_geometry",
-    "bw_density",
-    "bw_cdf",
     "bw_moments",
     "match_bw",
     "circular_params_from_S",
-    "circular_density",
     "circular_moments",
     "match_circular",
     "elliptic_params_from_samples",
     "elliptic_sample",
     "totalprob_model",
-    "totalprob_density",
     "model_density",
     "model_cdf",
     "model_moments",
@@ -72,10 +77,6 @@ __all__ = [
 class EtaConvention(str, Enum):
     paper_literal = "paper_literal"
     consistent = "consistent"
-
-
-def _conv(c) -> EtaConvention:
-    return EtaConvention(c)
 
 
 _MOMENT_SLACK = 1e-9  # relative tolerance on the moment inequalities
@@ -109,6 +110,75 @@ class MomentPair:
 
 
 # ---------------------------------------------------------------------------
+# Point sets and quadrature CDFs shared by the families
+# ---------------------------------------------------------------------------
+
+_GL64_X, _GL64_W = np.polynomial.legendre.leggauss(64)
+
+
+def _gl_panels(edges) -> tuple[np.ndarray, np.ndarray]:
+    """64-node Gauss-Legendre nodes and weights on each panel between edges.
+
+    A 2-D ``edges`` holds one row of panel edges per rule; each rule's nodes
+    come back as one row.
+    """
+    edges = np.asarray(edges, dtype=float)
+    half = 0.5 * np.diff(edges)[..., None]
+    mid = 0.5 * (edges[..., 1:] + edges[..., :-1])[..., None]
+    shape = (*edges.shape[:-1], -1)
+    return (mid + half * _GL64_X).reshape(shape), (half * _GL64_W).reshape(shape)
+
+
+def _normalized(weight: np.ndarray, log_density: np.ndarray) -> np.ndarray:
+    """Quadrature weights times the density, scaled to total mass 1 per row.
+
+    The density is given by its logarithm up to a constant, so a normalizer
+    that underflows (a log-normal truncated far into its tail) never
+    appears.
+    """
+    w = weight * np.exp(log_density - log_density.max(axis=-1, keepdims=True))
+    return w / w.sum(axis=-1, keepdims=True)
+
+
+def _read_only(*arrays: np.ndarray) -> tuple:
+    """The arrays, made read-only: a cached point set is shared by every caller."""
+    for a in arrays:
+        a.flags.writeable = False
+    return arrays
+
+
+def _mixture(components):
+    """One point set from ``(mass, (eta, weight))`` components."""
+    etas, weights = zip(*((eta, mass * w) for mass, (eta, w) in components))
+    return np.concatenate(etas), np.concatenate(weights)
+
+
+def _quad_cdf(model: PdtModel, eta: np.ndarray, atoms=()) -> np.ndarray:
+    """CDF of ``model`` at the points eta, plus point masses ``(weight, loc)``.
+
+    Adaptive quadrature of :func:`model_density`, accumulated over the
+    sorted evaluation points.
+    """
+    order = np.argsort(eta)
+    sorted_pts = np.clip(eta[order], 0.0, 1.0)
+    cdf_sorted = np.empty_like(sorted_pts)
+    prev_x, acc = 0.0, 0.0
+    dens = lambda x: model_density(model, x)
+    for i, x in enumerate(sorted_pts):
+        if x > prev_x:
+            acc += adaptive_quad(dens, prev_x, x, tol=1e-8)
+            prev_x = x
+        cdf_sorted[i] = acc
+    for w, loc in atoms:
+        cdf_sorted += w * (sorted_pts >= loc)
+    cdf_sorted = np.clip(cdf_sorted, 0.0, 1.0)
+    out = np.empty_like(cdf_sorted)
+    out[order] = cdf_sorted
+    out[eta <= 0.0] = 0.0
+    return out
+
+
+# ---------------------------------------------------------------------------
 # Empirical two-moment families
 # ---------------------------------------------------------------------------
 
@@ -132,6 +202,51 @@ class TruncLogNormal:
     def norm(self) -> float:
         return float(special.ndtr(self.mu / math.sqrt(self.sigma2)))
 
+    def density(self, eta: np.ndarray) -> np.ndarray:
+        out = np.zeros_like(eta)
+        mask = (eta > 0.0) & (eta <= 1.0)
+        if np.any(mask):
+            e = eta[mask]
+            sig = math.sqrt(self.sigma2)
+            z = (np.log(e) + self.mu) / sig
+            out[mask] = np.exp(-0.5 * z * z) / (self.norm * math.sqrt(2 * math.pi) * sig * e)
+        return out
+
+    def cdf(self, eta: np.ndarray) -> np.ndarray:
+        return _quad_cdf(self, eta)
+
+    @cached_property
+    def nodes(self) -> tuple[np.ndarray, np.ndarray]:
+        """64 nodes in x = ln eta, where the density is normal(-mu, sigma2) on x <= 0.
+
+        The window ends at x = 0 or 9 sigma above the mean of the density tilted
+        by eta^2 (the highest moment :func:`model_moments` takes), whichever is
+        lower, and reaches down to where the log-density is 40.5 (9 sigma's
+        worth) below its largest value on the window.
+        """
+        m, sig = -self.mu, math.sqrt(self.sigma2)
+        hi = min(0.0, m + 2.0 * self.sigma2 + 9.0 * sig)
+        lo = m - math.hypot(9.0 * sig, min(m, hi) - m)
+        x, w = _gl_panels([lo, hi])
+        return _read_only(np.exp(x), _normalized(w, -0.5 * ((x - m) / sig) ** 2))
+
+
+# Fixed panel edges in y = logit eta.  The log-density's complex
+# singularities sit at y = i pi (2k + 1), over y = 0, and its tails are
+# exponential in y: panels 4 wide next to y = 0 that double in width away
+# from it stay short against both.
+_LOGIT_EDGES = 4.0 * 2.0 ** np.arange(12)
+_LOGIT_EDGES = np.concatenate([-_LOGIT_EDGES[::-1], [0.0], _LOGIT_EDGES])
+
+
+def _reach(log_density, mode: float, step: float, drop: float = 40.0) -> float:
+    """mode + step 2^k for the least k >= 0 at which a log-concave density
+    has fallen by ``drop`` below its value at the mode."""
+    top = log_density(mode)
+    while top - log_density(mode + step) < drop:
+        step *= 2.0
+    return mode + step
+
 
 @dataclass(frozen=True)
 class BetaPdt:
@@ -143,6 +258,42 @@ class BetaPdt:
     def __post_init__(self):
         if not (self.a > 0.0 and self.b > 0.0):
             raise DomainError("BetaPdt: a, b must be > 0")
+
+    def density(self, eta: np.ndarray) -> np.ndarray:
+        out = np.zeros_like(eta)
+        mask = (eta > 0.0) & (eta < 1.0)
+        if np.any(mask):
+            e = eta[mask]
+            ln = (self.a - 1.0) * np.log(e) + (self.b - 1.0) * np.log1p(-e)
+            out[mask] = np.exp(ln - special.betaln(self.a, self.b))
+        return out
+
+    def cdf(self, eta: np.ndarray) -> np.ndarray:
+        return _quad_cdf(self, eta)
+
+    @cached_property
+    def nodes(self) -> tuple[np.ndarray, np.ndarray]:
+        """64 nodes per panel in y = logit eta, where the log-density is
+        a ln eta + b ln(1 - eta), log-concave with mode ln(a/b).
+
+        The outer ends lie where the density has fallen by e^-40, at least 9 sd
+        from the mode; sd = sqrt(trigamma(a) + trigamma(b)) is the standard
+        deviation in y.  Panels split at mode -+ 3 sd and at the fixed edges in
+        between, so that eta^p-weighted integrands, whose bulk lies ln(1 + p/a)
+        further toward eta = 1, stay resolved when a is small.
+        """
+        a, b = self.a, self.b
+
+        def log_density(y):
+            return -a * np.logaddexp(0.0, -y) - b * np.logaddexp(0.0, y)
+
+        mode = math.log(a / b)
+        sd = math.sqrt(special.zeta(2.0, a) + special.zeta(2.0, b))  # trigamma
+        lo, hi = _reach(log_density, mode, -9.0 * sd), _reach(log_density, mode, 9.0 * sd)
+        inner = _LOGIT_EDGES[(_LOGIT_EDGES > lo) & (_LOGIT_EDGES < hi)]
+        y, w = _gl_panels(np.unique(np.concatenate(
+            ([lo, mode - 3.0 * sd, mode + 3.0 * sd, hi], inner))))
+        return _read_only(special.expit(y), _normalized(w, log_density(y)))
 
 
 def lognormal_from_moments(m: MomentPair) -> TruncLogNormal:
@@ -161,27 +312,6 @@ def beta_from_moments(m: MomentPair) -> BetaPdt:
     a = (m.m1 - m.m2) / (m.m2 - m.m1**2) * m.m1
     b = a * (1.0 / m.m1 - 1.0)
     return BetaPdt(a=a, b=b)
-
-
-def _tln_density(model: TruncLogNormal, eta: np.ndarray) -> np.ndarray:
-    out = np.zeros_like(eta)
-    mask = (eta > 0.0) & (eta <= 1.0)
-    if np.any(mask):
-        e = eta[mask]
-        sig = math.sqrt(model.sigma2)
-        z = (np.log(e) + model.mu) / sig
-        out[mask] = np.exp(-0.5 * z * z) / (model.norm * math.sqrt(2 * math.pi) * sig * e)
-    return out
-
-
-def _beta_density(model: BetaPdt, eta: np.ndarray) -> np.ndarray:
-    out = np.zeros_like(eta)
-    mask = (eta > 0.0) & (eta < 1.0)
-    if np.any(mask):
-        e = eta[mask]
-        ln = (model.a - 1.0) * np.log(e) + (model.b - 1.0) * np.log1p(-e)
-        out[mask] = np.exp(ln - special.betaln(model.a, model.b))
-    return out
 
 
 # ---------------------------------------------------------------------------
@@ -211,6 +341,13 @@ def _bw_lambda_R(S, a):
     return lam, r_dimless
 
 
+def _bw_shape(S, a: float, convention: EtaConvention):
+    """eta0, lambda and R, elementwise over an array of spot sizes S."""
+    lam, r_dim = _bw_lambda_R(S, a)
+    factor = 1.0 if EtaConvention(convention) is EtaConvention.paper_literal else 2.0
+    return -np.expm1(-factor * a * a / S), lam, a * r_dim
+
+
 def bw_geometry(S: float, a: float, convention=EtaConvention.consistent):
     """Maximal transmittance eta0, shape lambda(S), and scale R(S).
 
@@ -219,17 +356,79 @@ def bw_geometry(S: float, a: float, convention=EtaConvention.consistent):
     """
     if not (S > 0.0 and a > 0.0):
         raise DomainError("bw_geometry: S and a must be > 0")
-    convention = _conv(convention)
-    lam, r_dim = _bw_lambda_R(S, a)
-    if convention is EtaConvention.paper_literal:
-        eta0 = -math.expm1(-a * a / S)
-    else:
-        eta0 = -math.expm1(-2.0 * a * a / S)
-    return eta0, float(lam), float(a * r_dim)
+    return tuple(float(v) for v in _bw_shape(S, a, convention))
+
+
+def _bw_pdf(eta, eta0, lam, R, sigma_bw2):
+    """Beam-wandering PDT on (0, eta0), zero outside; eta0, lam and R are
+    columns, one row per spot size, broadcast against the points eta."""
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+        xi = np.log(eta0 / eta)
+        r2s2 = R * R / sigma_bw2
+        dens = (r2s2 / (eta * lam) * xi ** (2.0 / lam - 1.0)
+                * np.exp(-0.5 * r2s2 * xi ** (2.0 / lam)))
+    return np.where((eta > 0.0) & (eta < eta0), dens, 0.0)
+
+
+def _bw_cdf(eta, eta0, lam, R, sigma_bw2):
+    """Closed-form CDF exp(-R^2 ln(eta0/eta)^(2/lam) / 2 s2), broadcast as
+    in :func:`_bw_pdf`."""
+    with np.errstate(divide="ignore", invalid="ignore"):
+        inside = np.exp(-0.5 * R * R / sigma_bw2 * np.log(eta0 / eta) ** (2.0 / lam))
+    return np.where(eta >= eta0, 1.0, np.where(eta > 0.0, inside, 0.0))
+
+
+def _bw_rule(eta0, lam, R, mass, sigma_bw2):
+    """Point set of beam-wandering PDTs with the given masses, one per row
+    of the columns eta0, lam, R, mass.
+
+    Nodes lie in t = r0 / R, for which eta = eta0 exp(-t^lambda).
+    t = sqrt(u), u = ln(eta0/eta)^(2/lambda) exponential with rate
+    R^2 / 2 sigma_bw^2, so t is Rayleigh with scale s = sigma_bw / R; it is
+    cut where its tail is e^-45.  eta(t) has a knee at t = 1, steep for
+    large lambda (lambda ~ 10 at a^2/S = 20), so panels split at t = 1 and
+    at eta/eta0 = e^-80 where these lie below the cut, with 64 nodes each.
+    """
+    s = math.sqrt(sigma_bw2) / R
+    t_max = s * math.sqrt(90.0)
+    edges = np.hstack([0.0 * t_max, np.minimum(1.0, t_max),
+                       np.minimum(80.0 ** (1.0 / lam), t_max), t_max])
+    t, w = _gl_panels(edges)
+    eta = eta0 * np.exp(-(t**lam))
+    weight = mass * _normalized(w * t, -0.5 * (t / s) ** 2)
+    panel = np.repeat(np.diff(edges) > 0.0, _GL64_X.size, axis=-1)  # knees past the cut
+    return eta[panel], weight[panel]
+
+
+class _SpotMixture:
+    """Beam-wandering PDTs mixed over the spot sizes of ``spot_nodes()``.
+
+    Density, CDF and point set are each one (spots x points) array
+    expression over the beam-wandering rule vectorized in spot size.
+    """
+
+    @cached_property
+    def _spots(self):
+        """Columns eta0, lambda, R and mass, one row per spot size."""
+        S, mass = self.spot_nodes()
+        return (*_bw_shape(S[:, None], self.aperture, self.convention), mass[:, None])
+
+    def density(self, eta: np.ndarray) -> np.ndarray:
+        eta0, lam, R, mass = self._spots
+        return (mass * _bw_pdf(eta, eta0, lam, R, self.sigma_bw2)).sum(axis=0)
+
+    def cdf(self, eta: np.ndarray) -> np.ndarray:
+        eta0, lam, R, mass = self._spots
+        return np.clip((mass * _bw_cdf(eta, eta0, lam, R, self.sigma_bw2)).sum(axis=0),
+                       0.0, 1.0)
+
+    @cached_property
+    def nodes(self) -> tuple[np.ndarray, np.ndarray]:
+        return _read_only(*_bw_rule(*self._spots, self.sigma_bw2))
 
 
 @dataclass(frozen=True)
-class BeamWander:
+class BeamWander(_SpotMixture):
     """Wandering Gaussian beam of fixed squared spot radius S."""
 
     sigma_bw2: float
@@ -244,39 +443,9 @@ class BeamWander:
     def geometry(self):
         return bw_geometry(self.S, self.aperture, self.convention)
 
-
-def bw_density(eta, model: BeamWander) -> np.ndarray:
-    """Beam-wandering PDT on (0, eta0), zero outside."""
-    eta_arr = np.asarray(eta, dtype=float)
-    scalar = eta_arr.ndim == 0
-    eta_arr = np.atleast_1d(eta_arr)
-    eta0, lam, R = model.geometry()
-    out = np.zeros_like(eta_arr)
-    mask = (eta_arr > 0.0) & (eta_arr < eta0)
-    if np.any(mask):
-        e = eta_arr[mask]
-        xi = np.log(eta0 / e)
-        r2s2 = R * R / model.sigma_bw2
-        out[mask] = (
-            r2s2 / (e * lam) * xi ** (2.0 / lam - 1.0)
-            * np.exp(-0.5 * r2s2 * xi ** (2.0 / lam))
-        )
-    return float(out[0]) if scalar else out
-
-
-def bw_cdf(eta, model: BeamWander) -> np.ndarray:
-    """Closed-form CDF: P(eta' <= eta) = exp(-R^2 ln(eta0/eta)^(2/lam) / 2 s2)."""
-    eta_arr = np.asarray(eta, dtype=float)
-    scalar = eta_arr.ndim == 0
-    eta_arr = np.atleast_1d(eta_arr)
-    eta0, lam, R = model.geometry()
-    out = np.zeros_like(eta_arr)
-    out[eta_arr >= eta0] = 1.0
-    mask = (eta_arr > 0.0) & (eta_arr < eta0)
-    if np.any(mask):
-        xi = np.log(eta0 / eta_arr[mask])
-        out[mask] = np.exp(-0.5 * R * R / model.sigma_bw2 * xi ** (2.0 / lam))
-    return float(out[0]) if scalar else out
+    def spot_nodes(self):
+        """The one spot size, with mass 1."""
+        return np.array([float(self.S)]), np.ones(1)
 
 
 def bw_moments(S, sigma_bw2, a) -> tuple:
@@ -363,7 +532,7 @@ _GH_WEIGHTS = _GH_WEIGHTS / math.sqrt(math.pi)
 
 
 @dataclass(frozen=True)
-class CircularBeam:
+class CircularBeam(_SpotMixture):
     """Wandering beam whose squared spot radius is log-normal."""
 
     sigma_bw2: float
@@ -393,19 +562,6 @@ def circular_params_from_S(mean_S: float, mean_S2: float) -> tuple[float, float]
     mu_s = math.log(mean_S**2 / math.sqrt(mean_S2))
     sigma_s2 = math.log(mean_S2 / mean_S**2)
     return mu_s, sigma_s2
-
-
-def circular_density(eta, model: CircularBeam) -> np.ndarray:
-    """Log-normal-in-S mixture of beam-wandering densities."""
-    eta_arr = np.asarray(eta, dtype=float)
-    scalar = eta_arr.ndim == 0
-    eta_arr = np.atleast_1d(eta_arr)
-    nodes, wts = model.spot_nodes()
-    out = np.zeros_like(eta_arr)
-    for s, w in zip(nodes, wts):
-        bw = BeamWander(model.sigma_bw2, float(s), model.aperture, model.convention)
-        out += w * bw_density(eta_arr, bw)
-    return float(out[0]) if scalar else out
 
 
 def circular_moments(mu_S: float, sigma_S2: float, sigma_bw2: float, a: float):
@@ -448,7 +604,7 @@ def match_circular(m: MomentPair, sigma_bw2: float, a: float) -> tuple[float, fl
 # ---------------------------------------------------------------------------
 
 
-@dataclass
+@dataclass(frozen=True)
 class EllipticBeam:
     """Random Gaussian ellipse with wander; PDT accessible only by sampling.
 
@@ -461,13 +617,11 @@ class EllipticBeam:
     mu_S: float
     Sigma: np.ndarray
     aperture: float
-    convention: EtaConvention = EtaConvention.consistent
     sample_seed: int = 0
     cache_size: int = 200_000
-    _samples: Optional[np.ndarray] = field(default=None, repr=False, compare=False)
 
     def __post_init__(self):
-        self.Sigma = np.asarray(self.Sigma, dtype=float)
+        object.__setattr__(self, "Sigma", np.asarray(self.Sigma, dtype=float))
         if self.Sigma.shape != (2, 2):
             raise DomainError("EllipticBeam: Sigma must be 2x2")
         if not np.allclose(self.Sigma, self.Sigma.T):
@@ -475,14 +629,19 @@ class EllipticBeam:
         if self.sigma_bw2 <= 0.0 or self.aperture <= 0.0:
             raise DomainError("EllipticBeam: sigma_bw2 and aperture must be > 0")
 
-    def samples(self) -> np.ndarray:
-        if self._samples is None:
-            vals, _ = elliptic_sample(
-                self, self.aperture, self.cache_size,
-                RngStream(self.sample_seed, 0),
-            )
-            self._samples = np.sort(vals)
-        return self._samples
+    def density(self, eta: np.ndarray) -> np.ndarray:
+        raise DomainError("EllipticBeam exposes samples, not a closed-form density")
+
+    def cdf(self, eta: np.ndarray) -> np.ndarray:
+        samples = self.nodes[0]
+        return np.searchsorted(samples, eta, side="right") / samples.size
+
+    @cached_property
+    def nodes(self) -> tuple[np.ndarray, np.ndarray]:
+        """The sorted cached samples, with equal weights."""
+        vals, _ = elliptic_sample(self, self.aperture, self.cache_size,
+                                  RngStream(self.sample_seed, 0))
+        return _read_only(np.sort(vals), np.full(vals.size, 1.0 / vals.size))
 
 
 def _psd_2x2(sigma: np.ndarray) -> np.ndarray:
@@ -589,13 +748,12 @@ def elliptic_sample(model: EllipticBeam, a: float, n: int,
 # Law-of-total-probability models
 # ---------------------------------------------------------------------------
 
-_GL64_X, _GL64_W = np.polynomial.legendre.leggauss(64)
 _U_NODES = 0.5 * (_GL64_X + 1.0)  # u in (0, 1); xi = sqrt(-2 ln u) is Rayleigh
 _U_WEIGHTS = 0.5 * _GL64_W
 _XI_NODES = np.sqrt(-2.0 * np.log(_U_NODES))
 
 
-@dataclass
+@dataclass(frozen=True)
 class TotalProb:
     """Wander mixture with empirical conditional distributions.
 
@@ -603,7 +761,8 @@ class TotalProb:
     law, scaled so the mixture reproduces the target pair exactly;
     conditionals are log-normal (truncated) or Beta.  Nodes whose
     conditional moments are infeasible for the sub-model degenerate to
-    point masses (kept as atoms).
+    point masses (kept as atoms).  ``node_models`` holds the
+    ``(weight, conditional)`` pairs, ``atoms`` the ``(weight, eta)`` pairs.
     """
 
     sub: str
@@ -611,18 +770,32 @@ class TotalProb:
     mean_S: float
     moments: MomentPair
     aperture: float
-    convention: EtaConvention = EtaConvention.consistent
-    eta0: float = 0.0
-    zeta02: float = 0.0
-    node_weights: np.ndarray = field(default=None, repr=False)
-    node_models: list = field(default=None, repr=False)
-    atoms: list = field(default=None, repr=False)
-    n_degenerate: int = 0
+    eta0: float
+    zeta02: float
+    node_models: tuple = field(repr=False)
+    atoms: tuple = field(repr=False)
+
+    def density(self, eta: np.ndarray) -> np.ndarray:
+        """Continuous part (atoms excluded): the weighted sum of the conditionals."""
+        out = np.zeros_like(eta)
+        for w, cond in self.node_models:
+            out += w * cond.density(eta)
+        return out
+
+    def cdf(self, eta: np.ndarray) -> np.ndarray:
+        return _quad_cdf(self, eta, self.atoms)
+
+    @cached_property
+    def nodes(self) -> tuple[np.ndarray, np.ndarray]:
+        """The conditionals' point sets times their radial weights, plus the atoms."""
+        point = np.ones(1)
+        return _read_only(*_mixture(
+            [(mass, cond.nodes) for mass, cond in self.node_models]
+            + [(mass, (np.array([loc]), point)) for mass, loc in self.atoms]))
 
 
 def totalprob_model(sub: str, sigma_bw2: float, mean_S: float, m: MomentPair,
-                    aperture: float,
-                    convention=EtaConvention.consistent) -> TotalProb:
+                    aperture: float) -> TotalProb:
     """Construct the simplified total-probability model.
 
     eta0 and zeta0^2 normalize the radial profile so the mixture moments
@@ -633,19 +806,14 @@ def totalprob_model(sub: str, sigma_bw2: float, mean_S: float, m: MomentPair,
         raise DomainError(f"totalprob_model: unknown sub-model {sub!r}")
     if sigma_bw2 <= 0.0 or mean_S <= 0.0:
         raise DomainError("totalprob_model: sigma_bw2 and mean_S must be > 0")
-    convention = _conv(convention)
-    _, lam, R = bw_geometry(mean_S, aperture, convention)
+    _, lam, R = bw_geometry(mean_S, aperture)
     sig = math.sqrt(sigma_bw2)
     profile = np.exp(-((sig * _XI_NODES / R) ** lam))
     i1 = float(_U_WEIGHTS @ profile)
     i2 = float(_U_WEIGHTS @ profile**2)
     eta0 = m.m1 / i1
     zeta02 = m.m2 / i2
-    model = TotalProb(sub=sub, sigma_bw2=sigma_bw2, mean_S=mean_S, moments=m,
-                      aperture=aperture, convention=convention,
-                      eta0=eta0, zeta02=zeta02)
     node_models, atoms = [], []
-    n_degenerate = 0
     for w, t in zip(_U_WEIGHTS, profile):
         m1r = eta0 * t
         m2r = zeta02 * t * t
@@ -659,31 +827,14 @@ def totalprob_model(sub: str, sigma_bw2: float, mean_S: float, m: MomentPair,
                 continue
             except DomainError:
                 pass
-        n_degenerate += 1
         atoms.append((float(w), float(min(max(m1r, 0.0), 1.0))))
-    if n_degenerate:
+    if atoms:
         _warnings.warn(
-            f"totalprob_model: {n_degenerate} radial nodes degenerate to point masses"
+            f"totalprob_model: {len(atoms)} radial nodes degenerate to point masses"
         )
-    model.node_weights = _U_WEIGHTS
-    model.node_models = node_models
-    model.atoms = atoms
-    model.n_degenerate = n_degenerate
-    return model
-
-
-def totalprob_density(eta, model: TotalProb) -> np.ndarray:
-    """Continuous part of the total-probability PDT (atoms excluded)."""
-    eta_arr = np.asarray(eta, dtype=float)
-    scalar = eta_arr.ndim == 0
-    eta_arr = np.atleast_1d(eta_arr)
-    out = np.zeros_like(eta_arr)
-    for w, cond in model.node_models:
-        if isinstance(cond, TruncLogNormal):
-            out += w * _tln_density(cond, eta_arr)
-        else:
-            out += w * _beta_density(cond, eta_arr)
-    return float(out[0]) if scalar else out
+    return TotalProb(sub=sub, sigma_bw2=sigma_bw2, mean_S=mean_S, moments=m,
+                     aperture=aperture, eta0=eta0, zeta02=zeta02,
+                     node_models=tuple(node_models), atoms=tuple(atoms))
 
 
 PdtModel = Union[TruncLogNormal, BetaPdt, BeamWander, CircularBeam,
@@ -691,222 +842,32 @@ PdtModel = Union[TruncLogNormal, BetaPdt, BeamWander, CircularBeam,
 
 
 # ---------------------------------------------------------------------------
-# Fixed-node mixture rule: every PDT as one weighted point set
-# ---------------------------------------------------------------------------
-
-
-def _gl_panels(edges) -> tuple[np.ndarray, np.ndarray]:
-    """64-node Gauss-Legendre nodes and weights on each panel between edges."""
-    edges = np.asarray(edges, dtype=float)
-    half = 0.5 * np.diff(edges)[:, None]
-    mid = 0.5 * (edges[1:] + edges[:-1])[:, None]
-    return (mid + half * _GL64_X).ravel(), (half * _GL64_W).ravel()
-
-
-def _normalized(weight: np.ndarray, log_density: np.ndarray) -> np.ndarray:
-    """Quadrature weights times the density, scaled to total mass 1.
-
-    The density is given by its logarithm up to a constant, so a normalizer
-    that underflows (a log-normal truncated far into its tail) never
-    appears.
-    """
-    w = weight * np.exp(log_density - log_density.max())
-    return w / w.sum()
-
-
-def _tln_nodes(model: TruncLogNormal):
-    """64 nodes in x = ln eta, where the density is normal(-mu, sigma2) on x <= 0.
-
-    The window ends at x = 0 or 9 sigma above the mean of the density tilted
-    by eta^2 (the highest moment :func:`model_moments` takes), whichever is
-    lower, and reaches down to where the log-density is 40.5 (9 sigma's
-    worth) below its largest value on the window.
-    """
-    m, sig = -model.mu, math.sqrt(model.sigma2)
-    hi = min(0.0, m + 2.0 * model.sigma2 + 9.0 * sig)
-    lo = m - math.hypot(9.0 * sig, min(m, hi) - m)
-    x, w = _gl_panels([lo, hi])
-    return np.exp(x), _normalized(w, -0.5 * ((x - m) / sig) ** 2)
-
-
-# Fixed panel edges in y = logit eta.  The log-density's complex
-# singularities sit at y = i pi (2k + 1), over y = 0, and its tails are
-# exponential in y: panels 4 wide next to y = 0 that double in width away
-# from it stay short against both.
-_LOGIT_EDGES = 4.0 * 2.0 ** np.arange(12)
-_LOGIT_EDGES = np.concatenate([-_LOGIT_EDGES[::-1], [0.0], _LOGIT_EDGES])
-
-
-def _reach(log_density, mode: float, step: float, drop: float = 40.0) -> float:
-    """mode + step 2^k for the least k >= 0 at which a log-concave density
-    has fallen by ``drop`` below its value at the mode."""
-    top = log_density(mode)
-    while top - log_density(mode + step) < drop:
-        step *= 2.0
-    return mode + step
-
-
-def _beta_nodes(model: BetaPdt):
-    """64 nodes per panel in y = logit eta, where the log-density is
-    a ln eta + b ln(1 - eta), log-concave with mode ln(a/b).
-
-    The outer ends lie where the density has fallen by e^-40, at least 9 sd
-    from the mode; sd = sqrt(trigamma(a) + trigamma(b)) is the standard
-    deviation in y.  Panels split at mode -+ 3 sd and at the fixed edges in
-    between, so that eta^p-weighted integrands, whose bulk lies ln(1 + p/a)
-    further toward eta = 1, stay resolved when a is small.
-    """
-    a, b = model.a, model.b
-
-    def log_density(y):
-        return -a * np.logaddexp(0.0, -y) - b * np.logaddexp(0.0, y)
-
-    mode = math.log(a / b)
-    sd = math.sqrt(special.zeta(2.0, a) + special.zeta(2.0, b))  # trigamma
-    lo, hi = _reach(log_density, mode, -9.0 * sd), _reach(log_density, mode, 9.0 * sd)
-    inner = _LOGIT_EDGES[(_LOGIT_EDGES > lo) & (_LOGIT_EDGES < hi)]
-    y, w = _gl_panels(np.unique(np.concatenate(
-        ([lo, mode - 3.0 * sd, mode + 3.0 * sd, hi], inner))))
-    return special.expit(y), _normalized(w, log_density(y))
-
-
-def _bw_nodes(model: BeamWander):
-    """Nodes in t = r0 / R, for which eta = eta0 exp(-t^lambda).
-
-    t = sqrt(u), u = ln(eta0/eta)^(2/lambda) exponential with rate
-    R^2 / 2 sigma_bw^2, so t is Rayleigh with scale s = sigma_bw / R; it is
-    cut where its tail is e^-45.  eta(t) has a knee at t = 1, steep for
-    large lambda (lambda ~ 10 at a^2/S = 20), so panels split at t = 1 and
-    at eta/eta0 = e^-80, with 64 nodes each.
-    """
-    eta0, lam, R = model.geometry()
-    s = math.sqrt(model.sigma_bw2) / R
-    t_max = s * math.sqrt(90.0)
-    knees = [k for k in (1.0, 80.0 ** (1.0 / lam)) if k < t_max]
-    t, w = _gl_panels([0.0, *knees, t_max])
-    return eta0 * np.exp(-(t**lam)), _normalized(w * t, -0.5 * (t / s) ** 2)
-
-
-def _mixture(components):
-    """One point set from ``(mass, (eta, weight))`` components."""
-    etas, weights = zip(*((eta, mass * w) for mass, (eta, w) in components))
-    return np.concatenate(etas), np.concatenate(weights)
-
-
-def _eta_nodes(model: PdtModel) -> tuple[np.ndarray, np.ndarray]:
-    """The PDT as one weighted point set ``(eta, weight)``; the weights sum to 1.
-
-    An expectation over the PDT, <f(eta)>, is ``weight @ f(eta)``.
-    Truncated log-normal, Beta and beam-wandering PDTs use fixed
-    Gauss-Legendre panels in a variable in which their density is smooth;
-    CircularBeam is the mixture of BeamWander rules over its Gauss-Hermite
-    spot nodes, TotalProb that of its conditionals' rules over its radial
-    nodes plus its atoms, and EllipticBeam its cached samples with equal
-    weights.
-    """
-    if isinstance(model, TruncLogNormal):
-        return _tln_nodes(model)
-    if isinstance(model, BetaPdt):
-        return _beta_nodes(model)
-    if isinstance(model, BeamWander):
-        return _bw_nodes(model)
-    if isinstance(model, CircularBeam):
-        spots, masses = model.spot_nodes()
-        return _mixture((mass, _bw_nodes(BeamWander(model.sigma_bw2, float(s),
-                                                    model.aperture, model.convention)))
-                        for s, mass in zip(spots, masses))
-    if isinstance(model, TotalProb):
-        point = np.ones(1)
-        return _mixture([(mass, _eta_nodes(cond)) for mass, cond in model.node_models]
-                        + [(mass, (np.array([loc]), point))
-                           for mass, loc in _model_atoms(model)])
-    if isinstance(model, EllipticBeam):
-        samples = model.samples()
-        return samples, np.full(samples.size, 1.0 / samples.size)
-    raise TypeError(f"unknown PDT model {model!r}")
-
-
-# ---------------------------------------------------------------------------
-# Generic density / CDF / moment machinery
+# Density, CDF and moments of any family
 # ---------------------------------------------------------------------------
 
 
 def model_density(model: PdtModel, eta) -> np.ndarray:
-    """Density of any family with a continuous PDT (not EllipticBeam)."""
-    eta_arr = np.atleast_1d(np.asarray(eta, dtype=float))
-    if isinstance(model, TruncLogNormal):
-        out = _tln_density(model, eta_arr)
-    elif isinstance(model, BetaPdt):
-        out = _beta_density(model, eta_arr)
-    elif isinstance(model, BeamWander):
-        out = bw_density(eta_arr, model)
-    elif isinstance(model, CircularBeam):
-        out = circular_density(eta_arr, model)
-    elif isinstance(model, TotalProb):
-        out = totalprob_density(eta_arr, model)
-    elif isinstance(model, EllipticBeam):
-        raise DomainError("EllipticBeam exposes samples, not a closed-form density")
-    else:
-        raise TypeError(f"unknown PDT model {model!r}")
+    """``model.density`` at one point (a float back) or many (not EllipticBeam)."""
+    out = model.density(np.atleast_1d(np.asarray(eta, dtype=float)))
     return float(out[0]) if np.ndim(eta) == 0 else out
 
 
-def _model_atoms(model: PdtModel):
-    return model.atoms if isinstance(model, TotalProb) and model.atoms else []
+def model_cdf(model: PdtModel, eta):
+    """``model.cdf`` at one point (a float back) or many.
 
-
-def model_cdf(model: PdtModel, eta, tol: float = 1e-8):
-    """CDF at one or many points.
-
-    BeamWander uses its closed form, EllipticBeam its empirical sample CDF,
-    everything else adaptive quadrature of the density accumulated over the
-    sorted evaluation points.
+    BeamWander and CircularBeam use closed forms, EllipticBeam its empirical
+    sample CDF, the other families adaptive quadrature of the density.
     """
-    eta_arr = np.asarray(eta, dtype=float)
-    scalar = eta_arr.ndim == 0
-    pts = np.atleast_1d(eta_arr)
-    if isinstance(model, BeamWander):
-        out = bw_cdf(pts, model)
-    elif isinstance(model, CircularBeam):
-        # exact mixture of closed-form component CDFs over the spot nodes
-        nodes, wts = model.spot_nodes()
-        out = np.zeros(pts.shape)
-        for s, w in zip(nodes, wts):
-            out += w * bw_cdf(pts, BeamWander(model.sigma_bw2, float(s),
-                                              model.aperture, model.convention))
-        out = np.clip(out, 0.0, 1.0)
-    elif isinstance(model, EllipticBeam):
-        samples = model.samples()
-        out = np.searchsorted(samples, pts, side="right") / samples.size
-    else:
-        order = np.argsort(pts)
-        sorted_pts = np.clip(pts[order], 0.0, 1.0)
-        cdf_sorted = np.empty_like(sorted_pts)
-        prev_x, acc = 0.0, 0.0
-        dens = lambda x: model_density(model, x)
-        for i, x in enumerate(sorted_pts):
-            if x > prev_x:
-                acc += adaptive_quad(dens, prev_x, x, tol=tol)
-                prev_x = x
-            cdf_sorted[i] = acc
-        for w, loc in _model_atoms(model):
-            cdf_sorted += w * (sorted_pts >= loc)
-        cdf_sorted = np.clip(cdf_sorted, 0.0, 1.0)
-        out = np.empty_like(cdf_sorted)
-        out[order] = cdf_sorted
-        out[pts <= 0.0] = 0.0
-    return float(out[0]) if scalar else out
+    out = model.cdf(np.atleast_1d(np.asarray(eta, dtype=float)))
+    return float(out[0]) if np.ndim(eta) == 0 else out
 
 
 def fractional_moment(model: PdtModel, p: float) -> float:
-    """<eta^p> for p >= 0: the sum of eta^p over the model's weighted point set.
-
-    See :func:`_eta_nodes`; for EllipticBeam this is the mean over its cached
-    samples.
-    """
+    """<eta^p> for p >= 0: the sum of eta^p over the point set ``model.nodes``
+    (for EllipticBeam, the mean over its cached samples)."""
     if not (math.isfinite(p) and p >= 0.0):
         raise DomainError(f"fractional_moment: p={p} must be finite and >= 0")
-    eta, weight = _eta_nodes(model)
+    eta, weight = model.nodes
     return float(weight @ eta**p)
 
 

@@ -4,9 +4,10 @@ A pure-loss channel of transmittance eta maps photon statistics by
 Bernoulli thinning: coherent stays Poisson (mean eta |alpha|^2), Fock n
 becomes Binomial(n, eta), thermal stays geometric with mean eta nbar.  A
 fluctuating channel is the eta-mixture of loss channels weighted by the
-PDT.  Every mixture is a finite sum over a weighted point set of
-transmittances: a PDT model's fixed-node rule (``pdt._eta_nodes``), or a
-measured record's samples with equal weights.  The Glauber-Sudarshan P
+PDT.  Every channel is a weighted point set of transmittances, its
+``nodes``: a fixed eta with weight 1, a PDT model's own cached point set,
+or a measured record's samples with equal weights; every mixture is a
+finite sum over that set.  The Glauber-Sudarshan P
 function itself is never represented; everything observable here
 (photon-number distributions, quadrature means and variances) follows from
 these mixtures.
@@ -17,13 +18,14 @@ from __future__ import annotations
 import cmath
 import math
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Optional, Union
 
 import numpy as np
 from scipy import special
 
 from .errors import DomainError
-from .pdt import PdtModel, _eta_nodes, fractional_moment
+from .pdt import PdtModel, _read_only, fractional_moment
 from .pdt import model_density  # noqa: F401  (benchmarks/workloads.py traces it here)
 from .stats import EmpiricalSample, integrated_autocorr_time
 
@@ -99,15 +101,28 @@ class FixedEta:
         if not (0.0 <= self.eta <= 1.0):
             raise DomainError("FixedEta: eta must be in [0, 1]")
 
+    @cached_property
+    def nodes(self) -> tuple[np.ndarray, np.ndarray]:
+        return _read_only(np.array([float(self.eta)]), np.ones(1))
+
 
 @dataclass(frozen=True)
 class PdtChannel:
     model: PdtModel
 
+    @property
+    def nodes(self) -> tuple[np.ndarray, np.ndarray]:
+        return self.model.nodes
+
 
 @dataclass(frozen=True)
 class EmpiricalChannel:
     sample: EmpiricalSample
+
+    @cached_property
+    def nodes(self) -> tuple[np.ndarray, np.ndarray]:
+        eta = self.sample.values
+        return _read_only(eta.view(), np.full(eta.size, 1.0 / eta.size))
 
 
 ChannelSpec = Union[FixedEta, PdtChannel, EmpiricalChannel]
@@ -218,37 +233,19 @@ def channel_pmf(state: InputState, channel: ChannelSpec,
                 n_max: Optional[int] = None) -> PhotonStats:
     """Photon statistics after a (possibly fluctuating) loss channel.
 
-    A fluctuating channel is a weighted point set of transmittances (eta_i,
-    w_i): an empirical record gives its samples equal weights, a PDT model
-    its fixed-node rule (``pdt._eta_nodes``; EllipticBeam, its cached
-    samples).  The pmf is sum_i w_i pmf(state, eta_i), taken over blocks of
-    at most ``_BLOCK`` transmittances to bound memory for long records.
+    The pmf is sum_i w_i pmf(state, eta_i) over the channel's point set
+    ``channel.nodes`` (eta_i, w_i), taken over blocks of at most ``_BLOCK``
+    transmittances to bound memory for long records.  Raises
+    :class:`DomainError` when ``n_max`` leaves more than ``TAIL_BOUND`` of
+    the mass out.
     """
     if n_max is None:
         n_max = default_n_max(state)
-    if isinstance(channel, FixedEta):
-        return loss_pmf(state, channel.eta, n_max)
-    if isinstance(channel, EmpiricalChannel):
-        eta = channel.sample.values
-        weight = np.full(eta.size, 1.0 / eta.size)
-    else:
-        eta, weight = _eta_nodes(channel.model)
+    eta, weight = channel.nodes
     pmf = np.zeros(n_max + 1)
     for i in range(0, eta.size, _BLOCK):
         pmf += weight[i:i + _BLOCK] @ _pmf_matrix(state, eta[i:i + _BLOCK], n_max)
     return _stats_from_pmf(pmf)
-
-
-def _channel_eta_moments(channel: ChannelSpec) -> tuple[float, float]:
-    """(<sqrt(eta)>, <eta>) for quadrature transforms."""
-    if isinstance(channel, FixedEta):
-        return math.sqrt(channel.eta), channel.eta
-    if isinstance(channel, EmpiricalChannel):
-        v = channel.sample.values
-        return float(np.mean(np.sqrt(v))), float(np.mean(v))
-    m_half = fractional_moment(channel.model, 0.5)
-    m_one = fractional_moment(channel.model, 1.0)
-    return m_half, m_one
 
 
 def quadrature_moments(state: Coherent, channel: ChannelSpec) -> tuple[float, float]:
@@ -256,11 +253,13 @@ def quadrature_moments(state: Coherent, channel: ChannelSpec) -> tuple[float, fl
 
     mean_x = 2 Re(alpha) <sqrt(eta)>;
     var_x = 1 + 4 Re(alpha)^2 (<eta> - <sqrt(eta)>^2) >= 1, with equality
-    iff the channel transmittance is deterministic.
+    iff the channel transmittance is deterministic.  The two moments of eta
+    are sums over ``channel.nodes``.
     """
     if not isinstance(state, Coherent):
         raise DomainError("quadrature_moments: coherent input only")
-    m_half, m_one = _channel_eta_moments(channel)
+    eta, weight = channel.nodes
+    m_half, m_one = float(weight @ eta**0.5), float(weight @ eta)
     re = state.alpha.real
     mean_x = 2.0 * re * m_half
     var_x = 1.0 + 4.0 * re * re * (m_one - m_half * m_half)

@@ -12,61 +12,10 @@ from turbchan.errors import DomainError, NumericsError, SolverError
 from turbchan.numerics import (
     RngStream,
     adaptive_quad,
-    bessel_i01,
-    bessel_i01_scaled,
     lambert_w0_exp,
     marcum_q1,
     solve2,
 )
-
-
-def bessel_series(x, order, terms=30):
-    """Power-series oracle: I_v(x) = sum_k (x/2)^(2k+v) / (k! (k+v)!)."""
-    total = 0.0
-    for k in range(terms):
-        total += (x / 2.0) ** (2 * k + order) / (
-            math.factorial(k) * math.factorial(k + order)
-        )
-    return total
-
-
-class TestBessel:
-    def test_at_zero(self):
-        i0, i1 = bessel_i01(0.0)
-        assert i0 == 1.0 and i1 == 0.0
-
-    @pytest.mark.parametrize("x", [0.5, 1.0, 2.0, 5.0, 6.9, 7.1, 20.0])
-    def test_against_series(self, x):
-        i0, i1 = bessel_i01(x)
-        assert i0 == pytest.approx(bessel_series(x, 0), rel=1e-12)
-        assert i1 == pytest.approx(bessel_series(x, 1), rel=1e-12)
-
-    def test_known_values(self):
-        assert bessel_i01(1.0)[0] == pytest.approx(1.2660658777520084, rel=1e-12)
-        assert bessel_i01(2.0)[1] == pytest.approx(1.5906368546373291, rel=1e-12)
-
-    def test_scaled_matches_unscaled(self):
-        for x in (0.1, 1.0, 30.0):
-            i0, i1 = bessel_i01(x)
-            s0, s1 = bessel_i01_scaled(x)
-            assert s0 == pytest.approx(i0 * math.exp(-x), rel=1e-12)
-            assert s1 == pytest.approx(i1 * math.exp(-x), rel=1e-12)
-
-    def test_scaled_monotone_and_bounded(self):
-        xs = np.linspace(0.0, 2000.0, 500)
-        s0, _ = bessel_i01_scaled(xs)
-        assert np.all(s0 > 0.0) and np.all(s0 <= 1.0)
-        assert np.all(np.diff(s0) < 0.0)
-
-    def test_domain_errors(self):
-        with pytest.raises(DomainError):
-            bessel_i01(-1.0)
-        with pytest.raises(DomainError):
-            bessel_i01(math.nan)
-        with pytest.raises(DomainError):
-            bessel_i01(701.0)
-        with pytest.raises(DomainError):
-            bessel_i01_scaled(-0.5)
 
 
 def lambert_newton_oracle(x, tol=1e-14):

@@ -155,24 +155,24 @@ class TestBwDensity:
 
     def test_zero_outside_support(self):
         eta0 = self.BW.geometry()[0]
-        assert pdt.bw_density(eta0 + 1e-6, self.BW) == 0.0
-        assert pdt.bw_density(-0.1, self.BW) == 0.0
+        assert pdt.model_density(self.BW, eta0 + 1e-6) == 0.0
+        assert pdt.model_density(self.BW, -0.1) == 0.0
 
     def test_unit_integral(self):
         eta0 = self.BW.geometry()[0]
-        total = adaptive_quad(lambda e: pdt.bw_density(e, self.BW), 0.0, eta0, 1e-9)
+        total = adaptive_quad(lambda e: pdt.model_density(self.BW, e), 0.0, eta0, 1e-9)
         assert total == pytest.approx(1.0, abs=1e-6)
 
     def test_cdf_step_limit_small_wander(self):
         eta0 = self.BW.geometry()[0]
         narrow = pdt.BeamWander(sigma_bw2=1e-12, S=4e-4, aperture=0.02)
-        assert pdt.bw_cdf(eta0 * 0.99, narrow) < 1e-12
-        assert pdt.bw_cdf(eta0 * (1 + 1e-12), narrow) == 1.0
+        assert pdt.model_cdf(narrow, eta0 * 0.99) < 1e-12
+        assert pdt.model_cdf(narrow, eta0 * (1 + 1e-12)) == 1.0
 
     def test_cdf_matches_quadrature(self):
         for e in (0.2, 0.5, 0.8):
-            via_quad = adaptive_quad(lambda x: pdt.bw_density(x, self.BW), 0.0, e, 1e-10)
-            assert pdt.bw_cdf(e, self.BW) == pytest.approx(via_quad, abs=1e-8)
+            via_quad = adaptive_quad(lambda x: pdt.model_density(self.BW, x), 0.0, e, 1e-10)
+            assert pdt.model_cdf(self.BW, e) == pytest.approx(via_quad, abs=1e-8)
 
     def test_sampling_oracle_ks(self):
         # draws via eta = eta0 exp(-(r0/R)^lambda), r0 Rayleigh
@@ -184,7 +184,7 @@ class TestBwDensity:
         draws = eta0 * np.exp(-((r0 / R) ** lam))
         from turbchan.stats import EmpiricalSample, ks_stat
 
-        d = ks_stat(EmpiricalSample(draws), lambda e: pdt.bw_cdf(e, self.BW))
+        d = ks_stat(EmpiricalSample(draws), lambda e: pdt.model_cdf(self.BW, e))
         assert d <= 1.63 / math.sqrt(draws.size)
 
 
@@ -249,12 +249,44 @@ class TestCircular:
         cb = pdt.CircularBeam(1e-4, math.log(4e-4), 0.0, 0.02)
         bw = pdt.BeamWander(1e-4, 4e-4, 0.02)
         es = np.linspace(0.01, 0.86, 40)
-        assert np.max(np.abs(pdt.circular_density(es, cb) - pdt.bw_density(es, bw))) <= 1e-6
+        assert np.max(np.abs(pdt.model_density(cb, es) - pdt.model_density(bw, es))) <= 1e-6
 
     def test_unit_integral(self):
         cb = pdt.CircularBeam(1e-4, math.log(4e-4), 0.2, 0.02)
-        total = adaptive_quad(lambda e: pdt.circular_density(e, cb), 0.0, 1.0, 1e-8)
+        total = adaptive_quad(lambda e: pdt.model_density(cb, e), 0.0, 1.0, 1e-8)
         assert total == pytest.approx(1.0, abs=1e-5)
+
+    @pytest.mark.parametrize("cb", [
+        pdt.CircularBeam(1e-4, math.log(4e-4), 0.2, 0.02),
+        pdt.CircularBeam(1e-4, math.log(4e-4), 0.2, 0.02, "paper_literal"),
+        # the circular-beam fit of the benchmark's pdt_photon records (seed 7)
+        pdt.CircularBeam(7.949231888223333e-05, -6.704201330198932, 0.01582727787537576,
+                         0.02),
+    ], ids=["wide", "literal", "benchmark_fit"])
+    def test_matches_per_spot_loop(self, cb):
+        # the mixture written out as a loop over the spot nodes, with the
+        # beam-wandering density and CDF spelled out per spot
+        es = np.concatenate([np.linspace(-0.1, 1.1, 241), [0.0, 1.0]])
+        spots, masses = cb.spot_nodes()
+        dens, cdf = np.zeros_like(es), np.zeros_like(es)
+        for s, w in zip(spots, masses):
+            eta0, lam, R = pdt.bw_geometry(float(s), cb.aperture, cb.convention)
+            inside = (es > 0.0) & (es < eta0)
+            xi = np.log(eta0 / es[inside])
+            r2s2 = R * R / cb.sigma_bw2
+            d, c = np.zeros_like(es), (es >= eta0).astype(float)
+            d[inside] = (r2s2 / (es[inside] * lam) * xi ** (2.0 / lam - 1.0)
+                         * np.exp(-0.5 * r2s2 * xi ** (2.0 / lam)))
+            c[inside] = np.exp(-0.5 * r2s2 * xi ** (2.0 / lam))
+            dens += w * d
+            cdf += w * c
+        assert np.max(np.abs(pdt.model_density(cb, es) - dens)) <= 1e-13
+        assert np.max(np.abs(pdt.model_cdf(cb, es) - cdf)) <= 1e-14
+        for p in (0.0, 0.5, 1.0, 2.0):
+            want = sum(w * pdt.fractional_moment(
+                pdt.BeamWander(cb.sigma_bw2, float(s), cb.aperture, cb.convention), p)
+                for s, w in zip(spots, masses))
+            assert pdt.fractional_moment(cb, p) == pytest.approx(want, rel=1e-13, abs=0.0)
 
     def test_match_round_trip(self):
         mu_s, s_s2 = math.log(4e-4), 0.2
@@ -349,7 +381,7 @@ class TestTotalProb:
     @pytest.mark.parametrize("sub", ["beta", "lognormal"])
     def test_unit_integral_with_atoms(self, sub):
         tp = pdt.totalprob_model(sub, 1e-4, 4e-4, self.TARGET, 0.02)
-        cont = adaptive_quad(lambda e: pdt.totalprob_density(e, tp), 0.0, 1.0, 1e-8)
+        cont = adaptive_quad(lambda e: pdt.model_density(tp, e), 0.0, 1.0, 1e-8)
         total = cont + sum(w for w, _ in tp.atoms)
         assert total == pytest.approx(1.0, abs=1e-5)
 
@@ -369,7 +401,7 @@ class TestTotalProb:
         tp = pdt.totalprob_model("beta", 1e-16, 4e-4, self.TARGET, 0.02)
         direct = pdt.beta_from_moments(self.TARGET)
         es = np.linspace(0.05, 0.95, 31)
-        assert np.allclose(pdt.totalprob_density(es, tp),
+        assert np.allclose(pdt.model_density(tp, es),
                            pdt.model_density(direct, es), rtol=1e-6, atol=1e-9)
 
     def test_unknown_sub_rejected(self):
@@ -428,8 +460,8 @@ def bw_quad_moment(model, p):
     """<eta^p> of a BeamWander PDT by adaptive quadrature in u.
 
     u = ln(eta0/eta)^(2/lambda) is exponential with rate R^2 / 2 sigma_bw^2
-    (bw_cdf), and eta = eta0 exp(-u^(lambda/2)); the range is cut at 50/rate,
-    with breakpoints at the mean 1/rate and at the knee u = 1.
+    (the BeamWander CDF), and eta = eta0 exp(-u^(lambda/2)); the range is
+    cut at 50/rate, with breakpoints at the mean 1/rate and at the knee u = 1.
     """
     eta0, lam, R = model.geometry()
     rate = 0.5 * R * R / model.sigma_bw2
@@ -449,7 +481,8 @@ def tln_moment(mu, sigma2, p):
 
 
 class TestFixedNodeRule:
-    """fractional_moment through pdt._eta_nodes against closed forms and quadrature."""
+    """fractional_moment through each family's point set against closed forms
+    and quadrature."""
 
     @pytest.mark.parametrize("mu", [-1.0, -0.2, 0.0, 0.5, 2.0, 10.0])
     @pytest.mark.parametrize("sigma2", [1e-4, 0.03, 0.5, 2.0])
@@ -492,9 +525,18 @@ class TestFixedNodeRule:
         for model in (pdt.CircularBeam(1e-4, math.log(4e-4), 0.1, 0.02),
                       pdt.totalprob_model("beta", 1e-4, 4e-4, m, 0.02),
                       pdt.totalprob_model("lognormal", 1e-4, 4e-4, m, 0.02)):
-            eta, weight = pdt._eta_nodes(model)
+            eta, weight = model.nodes
             assert np.all(weight >= 0.0) and np.all((eta >= 0.0) & (eta <= 1.0))
             assert weight.sum() == pytest.approx(1.0, abs=1e-12), model
+
+    def test_cached_nodes_are_read_only(self):
+        for model in (*TestGenericOps().models(),
+                      pdt.EllipticBeam(1e-4, math.log(4e-4), 0.05 * np.eye(2), 0.02,
+                                       cache_size=1000)):
+            assert model.nodes is model.nodes, model
+            for a in model.nodes:
+                with pytest.raises(ValueError):
+                    a[0] = 0.5
 
     @pytest.mark.parametrize("p", [math.nan, math.inf, -math.inf, -0.5])
     def test_rejects_bad_order(self, p):

@@ -170,7 +170,48 @@ class TestChannelPmf:
                                  Sigma=0.05 * np.eye(2), aperture=0.02,
                                  cache_size=5000)
         ps = channel_pmf(Fock(1), PdtChannel(model))
-        assert ps.pmf[1] == pytest.approx(model.samples().mean(), rel=1e-12)
+        assert ps.pmf[1] == pytest.approx(model.nodes[0].mean(), rel=1e-12)
+
+
+class TestChannelNodes:
+    """Every channel is its point set ``nodes``; channel_pmf and
+    quadrature_moments are sums over it."""
+
+    @pytest.mark.parametrize("state", [Coherent(2.0), Fock(3), Thermal(1.7)])
+    def test_fixed_eta_is_loss_pmf(self, state):
+        for eta in (0.0, 0.37, 1.0):
+            got = channel_pmf(state, FixedEta(eta)).pmf
+            assert np.max(np.abs(got - loss_pmf(state, eta).pmf)) <= 1e-15
+
+    def test_fixed_eta_tail_cut_raises(self):
+        with pytest.raises(DomainError):
+            channel_pmf(Coherent(4.0), FixedEta(1.0), n_max=5)
+
+    def test_empirical_quadrature_moments_are_sample_means(self):
+        vals = np.random.default_rng(8).beta(2.0, 5.0, 5000)
+        mean_x, var_x = quadrature_moments(Coherent(1.5 - 0.5j),
+                                           EmpiricalChannel(EmpiricalSample(vals)))
+        m_half, m_one = np.mean(np.sqrt(vals)), np.mean(vals)
+        assert mean_x == pytest.approx(3.0 * m_half, rel=1e-14, abs=0.0)
+        assert var_x == pytest.approx(1.0 + 9.0 * (m_one - m_half**2), rel=1e-14, abs=0.0)
+
+    def test_channel_nodes_are_read_only(self):
+        sample = EmpiricalSample(np.array([0.2, 0.4, 0.9]))
+        for channel in (FixedEta(0.3), PdtChannel(BETA22), EmpiricalChannel(sample)):
+            for a in channel.nodes:
+                with pytest.raises(ValueError):
+                    a[0] = 0.5
+        sample.values[0] = 0.1  # the record itself stays writable
+
+    def test_totalprob_point_set_built_once(self, monkeypatch):
+        builds = []
+        mixture = pdt._mixture
+        monkeypatch.setattr(pdt, "_mixture", lambda parts: builds.append(1) or mixture(parts))
+        model = pdt.totalprob_model("beta", 1e-4, 4e-4, TARGET, 0.02)
+        pdt.fractional_moment(model, 0.5)
+        pdt.fractional_moment(model, 1.0)
+        quadrature_moments(Coherent(2.0), PdtChannel(model))
+        assert len(builds) == 1
 
 
 class TestPmfMatrix:
