@@ -4,6 +4,13 @@ Special functions (Lambert W, first-order Marcum Q), adaptive quadrature
 with an absolute-error contract, a damped-Newton solver for 2x2
 moment-matching systems, and counter-based random streams.
 
+Of scipy, importing this module loads ``scipy.special`` only.
+``scipy.integrate`` (for :func:`adaptive_quad`) and ``scipy.stats`` (for
+:func:`marcum_q1`) load on first use: together they pull in
+``scipy.optimize``, ``sparse``, ``linalg`` and ``spatial``, a large
+share of a fresh process's import time and memory, and the wave-optics
+path never calls either function.
+
 Random streams are Philox counter-based generators keyed by
 ``(master_seed, stream_index)``: the same pair always reproduces the same
 sequence, and distinct indices give statistically independent streams, so
@@ -15,7 +22,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy import integrate, special
+from scipy import special
 
 from .errors import DomainError, NumericsError, SolverError
 
@@ -85,7 +92,8 @@ def marcum_q1(a, b) -> float:
     Q1(a, b) is the survival function at b^2 of the noncentral chi-square
     distribution with 2 degrees of freedom and noncentrality a^2, taken
     from ``scipy.stats.ncx2``; Q1(a, 0) is exactly 1.  Supports
-    broadcasting over array inputs.
+    broadcasting over array inputs.  ``scipy.stats`` is imported on the
+    first call, not with the module.
     """
     from scipy import stats  # imported here: it is slow to import
 
@@ -111,8 +119,11 @@ def adaptive_quad(f, lo: float, hi: float, tol: float = 1e-10, *,
     ``hi`` (or ``lo``) may be infinite; integrable endpoint singularities
     are handled by the underlying adaptive scheme.  Raises
     :class:`NumericsError` carrying the best estimate when the error
-    estimate cannot be brought under ``tol``.
+    estimate cannot be brought under ``tol``.  ``scipy.integrate`` is
+    imported on the first call, not with the module.
     """
+    from scipy import integrate  # imported here: it is slow to import
+
     kwargs = dict(epsabs=tol, epsrel=max(1e-12, tol * 1e-2), limit=200)
     if points is not None and np.isfinite(lo) and np.isfinite(hi):
         pts = [p for p in points if lo < p < hi]

@@ -82,6 +82,11 @@ class EtaConvention(str, Enum):
 _MOMENT_SLACK = 1e-9  # relative tolerance on the moment inequalities
 
 
+def _positive(*values) -> bool:
+    """True when every value is finite and > 0 (NaN is not)."""
+    return all(0.0 < v < math.inf for v in values)
+
+
 @dataclass(frozen=True)
 class MomentPair:
     """First two transmittance moments m1 = <eta>, m2 = <eta^2>."""
@@ -92,9 +97,8 @@ class MomentPair:
     def __post_init__(self):
         if not (0.0 < self.m1 <= 1.0):
             raise DomainError(f"m1={self.m1} outside (0, 1]")
-        if self.m2 < self.m1**2 * (1.0 - _MOMENT_SLACK) or self.m2 > self.m1 * (
-            1.0 + _MOMENT_SLACK
-        ):
+        if not (self.m1**2 * (1.0 - _MOMENT_SLACK) <= self.m2
+                <= self.m1 * (1.0 + _MOMENT_SLACK)):
             raise DomainError(
                 f"m2={self.m2} violates m1^2 <= m2 <= m1 (m1={self.m1})"
             )
@@ -195,7 +199,9 @@ class TruncLogNormal:
     sigma2: float
 
     def __post_init__(self):
-        if not (self.sigma2 > 0.0 and math.isfinite(self.sigma2)):
+        if not math.isfinite(self.mu):
+            raise DomainError(f"TruncLogNormal: mu={self.mu} must be finite")
+        if not _positive(self.sigma2):
             raise DomainError("TruncLogNormal: sigma2 must be finite and > 0")
 
     @property
@@ -256,8 +262,8 @@ class BetaPdt:
     b: float
 
     def __post_init__(self):
-        if not (self.a > 0.0 and self.b > 0.0):
-            raise DomainError("BetaPdt: a, b must be > 0")
+        if not _positive(self.a, self.b):
+            raise DomainError(f"BetaPdt: a={self.a}, b={self.b} must be finite and > 0")
 
     def density(self, eta: np.ndarray) -> np.ndarray:
         out = np.zeros_like(eta)
@@ -354,8 +360,8 @@ def bw_geometry(S: float, a: float, convention=EtaConvention.consistent):
     The convention switches only eta0; lambda and R are
     convention-independent.
     """
-    if not (S > 0.0 and a > 0.0):
-        raise DomainError("bw_geometry: S and a must be > 0")
+    if not _positive(S, a):
+        raise DomainError("bw_geometry: S and a must be finite and > 0")
     return tuple(float(v) for v in _bw_shape(S, a, convention))
 
 
@@ -437,8 +443,8 @@ class BeamWander(_SpotMixture):
     convention: EtaConvention = EtaConvention.consistent
 
     def __post_init__(self):
-        if not (self.sigma_bw2 > 0.0 and self.S > 0.0 and self.aperture > 0.0):
-            raise DomainError("BeamWander: parameters must be > 0")
+        if not _positive(self.sigma_bw2, self.S, self.aperture):
+            raise DomainError("BeamWander: parameters must be finite and > 0")
 
     def geometry(self):
         return bw_geometry(self.S, self.aperture, self.convention)
@@ -542,10 +548,12 @@ class CircularBeam(_SpotMixture):
     convention: EtaConvention = EtaConvention.consistent
 
     def __post_init__(self):
-        if not (self.sigma_bw2 > 0.0 and self.aperture > 0.0):
-            raise DomainError("CircularBeam: sigma_bw2 and aperture must be > 0")
-        if self.sigma_S2 < 0.0:
-            raise DomainError("CircularBeam: sigma_S2 must be >= 0")
+        if not _positive(self.sigma_bw2, self.aperture):
+            raise DomainError("CircularBeam: sigma_bw2 and aperture must be finite and > 0")
+        if not math.isfinite(self.mu_S):
+            raise DomainError(f"CircularBeam: mu_S={self.mu_S} must be finite")
+        if not 0.0 <= self.sigma_S2 < math.inf:
+            raise DomainError(f"CircularBeam: sigma_S2={self.sigma_S2} must be finite and >= 0")
 
     def spot_nodes(self):
         """Gauss-Hermite nodes and weights for the log-normal S mixture."""
@@ -624,10 +632,14 @@ class EllipticBeam:
         object.__setattr__(self, "Sigma", np.asarray(self.Sigma, dtype=float))
         if self.Sigma.shape != (2, 2):
             raise DomainError("EllipticBeam: Sigma must be 2x2")
+        if not np.all(np.isfinite(self.Sigma)):
+            raise DomainError("EllipticBeam: Sigma must be finite")
         if not np.allclose(self.Sigma, self.Sigma.T):
             raise DomainError("EllipticBeam: Sigma must be symmetric")
-        if self.sigma_bw2 <= 0.0 or self.aperture <= 0.0:
-            raise DomainError("EllipticBeam: sigma_bw2 and aperture must be > 0")
+        if not _positive(self.sigma_bw2, self.aperture):
+            raise DomainError("EllipticBeam: sigma_bw2 and aperture must be finite and > 0")
+        if not math.isfinite(self.mu_S):
+            raise DomainError(f"EllipticBeam: mu_S={self.mu_S} must be finite")
 
     def density(self, eta: np.ndarray) -> np.ndarray:
         raise DomainError("EllipticBeam exposes samples, not a closed-form density")
@@ -804,8 +816,8 @@ def totalprob_model(sub: str, sigma_bw2: float, mean_S: float, m: MomentPair,
     """
     if sub not in ("lognormal", "beta"):
         raise DomainError(f"totalprob_model: unknown sub-model {sub!r}")
-    if sigma_bw2 <= 0.0 or mean_S <= 0.0:
-        raise DomainError("totalprob_model: sigma_bw2 and mean_S must be > 0")
+    if not _positive(sigma_bw2, mean_S):
+        raise DomainError("totalprob_model: sigma_bw2 and mean_S must be finite and > 0")
     _, lam, R = bw_geometry(mean_S, aperture)
     sig = math.sqrt(sigma_bw2)
     profile = np.exp(-((sig * _XI_NODES / R) ** lam))

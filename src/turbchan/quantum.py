@@ -17,6 +17,7 @@ from __future__ import annotations
 
 import cmath
 import math
+import numbers
 from dataclasses import dataclass
 from functools import cached_property
 from typing import Optional, Union
@@ -69,8 +70,8 @@ class Fock:
     n: int
 
     def __post_init__(self):
-        if self.n < 0:
-            raise DomainError("Fock: n must be >= 0")
+        if not (isinstance(self.n, numbers.Integral) and self.n >= 0):
+            raise DomainError(f"Fock: n={self.n!r} must be an integer >= 0")
 
     @property
     def mean_n(self) -> float:
@@ -82,8 +83,8 @@ class Thermal:
     nbar: float
 
     def __post_init__(self):
-        if self.nbar <= 0.0:
-            raise DomainError("Thermal: nbar must be > 0")
+        if not (0.0 < self.nbar < math.inf):
+            raise DomainError(f"Thermal: nbar={self.nbar} must be finite and > 0")
 
     @property
     def mean_n(self) -> float:
@@ -141,10 +142,6 @@ class PhotonStats:
     def __post_init__(self):
         if np.any(np.asarray(self.pmf) < -1e-15):
             raise DomainError("PhotonStats: negative pmf entry")
-        if self.tail_bound > TAIL_BOUND:
-            raise DomainError(
-                f"PhotonStats: tail bound {self.tail_bound:.2e} exceeds {TAIL_BOUND}"
-            )
 
 
 def default_n_max(state: InputState) -> int:
@@ -201,10 +198,18 @@ def _pmf_matrix(state: InputState, eta, n_max: int) -> np.ndarray:
     return np.exp(_n_log(n, m) - (n + 1) * np.log1p(m))
 
 
-def _stats_from_pmf(pmf: np.ndarray) -> PhotonStats:
+def _stats_from_pmf(pmf: np.ndarray, state: InputState, caller: str) -> PhotonStats:
+    """Moments of a pmf over 0..n_max; raises :class:`DomainError`, naming
+    the cutoff that would do, when the pmf leaves more than ``TAIL_BOUND``
+    of the mass beyond n_max."""
     n = np.arange(pmf.size)
     total = float(pmf.sum())
     tail = max(1.0 - total, 0.0)
+    if tail > TAIL_BOUND:
+        raise DomainError(
+            f"{caller}: tail {tail:.2e} exceeds {TAIL_BOUND} at n_max={pmf.size - 1}; "
+            f"suggest n_max >= {default_n_max(state)}"
+        )
     mean = float(pmf @ n)
     second = float(pmf @ (n * n))
     var = second - mean * mean
@@ -214,19 +219,14 @@ def _stats_from_pmf(pmf: np.ndarray) -> PhotonStats:
 
 
 def loss_pmf(state: InputState, eta: float, n_max: Optional[int] = None) -> PhotonStats:
-    """Photon statistics after a fixed-transmittance loss channel."""
+    """Photon statistics after a fixed-transmittance loss channel; raises
+    :class:`DomainError` as :func:`channel_pmf` does when ``n_max`` cuts the
+    tail."""
     if not (0.0 <= eta <= 1.0):
         raise DomainError("loss_pmf: eta must be in [0, 1]")
     if n_max is None:
         n_max = default_n_max(state)
-    pmf = _pmf_matrix(state, [eta], n_max)[0]
-    stats = _stats_from_pmf(pmf)
-    if stats.tail_bound > TAIL_BOUND:
-        raise DomainError(
-            f"loss_pmf: tail {stats.tail_bound:.2e} exceeds {TAIL_BOUND}; "
-            f"suggest n_max >= {default_n_max(state)}"
-        )
-    return stats
+    return _stats_from_pmf(_pmf_matrix(state, [eta], n_max)[0], state, "loss_pmf")
 
 
 def channel_pmf(state: InputState, channel: ChannelSpec,
@@ -236,8 +236,8 @@ def channel_pmf(state: InputState, channel: ChannelSpec,
     The pmf is sum_i w_i pmf(state, eta_i) over the channel's point set
     ``channel.nodes`` (eta_i, w_i), taken over blocks of at most ``_BLOCK``
     transmittances to bound memory for long records.  Raises
-    :class:`DomainError` when ``n_max`` leaves more than ``TAIL_BOUND`` of
-    the mass out.
+    :class:`DomainError`, naming ``default_n_max(state)``, when ``n_max``
+    leaves more than ``TAIL_BOUND`` of the mass out.
     """
     if n_max is None:
         n_max = default_n_max(state)
@@ -245,7 +245,7 @@ def channel_pmf(state: InputState, channel: ChannelSpec,
     pmf = np.zeros(n_max + 1)
     for i in range(0, eta.size, _BLOCK):
         pmf += weight[i:i + _BLOCK] @ _pmf_matrix(state, eta[i:i + _BLOCK], n_max)
-    return _stats_from_pmf(pmf)
+    return _stats_from_pmf(pmf, state, "channel_pmf")
 
 
 def quadrature_moments(state: Coherent, channel: ChannelSpec) -> tuple[float, float]:

@@ -1,6 +1,10 @@
 """Special functions, quadrature, solver, and random-stream contracts."""
 
+import json
 import math
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -123,6 +127,51 @@ class TestAdaptiveQuad:
         with pytest.raises(NumericsError) as exc:
             adaptive_quad(lambda x: math.sin(1.0 / x) / x, 1e-12, 1.0, 1e-14)
         assert exc.value.best_estimate is not None
+
+
+# Run in a fresh interpreter: this test module imports scipy.integrate and
+# scipy.stats at its top, so only a new process sees what turbchan itself
+# loads, and exercises the first-use imports of adaptive_quad and marcum_q1.
+_FRESH_IMPORTS = """\
+import importlib, json, math, pkgutil, sys
+sys.path.insert(0, sys.argv[1])
+import turbchan
+names = [m.name for m in pkgutil.iter_modules(turbchan.__path__, "turbchan.")]
+for name in names:
+    importlib.import_module(name)
+loaded = sorted(m for m in sys.modules if m.startswith("scipy."))
+from turbchan.numerics import adaptive_quad, marcum_q1
+print(json.dumps({
+    "file": turbchan.__file__,
+    "modules": names,
+    "loaded": loaded,
+    "quad": adaptive_quad(lambda x: x * x, 0.0, 1.0, 1e-12),
+    "q1": marcum_q1(0.0, 1.5),
+    "after": sorted(m for m in sys.modules if m.startswith("scipy.")),
+}))
+"""
+
+_DEFERRED = ("scipy.integrate", "scipy.optimize", "scipy.sparse", "scipy.linalg",
+             "scipy.spatial", "scipy.stats")
+
+
+class TestImportSet:
+    """Importing turbchan loads no slow scipy subpackage; adaptive_quad and
+    marcum_q1 import theirs on first use."""
+
+    def test_fresh_interpreter(self):
+        src = Path(__file__).resolve().parents[1] / "src"
+        out = subprocess.run([sys.executable, "-c", _FRESH_IMPORTS, str(src)],
+                             capture_output=True, text=True, check=True, timeout=120)
+        got = json.loads(out.stdout)
+        assert Path(got["file"]).resolve().parent == src / "turbchan"
+        assert {"turbchan.numerics", "turbchan.pdt", "turbchan.propagation",
+                "turbchan.quantum"} <= set(got["modules"])
+        early = [m for m in got["loaded"] if m.startswith(_DEFERRED)]
+        assert early == []
+        assert got["quad"] == pytest.approx(1.0 / 3.0, rel=1e-14)
+        assert got["q1"] == pytest.approx(math.exp(-1.125), rel=1e-12)
+        assert {"scipy.integrate", "scipy.stats"} <= set(got["after"])
 
 
 class TestSolve2:

@@ -58,6 +58,34 @@ class TestMomentPair:
         pdt.MomentPair(m1, m2_good)
 
 
+_NAN, _INF = math.nan, math.inf
+
+
+@pytest.mark.parametrize("build", [
+    lambda: pdt.TruncLogNormal(_NAN, 0.2),
+    lambda: pdt.TruncLogNormal(_INF, 0.2),
+    lambda: pdt.TruncLogNormal(-_INF, 0.2),
+    lambda: pdt.BetaPdt(_INF, 2.0),
+    lambda: pdt.BetaPdt(2.0, _NAN),
+    lambda: pdt.BeamWander(1e-4, _INF, 0.02),
+    lambda: pdt.BeamWander(_NAN, 4e-4, 0.02),
+    lambda: pdt.CircularBeam(1e-4, _NAN, 0.1, 0.02),
+    lambda: pdt.CircularBeam(1e-4, -7.8, _NAN, 0.02),
+    lambda: pdt.CircularBeam(1e-4, -7.8, _INF, 0.02),
+    lambda: pdt.EllipticBeam(1e-4, _NAN, np.eye(2) * 0.01, 0.02),
+    lambda: pdt.EllipticBeam(1e-4, -7.8, np.full((2, 2), _INF), 0.02),
+    lambda: pdt.MomentPair(0.5, _NAN),
+    lambda: pdt.totalprob_model("lognormal", _INF, 4e-4, pdt.MomentPair(0.5, 0.28), 0.02),
+    lambda: pdt.totalprob_model("beta", 1e-4, _NAN, pdt.MomentPair(0.5, 0.28), 0.02),
+], ids=["tln-mu-nan", "tln-mu-inf", "tln-mu-neg-inf", "beta-a-inf", "beta-b-nan",
+        "bw-S-inf", "bw-sigma-nan", "circular-mu-nan", "circular-sigma_S2-nan",
+        "circular-sigma_S2-inf", "elliptic-mu-nan", "elliptic-Sigma-inf",
+        "moments-m2-nan", "totalprob-sigma-inf", "totalprob-mean_S-nan"])
+def test_non_finite_parameters_rejected(build):
+    with pytest.raises(DomainError):
+        build()
+
+
 class TestTruncLogNormal:
     def test_parameter_map_example(self):
         m = pdt.MomentPair(0.5, 0.3)

@@ -187,6 +187,16 @@ class TestChannelNodes:
         with pytest.raises(DomainError):
             channel_pmf(Coherent(4.0), FixedEta(1.0), n_max=5)
 
+    @pytest.mark.parametrize("call", [
+        lambda state: loss_pmf(state, 1.0, n_max=5),
+        lambda state: channel_pmf(state, FixedEta(1.0), n_max=5),
+        lambda state: channel_pmf(state, PdtChannel(BETA22), n_max=5),
+    ], ids=["loss_pmf", "channel_pmf-fixed", "channel_pmf-beta"])
+    def test_tail_cut_names_the_cutoff(self, call):
+        state = Coherent(4.0)
+        with pytest.raises(DomainError, match=f"suggest n_max >= {default_n_max(state)}$"):
+            call(state)
+
     def test_empirical_quadrature_moments_are_sample_means(self):
         vals = np.random.default_rng(8).beta(2.0, 5.0, 5000)
         mean_x, var_x = quadrature_moments(Coherent(1.5 - 0.5j),
@@ -255,6 +265,25 @@ class TestQuadratureMoments:
     def test_rejects_noncoherent(self):
         with pytest.raises(DomainError):
             quadrature_moments(Fock(1), FixedEta(0.5))
+
+
+@pytest.mark.parametrize("build", [
+    lambda: Thermal(math.nan),
+    lambda: Thermal(math.inf),
+    lambda: Thermal(0.0),
+    lambda: Fock(2.5),
+    lambda: Fock(np.float64(3.0)),
+    lambda: Fock(-1),
+], ids=["thermal-nan", "thermal-inf", "thermal-zero", "fock-fraction", "fock-float",
+        "fock-negative"])
+def test_bad_state_rejected(build):
+    with pytest.raises(DomainError):
+        build()
+
+
+def test_fock_accepts_numpy_integers():
+    ps = loss_pmf(Fock(np.int64(3)), 0.5)
+    assert np.max(np.abs(ps.pmf - loss_pmf(Fock(3), 0.5).pmf)) == 0.0
 
 
 class TestNMaxSizing:
