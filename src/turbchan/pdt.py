@@ -537,6 +537,14 @@ _GH_NODES, _GH_WEIGHTS = np.polynomial.hermite.hermgauss(64)
 _GH_WEIGHTS = _GH_WEIGHTS / math.sqrt(math.pi)
 
 
+def _lognormal_spots(mu_S: float, sigma_S2: float) -> tuple[np.ndarray, np.ndarray]:
+    """Gauss-Hermite spot sizes and masses of a log-normal S; one spot when
+    sigma_S2 < 1e-14."""
+    if sigma_S2 < 1e-14:
+        return np.array([math.exp(mu_S)]), np.array([1.0])
+    return np.exp(mu_S + math.sqrt(2.0 * sigma_S2) * _GH_NODES), _GH_WEIGHTS
+
+
 @dataclass(frozen=True)
 class CircularBeam(_SpotMixture):
     """Wandering beam whose squared spot radius is log-normal."""
@@ -557,10 +565,7 @@ class CircularBeam(_SpotMixture):
 
     def spot_nodes(self):
         """Gauss-Hermite nodes and weights for the log-normal S mixture."""
-        if self.sigma_S2 < 1e-14:
-            return np.array([math.exp(self.mu_S)]), np.array([1.0])
-        s = np.exp(self.mu_S + math.sqrt(2.0 * self.sigma_S2) * _GH_NODES)
-        return s, _GH_WEIGHTS
+        return _lognormal_spots(self.mu_S, self.sigma_S2)
 
 
 def circular_params_from_S(mean_S: float, mean_S2: float) -> tuple[float, float]:
@@ -574,25 +579,29 @@ def circular_params_from_S(mean_S: float, mean_S2: float) -> tuple[float, float]
 
 def circular_moments(mu_S: float, sigma_S2: float, sigma_bw2: float, a: float):
     """S-averaged closed-form moment pair of the circular-beam model."""
-    if sigma_S2 < 1e-14:
-        return bw_moments(math.exp(mu_S), sigma_bw2, a)
-    s = np.exp(mu_S + math.sqrt(2.0 * sigma_S2) * _GH_NODES)
+    s, mass = _lognormal_spots(mu_S, sigma_S2)
     m1v, m2v = bw_moments(s, sigma_bw2, a)
-    return float(_GH_WEIGHTS @ m1v), float(_GH_WEIGHTS @ m2v)
+    return float(mass @ m1v), float(mass @ m2v)
 
 
 def match_circular(m: MomentPair, sigma_bw2: float, a: float) -> tuple[float, float]:
     """Solve the S-averaged moment pair for (mu_S, sigma_S2).
 
     The wander variance is fixed externally (sample estimate or the
-    analytic formula).
+    analytic formula).  A trial point whose spot sizes leave (0, inf) in
+    floating point gets non-finite residuals, which the solver rejects.
     """
     t1, t2 = m.m1, m.m2
 
     def forward(u):
         mu_s = min(max(u[0], -600.0), 600.0)
         s_s2 = math.exp(min(max(u[1], -600.0), 60.0))
-        with np.errstate(over="ignore"):
+        # far trial points overflow exp(), and spots far below the wander
+        # take bw_moments' p -> 0 branch after dividing by p^2 = 0
+        with np.errstate(over="ignore", divide="ignore"):
+            s, _ = _lognormal_spots(mu_s, s_s2)
+            if not (s.min() > 0.0 and s.max() < math.inf):
+                return np.full(2, math.nan)
             m1v, m2v = circular_moments(mu_s, s_s2, sigma_bw2, a)
         return np.array([(m1v - t1) / t1, (m2v - t2) / t2])
 

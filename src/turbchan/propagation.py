@@ -22,8 +22,9 @@ models.
 from __future__ import annotations
 
 import ctypes
+import functools
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass
 from typing import Optional, Sequence
 
 import numpy as np
@@ -102,7 +103,6 @@ class Field:
     grid: Grid
     values: np.ndarray
     leaked_power: float = 0.0
-    warnings: tuple = ()
 
     def power(self) -> float:
         return float(np.sum(np.abs(self.values) ** 2)) * self.grid.spacing**2
@@ -188,52 +188,26 @@ class SparseScreen:
         return self.kx.size
 
 
-class _BandSampler:
-    """Per-band variance integrals and inverse-CDF tables for |kappa| draws.
-
-    Bands are log-spaced between kappa_min and kappa_max; within a band the
-    magnitude is importance-sampled from kappa * Phi_n(kappa), so every
-    component carries an equal share of its band's phase variance and the
-    sampled correlation function is unbiased.
-    """
-
-    def __init__(self, spectrum: SpectrumModel, kappa_min: float, kappa_max: float,
-                 n_bands: int):
-        if not (0.0 < kappa_min < kappa_max):
-            raise ConfigError("need 0 < kappa_min < kappa_max for screen bands")
-        edges = np.exp(np.linspace(math.log(kappa_min), math.log(kappa_max),
-                                   n_bands + 1))
-        self.edges = edges
-        self.n_bands = n_bands
-        self.band_integrals = np.empty(n_bands)
-        self.cdf_grids = []
-        self.cdf_tables = []
-        for b in range(n_bands):
-            lk = np.linspace(math.log(edges[b]), math.log(edges[b + 1]), 257)
-            kap = np.exp(lk)
-            # integrand of the 1-D radial variance integral, in log kappa
-            f = kap**2 * spectral_density(spectrum, kap)
-            cum = np.concatenate([[0.0], np.cumsum((f[1:] + f[:-1]) * np.diff(lk) / 2)])
-            total = cum[-1]
-            self.band_integrals[b] = total
-            self.cdf_grids.append(kap)
-            self.cdf_tables.append(cum / total)
-
-    def slab_band_variances(self, k: float, slab_thickness: float) -> np.ndarray:
-        """Phase variance contributed by each band for one slab."""
-        return (2.0 * math.pi) ** 2 * k * k * slab_thickness * self.band_integrals
-
-    def draw_magnitudes(self, band: int, u: np.ndarray) -> np.ndarray:
-        return np.interp(u, self.cdf_tables[band], self.cdf_grids[band])
-
-
 def _band_counts(n_components: int, n_bands: int) -> np.ndarray:
     counts = np.full(n_bands, n_components // n_bands, dtype=int)
     counts[: n_components % n_bands] += 1
     return counts
 
 
-def _screen_band_range(spectrum: SpectrumModel, kappa_min, kappa_max):
+@functools.lru_cache(maxsize=64)
+def _band_tables(spectrum: SpectrumModel, kappa_min: Optional[float],
+                 kappa_max: Optional[float], n_bands: int):
+    """Per-band variance integrals and inverse-CDF tables for |kappa| draws.
+
+    Bands are log-spaced between kappa_min and kappa_max; within a band the
+    magnitude is importance-sampled from kappa * Phi_n(kappa), so every
+    component carries an equal share of its band's phase variance and the
+    sampled correlation function is unbiased.  A missing bound of a von
+    Karman-Tatarskii spectrum defaults to 2 pi / 4 L0 or 4 pi / l0.
+
+    Returns ``(integrals, [(cdf, kappa) per band])``, built once per key and
+    process and shared, hence read-only.
+    """
     if kappa_min is None or kappa_max is None:
         if isinstance(spectrum, VonKarmanTatarskii):
             kappa_min = kappa_min or 2.0 * math.pi / (4.0 * spectrum.outer_scale)
@@ -244,14 +218,29 @@ def _screen_band_range(spectrum: SpectrumModel, kappa_min, kappa_max):
                 "(the power law has no intrinsic scales)",
                 field="spectrum",
             )
-    return float(kappa_min), float(kappa_max)
+    if not (0.0 < kappa_min < kappa_max):
+        raise ConfigError("need 0 < kappa_min < kappa_max for screen bands")
+    edges = np.exp(np.linspace(math.log(kappa_min), math.log(kappa_max), n_bands + 1))
+    integrals = np.empty(n_bands)
+    tables = []
+    for b in range(n_bands):
+        lk = np.linspace(math.log(edges[b]), math.log(edges[b + 1]), 257)
+        kap = np.exp(lk)
+        # integrand of the 1-D radial variance integral, in log kappa
+        f = kap**2 * spectral_density(spectrum, kap)
+        cum = np.concatenate([[0.0], np.cumsum((f[1:] + f[:-1]) * np.diff(lk) / 2)])
+        integrals[b] = cum[-1]
+        cdf = cum / cum[-1]
+        cdf.flags.writeable = kap.flags.writeable = False
+        tables.append((cdf, kap))
+    integrals.flags.writeable = False
+    return integrals, tuple(tables)
 
 
 def sample_screens(spectrum: SpectrumModel, geom: ChannelGeometry, n_screens: int,
                    n_components: int, stream: RngStream, *, n_bands: int = 16,
                    kappa_min: Optional[float] = None,
-                   kappa_max: Optional[float] = None,
-                   _sampler: Optional[_BandSampler] = None) -> list[SparseScreen]:
+                   kappa_max: Optional[float] = None) -> list[SparseScreen]:
     """Draw one set of sparse-spectrum screens for the whole path.
 
     Each of the ``n_screens`` slabs (thickness L / n_screens) gets
@@ -261,10 +250,10 @@ def sample_screens(spectrum: SpectrumModel, geom: ChannelGeometry, n_screens: in
     """
     if n_components < 64:
         raise ConfigError("need n_components >= 64", field="sim.n_components")
-    kappa_min, kappa_max = _screen_band_range(spectrum, kappa_min, kappa_max)
-    sampler = _sampler or _BandSampler(spectrum, kappa_min, kappa_max, n_bands)
+    integrals, tables = _band_tables(spectrum, kappa_min, kappa_max, n_bands)
     dz = geom.path_length / n_screens
-    band_var = sampler.slab_band_variances(geom.k, dz)
+    # phase variance of each band in one slab
+    band_var = (2.0 * math.pi) ** 2 * geom.k * geom.k * dz * integrals
     counts = _band_counts(n_components, n_bands)
     gen = stream.generator()
     screens = []
@@ -274,11 +263,11 @@ def sample_screens(spectrum: SpectrumModel, geom: ChannelGeometry, n_screens: in
         a = np.empty(n_components)
         b = np.empty(n_components)
         pos = 0
-        for band in range(sampler.n_bands):
+        for band, (cdf, kap) in enumerate(tables):
             m = counts[band]
             if m == 0:
                 continue
-            mag = sampler.draw_magnitudes(band, gen.random(m))
+            mag = np.interp(gen.random(m), cdf, kap)
             theta = gen.random(m) * 2.0 * math.pi
             sd = math.sqrt(band_var[band] / m)
             kx[pos:pos + m] = mag * np.cos(theta)
@@ -357,7 +346,7 @@ def _phase_on_grid(screen: SparseScreen, xs: np.ndarray, ys: np.ndarray,
     them at every step); without it they are computed here.  A shift s along
     x rotates each (a_j, b_j) by kx_j s, which keeps the shift exact.  In the
     pool workers of :func:`run_ensemble` this matmul runs on one BLAS thread
-    (see :func:`_run_all`).
+    (see :func:`run_ensemble_multi`).
     """
     right, cy, sy = cache if cache is not None else _grid_tables(screen, xs, ys)
     a = screen.amp_cos[:, None]
@@ -393,9 +382,9 @@ class _Propagator:
 
     The FFTs run on the calling thread only (no ``workers=``).  A pool
     worker of :func:`run_ensemble` also runs its BLAS on one thread, so that
-    each worker keeps to one core (see :func:`_run_all`); extra FFT threads
-    would only compete with the other workers, or in a single process with
-    the BLAS threads that spin on after the screen matmul.
+    each worker keeps to one core (see :func:`run_ensemble_multi`); extra FFT
+    threads would only compete with the other workers, or in a single process
+    with the BLAS threads that spin on after the screen matmul.
     """
 
     def __init__(self, grid: Grid, k: float):
@@ -440,7 +429,7 @@ def split_step(fld: Field, screens: Sequence[SparseScreen], geom: ChannelGeometr
     Symmetric split-step: half-slab vacuum step, screen phase, half-slab
     vacuum step per slab (adjacent half steps merged).  With no screens this
     is a single vacuum Fresnel propagation over the whole path.  The result
-    carries the absorbed-power fraction and a warning when it exceeds 1%.
+    carries the absorbed-power fraction in ``leaked_power``.
 
     The screen factor exp(i phi) is computed by :func:`_cis` into the
     propagator's ``rotation`` buffer, with the freshly computed phase as its
@@ -466,28 +455,20 @@ def split_step(fld: Field, screens: Sequence[SparseScreen], geom: ChannelGeometr
             step = dz if i + 1 < len(screens) else dz / 2.0
             u, dp = prop.vacuum(u, step)
             leaked += dp
-    warnings = fld.warnings
-    if leaked > LEAK_WARN_FRACTION:
-        warnings = warnings + (
-            f"boundary leakage {leaked:.3%} exceeds {LEAK_WARN_FRACTION:.0%}",
-        )
-    return Field(grid=fld.grid, values=u, leaked_power=fld.leaked_power + leaked,
-                 warnings=warnings)
+    return Field(grid=fld.grid, values=u, leaked_power=fld.leaked_power + leaked)
 
 
 # ---------------------------------------------------------------------------
 # Receiver-plane observables
 # ---------------------------------------------------------------------------
 
-_aperture_weight_cache: dict = {}
 
-
+@functools.lru_cache(maxsize=64)
 def _aperture_weights(grid: Grid, radius: float) -> np.ndarray:
-    """Coverage weights of a centered disc; edge cells 4x4 supersampled."""
-    key = (grid.n, grid.extent, radius)
-    w = _aperture_weight_cache.get(key)
-    if w is not None:
-        return w
+    """Coverage weights of a centered disc; edge cells 4x4 supersampled.
+
+    Cached per (grid, radius): the array is shared, hence read-only.
+    """
     xs = grid.axis()
     rr = np.hypot(xs[None, :], xs[:, None])
     half_diag = grid.spacing * math.sqrt(2.0) / 2.0
@@ -502,9 +483,7 @@ def _aperture_weights(grid: Grid, radius: float) -> np.ndarray:
         py = xs[iy][:, None] + oy.ravel()[None, :]
         inside = (px * px + py * py) <= radius * radius
         w[iy, ix] = inside.mean(axis=1)
-    if len(_aperture_weight_cache) > 64:
-        _aperture_weight_cache.clear()
-    _aperture_weight_cache[key] = w
+    w.flags.writeable = False
     return w
 
 
@@ -612,14 +591,38 @@ class SampleRecord:
         return 0.5 * (self.sxx + self.syy)
 
 
-@dataclass
+@dataclass(frozen=True)
 class EnsembleReport:
-    """Accuracy bookkeeping aggregated over realizations."""
+    """Boundary leakage over the realizations (or time steps) of one run.
+
+    Built by :func:`_collect`; ``warnings`` states ``n_leak_warnings`` (the
+    realizations whose leaked power is above the warning fraction) and
+    ``max_leaked_power``.
+    """
 
     n_realizations: int = 0
     n_leak_warnings: int = 0
     max_leaked_power: float = 0.0
     warnings: tuple = ()
+
+
+def _collect(results, apertures: Sequence[float]):
+    """Group ``(records, leaked_power)`` pairs by aperture, in run order.
+
+    Returns ``(records_by_aperture, report)``; the one place where
+    ``LEAK_WARN_FRACTION`` is applied.
+    """
+    by_aperture = {a: [] for a in apertures}
+    leaks = []
+    for recs, leaked in results:
+        for a, rec in zip(apertures, recs):
+            by_aperture[a].append(rec)
+        leaks.append(leaked)
+    n_leaky = sum(leak > LEAK_WARN_FRACTION for leak in leaks)
+    worst = max([0.0, *leaks])
+    warnings = (f"{n_leaky} realizations leaked more than {LEAK_WARN_FRACTION:.0%} "
+                f"of power (max {worst:.3%})",) if n_leaky else ()
+    return by_aperture, EnsembleReport(len(leaks), n_leaky, worst, warnings)
 
 
 class _Engine:
@@ -630,9 +633,6 @@ class _Engine:
         self.apertures = tuple(apertures)
         self.source = gaussian_source(config.geometry, config.grid)
         self.prop = _Propagator(config.grid, config.geometry.k)
-        kmin, kmax = _screen_band_range(config.spectrum, config.kappa_min,
-                                        config.kappa_max)
-        self.sampler = _BandSampler(config.spectrum, kmin, kmax, config.n_bands)
         for a in self.apertures:
             _aperture_weights(config.grid, a)
 
@@ -641,16 +641,17 @@ class _Engine:
             self.config.spectrum, self.config.geometry, self.config.n_screens,
             self.config.n_components, stream, n_bands=self.config.n_bands,
             kappa_min=self.config.kappa_min, kappa_max=self.config.kappa_max,
-            _sampler=self.sampler,
         )
 
-    def propagate(self, screens, shift_x=0.0, caches=None) -> Field:
-        return split_step(self.source, screens, self.config.geometry,
-                          shift_x, _prop=self.prop, _caches=caches)
+    def run(self, index: int, screens, shift_x=0.0, caches=None, time=None):
+        """Propagate through ``screens`` and observe every aperture.
 
-    def observe(self, fld: Field, index: int, time=None) -> list[SampleRecord]:
+        Returns ``(records, leaked_power)``, the pair :func:`_collect` takes.
+        """
+        fld = split_step(self.source, screens, self.config.geometry,
+                         shift_x, _prop=self.prop, _caches=caches)
         r0, smat = beam_stats(fld)
-        return [
+        records = [
             SampleRecord(
                 eta=transmittance(fld, a), x0=r0[0], y0=r0[1],
                 sxx=smat[0, 0], syy=smat[1, 1], sxy=smat[0, 1],
@@ -658,12 +659,10 @@ class _Engine:
             )
             for a in self.apertures
         ]
+        return records, fld.leaked_power
 
     def run_one(self, index: int):
-        stream = RngStream(self.config.seed, index)
-        screens = self.screens_for(stream)
-        fld = self.propagate(screens)
-        return self.observe(fld, index), fld.leaked_power
+        return self.run(index, self.screens_for(RngStream(self.config.seed, index)))
 
 
 _WORKER_ENGINE: Optional[_Engine] = None
@@ -708,114 +707,74 @@ def _worker_init(config: SimConfig, apertures):
 
 
 def _worker_run(index: int):
-    return index, _WORKER_ENGINE.run_one(index)
-
-
-def _run_all(config: SimConfig, apertures: Sequence[float], workers: int):
-    """Run realizations ``0 .. n_realizations - 1`` and collect their records.
-
-    With ``workers > 1`` the realizations go to a process pool in chunks of
-    8.  Each pool worker sets its OpenBLAS to one thread before it starts.
-    A worker inherits the parent's BLAS thread count (one per core), so
-    without this every worker would run that many busy-waiting BLAS threads
-    for the screen matmul, and two workers on two cores would share them
-    with four.  The parent keeps its threads, so ``workers=1`` is unchanged.
-    The records do not depend on the thread count: OpenBLAS splits a matmul
-    over blocks of the output, not over the summed index.
-    """
-    indices = range(config.n_realizations)
-    report = EnsembleReport(n_realizations=config.n_realizations)
-    results = {}
-    if workers <= 1:
-        engine = _Engine(config, apertures)
-        for i in indices:
-            results[i] = engine.run_one(i)
-    else:
-        import concurrent.futures as cf
-
-        with cf.ProcessPoolExecutor(
-            max_workers=workers, initializer=_worker_init,
-            initargs=(config, tuple(apertures)),
-        ) as pool:
-            for i, res in pool.map(_worker_run, indices, chunksize=8):
-                results[i] = res
-    by_aperture = {a: [] for a in apertures}
-    for i in sorted(results):
-        recs, leaked = results[i]
-        for a, rec in zip(apertures, recs):
-            by_aperture[a].append(rec)
-        report.max_leaked_power = max(report.max_leaked_power, leaked)
-        if leaked > LEAK_WARN_FRACTION:
-            report.n_leak_warnings += 1
-    if report.n_leak_warnings:
-        report.warnings = (
-            f"{report.n_leak_warnings} realizations leaked more than "
-            f"{LEAK_WARN_FRACTION:.0%} of power (max {report.max_leaked_power:.3%})",
-        )
-    return by_aperture, report
+    return _WORKER_ENGINE.run_one(index)
 
 
 def run_ensemble(config: SimConfig, workers: int = 1) -> list[SampleRecord]:
     """Independent realizations at the geometry's aperture radius.
 
     Realization i consumes stream index i of the master seed, so the output
-    is identical for any worker count.
+    is identical for any worker count.  This is :func:`run_ensemble_multi`
+    at that one aperture, without the report.
     """
-    if config.n_realizations <= 0:
-        raise ConfigError("n_realizations must be > 0", field="sim.n_realizations")
-    by_aperture, _ = _run_all(config, [config.geometry.aperture_radius], workers)
-    return by_aperture[config.geometry.aperture_radius]
+    a = config.geometry.aperture_radius
+    by_aperture, _ = run_ensemble_multi(config, [a], workers)
+    return by_aperture[a]
 
 
 def run_ensemble_multi(config: SimConfig, apertures: Sequence[float],
                        workers: int = 1):
-    """Like :func:`run_ensemble` but records every aperture per realization.
+    """Realizations ``0 .. n_realizations - 1``, each recorded at every aperture.
 
     Returns ``(records_by_aperture, report)``; the field is propagated once
     per realization and clipped by each aperture.
+
+    With ``workers > 1`` the realizations go to a process pool in chunks of
+    8, and ``pool.map`` hands them back in index order.  Each pool worker
+    sets its OpenBLAS to one thread before it starts.  A worker inherits the
+    parent's BLAS thread count (one per core), so without this every worker
+    would run that many busy-waiting BLAS threads for the screen matmul, and
+    two workers on two cores would share them with four.  The parent keeps
+    its threads, so ``workers=1`` is unchanged.  The records do not depend on
+    the thread count: OpenBLAS splits a matmul over blocks of the output, not
+    over the summed index.
     """
     if config.n_realizations <= 0:
         raise ConfigError("n_realizations must be > 0", field="sim.n_realizations")
     if not apertures:
         raise ConfigError("need at least one aperture", field="apertures")
-    return _run_all(config, list(apertures), workers)
+    apertures = tuple(apertures)
+    indices = range(config.n_realizations)
+    if workers <= 1:
+        return _collect(map(_Engine(config, apertures).run_one, indices), apertures)
+    import concurrent.futures as cf
+
+    with cf.ProcessPoolExecutor(
+        max_workers=workers, initializer=_worker_init, initargs=(config, apertures),
+    ) as pool:
+        return _collect(pool.map(_worker_run, indices, chunksize=8), apertures)
 
 
-def run_timeseries(config: SimConfig, duration: Optional[float] = None,
-                   apertures: Optional[Sequence[float]] = None):
+def run_timeseries(config: SimConfig, apertures: Optional[Sequence[float]] = None):
     """Frozen-turbulence time series from a single screen set.
 
-    One screen set is drawn (stream index 0) and reused; at step m every
-    screen is evaluated with transverse shift wind_speed * m * dt.  Returns
-    ``(records_by_aperture, report)``; use a single-entry aperture list (the
-    default) for the plain series.
+    One screen set is drawn (stream index 0) and reused; step m, at time
+    t = m dt, evaluates every screen with transverse shift wind_speed * t.
+    The series covers ``config.duration`` in round(duration / dt) steps.
+    Returns ``(records_by_aperture, report)`` as :func:`run_ensemble_multi`
+    does, with one report entry per step; use a single-entry aperture list
+    (the default) for the plain series.
     """
-    duration = config.duration if duration is None else duration
-    if duration <= 0.0 or config.dt <= 0.0:
-        raise ConfigError("time series needs duration > 0 and dt > 0", field="sim")
-    apertures = list(apertures) if apertures else [config.geometry.aperture_radius]
+    if not config.duration > 0.0:
+        raise ConfigError("time series needs duration > 0", field="sim.duration")
+    apertures = tuple(apertures) if apertures else (config.geometry.aperture_radius,)
     engine = _Engine(config, apertures)
-    stream = RngStream(config.seed, 0)
-    screens = engine.screens_for(stream)
+    screens = engine.screens_for(RngStream(config.seed, 0))
     xs = config.grid.axis()
     caches = [_grid_tables(s, xs, xs) for s in screens]
-    n_steps = int(round(duration / config.dt))
-    report = EnsembleReport(n_realizations=n_steps)
-    by_aperture = {a: [] for a in apertures}
-    for m in range(n_steps):
-        t = m * config.dt
-        fld = engine.propagate(screens, shift_x=config.wind_speed * t, caches=caches)
-        for a, rec in zip(apertures, engine.observe(fld, m, time=t)):
-            by_aperture[a].append(rec)
-        report.max_leaked_power = max(report.max_leaked_power, fld.leaked_power)
-        if fld.leaked_power > LEAK_WARN_FRACTION:
-            report.n_leak_warnings += 1
-    if report.n_leak_warnings:
-        report.warnings = (
-            f"{report.n_leak_warnings} steps leaked more than "
-            f"{LEAK_WARN_FRACTION:.0%} of power (max {report.max_leaked_power:.3%})",
-        )
-    return by_aperture, report
+    times = [m * config.dt for m in range(round(config.duration / config.dt))]
+    return _collect((engine.run(m, screens, config.wind_speed * t, caches, time=t)
+                     for m, t in enumerate(times)), apertures)
 
 
 def ensemble_summary(records: Sequence[SampleRecord]) -> dict:

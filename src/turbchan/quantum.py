@@ -152,12 +152,12 @@ def default_n_max(state: InputState) -> int:
         mu = state.mean_n
         if mu == 0.0:
             return 0
-        n, logp = 0, -mu
-        cdf = math.exp(logp)
-        while 1.0 - cdf > 0.1 * TAIL_BOUND and n < 10_000:
+        # smallest n with P(N > n) <= 0.1 TAIL_BOUND, searched from the quantile
+        n = max(int(special.pdtrik(1.0 - 0.1 * TAIL_BOUND, mu)), 0)
+        while special.pdtrc(n, mu) > 0.1 * TAIL_BOUND:
             n += 1
-            logp += math.log(mu) - math.log(n)
-            cdf += math.exp(logp)
+        while n > 0 and special.pdtrc(n - 1, mu) <= 0.1 * TAIL_BOUND:
+            n -= 1
         return n
     # thermal tail: (nbar / (1 + nbar))^(n+1)
     ratio = state.nbar / (1.0 + state.nbar)

@@ -330,6 +330,28 @@ class TestCircular:
         assert m1 == pytest.approx(target.m1, abs=1e-4)
         assert m2 == pytest.approx(target.m2, abs=1e-4)
 
+    def test_match_where_trial_spots_underflow(self):
+        # the solver's trial points reach sigma_S2 = e^60, where every spot
+        # size underflows to 0; that once raised DomainError from bw_moments
+        target = pdt.MomentPair(0.4, 0.2)
+        mu_r, s2_r = pdt.match_circular(target, 8.1e-5, 0.02)
+        m1, m2 = pdt.circular_moments(mu_r, s2_r, 8.1e-5, 0.02)
+        assert m1 == pytest.approx(target.m1, rel=1e-9)
+        assert m2 == pytest.approx(target.m2, rel=1e-9)
+
+    @pytest.mark.parametrize("m1,var_frac,sigma_bw2", [
+        (0.2, 0.1, 1e-5), (0.2, 0.1, 3e-4), (0.2, 0.5, 3e-4), (0.2, 0.9, 3e-4)])
+    def test_match_fits_or_raises_solver_error(self, m1, var_frac, sigma_bw2):
+        # m2 a fraction of the way from m1^2 to the Bernoulli bound m1
+        target = pdt.MomentPair(m1, m1 * m1 + var_frac * m1 * (1.0 - m1))
+        try:
+            mu_r, s2_r = pdt.match_circular(target, sigma_bw2, 0.02)
+        except SolverError:
+            return
+        m1_r, m2_r = pdt.circular_moments(mu_r, s2_r, sigma_bw2, 0.02)
+        assert m1_r == pytest.approx(target.m1, rel=1e-9)
+        assert m2_r == pytest.approx(target.m2, rel=1e-9)
+
     def test_vanishing_spread_consistent_with_match_bw(self):
         m1, m2 = pdt.bw_moments(3e-4, 8e-5, 0.02)
         target = pdt.MomentPair(m1, m2)

@@ -10,6 +10,7 @@ import pytest
 from turbchan.errors import ConfigError, DomainError
 from turbchan.numerics import RngStream
 from turbchan.propagation import (
+    EnsembleReport,
     Field,
     Grid,
     SampleRecord,
@@ -26,7 +27,9 @@ from turbchan.propagation import (
     screen_structure_function,
     split_step,
     transmittance,
+    _aperture_weights,
     _cis,
+    _collect,
     _grid_tables,
     _one_blas_thread,
     _phase_on_grid,
@@ -314,7 +317,6 @@ class TestSplitStepVacuum:
         out = split_step(gaussian_source(FIG2_GEOM, grid), [], FIG2_GEOM)
         assert out.power() == pytest.approx(1.0, abs=1e-6)
         assert out.leaked_power < 1e-6
-        assert not out.warnings
 
     def test_one_pass_absorbed_power(self):
         # a collimated beam spread far past a cramped grid: the window
@@ -377,6 +379,16 @@ class TestTransmittanceAndStats:
         assert abs(r0[0]) < 1e-12 and abs(r0[1]) < 1e-12
         assert abs(smat[0, 1]) < 1e-12
 
+    def test_aperture_weights_cached_read_only(self):
+        grid = Grid(n=128, extent=0.3)
+        w = _aperture_weights(grid, 0.05)
+        assert _aperture_weights(Grid(n=128, extent=0.3), 0.05) is w
+        assert _aperture_weights(grid, 0.06) is not w
+        assert _aperture_weights(Grid(n=256, extent=0.3), 0.05) is not w
+        assert not w.flags.writeable
+        with pytest.raises(ValueError):
+            w[0, 0] = 1.0
+
     def test_translation_shifts_centroid_only(self, vacuum_field):
         grid = vacuum_field.grid
         shift_cells = 7
@@ -395,6 +407,31 @@ class TestSampleRecord:
             SampleRecord(eta=0.5, x0=0, y0=0, sxx=-1, syy=1, sxy=0, realization_index=0)
         with pytest.raises(DomainError):
             SampleRecord(eta=0.5, x0=0, y0=0, sxx=1, syy=1, sxy=2, realization_index=0)
+
+
+class TestLeakageRecord:
+    def test_collect_groups_and_counts(self):
+        leaks = [0.0, 0.02, 0.005, 0.3]
+        results = [([f"r{i}a", f"r{i}b"], leak) for i, leak in enumerate(leaks)]
+        by_ap, report = _collect(iter(results), (0.02, 0.04))
+        assert by_ap == {0.02: ["r0a", "r1a", "r2a", "r3a"],
+                         0.04: ["r0b", "r1b", "r2b", "r3b"]}
+        assert report == EnsembleReport(
+            n_realizations=4, n_leak_warnings=2, max_leaked_power=0.3,
+            warnings=("2 realizations leaked more than 1% of power (max 30.000%)",),
+        )
+
+    def test_no_warning_below_the_fraction(self):
+        _, report = _collect([(["r"], 0.01), (["r"], 0.004)], (0.02,))
+        assert (report.n_realizations, report.n_leak_warnings) == (2, 0)
+        assert report.max_leaked_power == 0.01
+        assert report.warnings == ()
+
+    def test_report_is_frozen(self):
+        _, report = _collect([], (0.02,))
+        assert report == EnsembleReport()
+        with pytest.raises(AttributeError):
+            report.n_leak_warnings = 1
 
 
 class TestEnsemble:
@@ -477,9 +514,10 @@ class TestTimeSeries:
 
     def test_times_and_length(self):
         cfg = small_config(wind_speed=10.0, dt=2e-3, duration=0.02)
-        by_ap, _ = run_timeseries(cfg)
+        by_ap, report = run_timeseries(cfg)
         recs = by_ap[SMALL_GEOM.aperture_radius]
         assert len(recs) == 10
+        assert report.n_realizations == 10  # one report entry per step
         assert recs[3].time == pytest.approx(6e-3)
 
     def test_matches_unshifted_ensemble_member(self):
@@ -492,4 +530,9 @@ class TestTimeSeries:
 
     def test_requires_dt(self):
         with pytest.raises(ConfigError):
-            run_timeseries(small_config(), duration=1.0)
+            small_config(duration=1.0)
+
+    @pytest.mark.parametrize("duration", [0.0, -1.0, math.nan])
+    def test_requires_duration(self, duration):
+        with pytest.raises(ConfigError):
+            run_timeseries(small_config(dt=1e-3, duration=duration))

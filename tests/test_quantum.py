@@ -2,6 +2,7 @@
 
 import math
 
+import mpmath
 import numpy as np
 import pytest
 from scipy import integrate
@@ -295,6 +296,21 @@ class TestNMaxSizing:
         from scipy import stats as sps
 
         assert sps.poisson.sf(n, 4.0) <= 1e-9
+
+    @pytest.mark.parametrize("mean_n", [4.0, 1755.4288385871241, 1e4, 1e6])
+    def test_poisson_cutoff_is_the_smallest(self, mean_n):
+        # P(N > k) = P(Gamma(k + 1) < mean_n), in 40 digits; at 1755.43 a
+        # running sum of the pmf is 1e-12 off and would give one more
+        n = default_n_max(Coherent(math.sqrt(mean_n)))
+        with mpmath.workdps(40):
+            tail = [mpmath.gammainc(k + 1, 0, mean_n, regularized=True) for k in (n, n - 1)]
+        assert tail[0] <= 1e-10 < tail[1]
+
+    def test_large_coherent_state(self):
+        # the cutoff once stopped at n = 10 000 and left half the mass out
+        ps = loss_pmf(Coherent(100.0), 1.0)
+        assert ps.mean == pytest.approx(1e4, rel=1e-9)
+        assert ps.tail_bound <= 1e-9
 
     def test_thermal_tail(self):
         st = Thermal(3.0)
