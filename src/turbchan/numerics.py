@@ -1,15 +1,14 @@
 """Numerical kernels used throughout the package.
 
-Special functions (Lambert W, first-order Marcum Q), adaptive quadrature
-with an absolute-error contract, a damped-Newton solver for 2x2
-moment-matching systems, and counter-based random streams.
+The first-order Marcum Q function, adaptive quadrature with an
+absolute-error contract, a damped-Newton solver for 2x2 moment-matching
+systems, and counter-based random streams.
 
-Of scipy, importing this module loads ``scipy.special`` only.
-``scipy.integrate`` (for :func:`adaptive_quad`) and ``scipy.stats`` (for
-:func:`marcum_q1`) load on first use: together they pull in
-``scipy.optimize``, ``sparse``, ``linalg`` and ``spatial``, a large
-share of a fresh process's import time and memory, and the wave-optics
-path never calls either function.
+Importing this module loads no scipy subpackage.  ``scipy.integrate``
+(for :func:`adaptive_quad`) and ``scipy.stats`` (for :func:`marcum_q1`)
+load on first use: together they pull in ``scipy.optimize``, ``sparse``,
+``linalg`` and ``spatial``, a large share of a fresh process's import time
+and memory, and the wave-optics path never calls either function.
 
 Random streams are Philox counter-based generators keyed by
 ``(master_seed, stream_index)``: the same pair always reproduces the same
@@ -19,16 +18,15 @@ results never depend on how work is scheduled across workers.
 
 from __future__ import annotations
 
+import warnings
 from dataclasses import dataclass
 
 import numpy as np
-from scipy import special
 
 from .errors import DomainError, NumericsError, SolverError
 
 __all__ = [
     "RngStream",
-    "lambert_w0_exp",
     "marcum_q1",
     "adaptive_quad",
     "solve2",
@@ -63,29 +61,6 @@ class RngStream:
 # ---------------------------------------------------------------------------
 
 
-def lambert_w0_exp(y):
-    """W(e^y) evaluated stably, including y far beyond exp overflow.
-
-    Solves w + log(w) = y by Newton iteration started from an asymptotic
-    guess; for small y falls back to scipy on e^y directly.
-    """
-    ya = np.asarray(y, dtype=float)
-    scalar = ya.ndim == 0
-    ya = np.atleast_1d(ya).astype(float)
-    out = np.empty_like(ya)
-    small = ya < 650.0
-    if np.any(small):
-        out[small] = special.lambertw(np.exp(ya[small]), 0).real
-    big = ~small
-    if np.any(big):
-        yb = ya[big]
-        w = yb - np.log(yb)
-        for _ in range(4):  # quadratic convergence; 4 steps reach 1e-16
-            w = w * (1.0 + (yb - w - np.log(w)) / (w + 1.0))
-        out[big] = w
-    return float(out[0]) if scalar else out
-
-
 def marcum_q1(a, b) -> float:
     """First-order Marcum Q function Q1(a, b).
 
@@ -94,6 +69,11 @@ def marcum_q1(a, b) -> float:
     from ``scipy.stats.ncx2``; Q1(a, 0) is exactly 1.  Supports
     broadcasting over array inputs.  ``scipy.stats`` is imported on the
     first call, not with the module.
+
+    Where ``ncx2``'s series does not converge it returns a wrong value with
+    only a RuntimeWarning (Q1(234090.18828742488, 234090.18837286206) is
+    0.49997, ``ncx2.sf`` gives 0.37498); that warning raises
+    :class:`NumericsError` here.
     """
     from scipy import stats  # imported here: it is slow to import
 
@@ -103,7 +83,14 @@ def marcum_q1(a, b) -> float:
         raise DomainError("marcum_q1: arguments must be finite")
     if np.any(aa < 0.0) or np.any(bb < 0.0):
         raise DomainError("marcum_q1: arguments must be non-negative")
-    q = np.where(bb == 0.0, 1.0, np.clip(stats.ncx2.sf(bb * bb, 2, aa * aa), 0.0, 1.0))
+    # recorded, not raised: scipy's C code cannot unwind from a warning
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always", RuntimeWarning)
+        sf = stats.ncx2.sf(bb * bb, 2, aa * aa)
+    doubts = [str(w.message) for w in caught if issubclass(w.category, RuntimeWarning)]
+    if doubts:
+        raise NumericsError(f"marcum_q1: ncx2 did not converge ({doubts[0]})")
+    q = np.where(bb == 0.0, 1.0, np.clip(sf, 0.0, 1.0))
     return float(q) if q.ndim == 0 else q
 
 

@@ -43,8 +43,8 @@ from typing import Sequence, Union
 import numpy as np
 from scipy import special
 
-from .errors import DomainError, SolverError
-from .numerics import RngStream, adaptive_quad, lambert_w0_exp, marcum_q1, solve2
+from .errors import DomainError, NumericsError, SolverError
+from .numerics import RngStream, adaptive_quad, marcum_q1, solve2
 
 __all__ = [
     "EtaConvention",
@@ -513,7 +513,10 @@ def match_bw(m: MomentPair, a: float) -> tuple[float, float]:
     def forward(u):
         s = math.exp(min(max(u[0], -600.0), 600.0))
         s2bw = math.exp(min(max(u[1], -600.0), 600.0))
-        m1v, m2v = bw_moments(s, s2bw, a)
+        try:
+            m1v, m2v = bw_moments(s, s2bw, a)
+        except NumericsError:  # marcum_q1 cannot be trusted at this trial point
+            return np.full(2, math.nan)
         return np.array([(m1v - t1) / t1, (m2v - t2) / t2])
 
     # scan wander fraction f = 4 sigma^2 / total at the m1-implied total
@@ -589,7 +592,8 @@ def match_circular(m: MomentPair, sigma_bw2: float, a: float) -> tuple[float, fl
 
     The wander variance is fixed externally (sample estimate or the
     analytic formula).  A trial point whose spot sizes leave (0, inf) in
-    floating point gets non-finite residuals, which the solver rejects.
+    floating point, or where :func:`marcum_q1` fails, gets non-finite
+    residuals, which the solver rejects.
     """
     t1, t2 = m.m1, m.m2
 
@@ -602,7 +606,10 @@ def match_circular(m: MomentPair, sigma_bw2: float, a: float) -> tuple[float, fl
             s, _ = _lognormal_spots(mu_s, s_s2)
             if not (s.min() > 0.0 and s.max() < math.inf):
                 return np.full(2, math.nan)
-            m1v, m2v = circular_moments(mu_s, s_s2, sigma_bw2, a)
+            try:
+                m1v, m2v = circular_moments(mu_s, s_s2, sigma_bw2, a)
+            except NumericsError:  # marcum_q1 cannot be trusted here
+                return np.full(2, math.nan)
         return np.array([(m1v - t1) / t1, (m2v - t2) / t2])
 
     try:
@@ -756,7 +763,7 @@ def elliptic_sample(model: EllipticBeam, a: float, n: int,
         + a * a / w1sq * (1.0 + 2.0 * cos2)
         + a * a / w2sq * (1.0 + 2.0 * sin2)
     )
-    w_eff2 = 4.0 * a * a / lambert_w0_exp(ln_arg)
+    w_eff2 = 4.0 * a * a / special.wrightomega(ln_arg)  # W0(e^y) = omega(y)
     lam, rdim = _bw_lambda_R(w_eff2, a)
     eta0 = _elliptic_eta0(w1sq, w2sq, a)
     with np.errstate(over="ignore"):

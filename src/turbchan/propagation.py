@@ -364,66 +364,60 @@ def _phase_on_grid(screen: SparseScreen, xs: np.ndarray, ys: np.ndarray,
 # ---------------------------------------------------------------------------
 
 
-def _window_1d(xs: np.ndarray, half_extent: float) -> np.ndarray:
-    """Cosine taper over the outer 10% of the grid span on each side."""
-    start = 0.8 * half_extent
-    t = np.clip((np.abs(xs) - start) / (half_extent - start), 0.0, 1.0)
-    return np.cos(0.5 * math.pi * t) ** 2
+@functools.lru_cache(maxsize=4)
+def _window(grid: Grid) -> tuple[np.ndarray, np.ndarray]:
+    """Absorbing window w and the absorption 1 - w^2, cached per grid.
 
-
-class _Propagator:
-    """Cached vacuum propagator phases and absorbing window for one grid.
-
-    ``rotation`` is an n x n complex buffer, allocated once, into which
-    :func:`split_step` writes each screen's exp(i phi) before multiplying
-    the field by it; every engine (serial, or one per pool worker) owns one
-    propagator and so reuses one buffer for all its realizations.  A field
-    never holds a reference to it.
-
-    The FFTs run on the calling thread only (no ``workers=``).  A pool
-    worker of :func:`run_ensemble` also runs its BLAS on one thread, so that
-    each worker keeps to one core (see :func:`run_ensemble_multi`); extra FFT
-    threads would only compete with the other workers, or in a single process
-    with the BLAS threads that spin on after the screen matmul.
+    w is a cosine taper over the outer 10% of the span on each side.  The
+    absorption is repeated along the last axis, to match a complex field
+    viewed as interleaved real and imaginary parts.  Both are read-only.
     """
+    half = grid.extent / 2.0
+    start = 0.8 * half
+    t = np.clip((np.abs(grid.axis()) - start) / (half - start), 0.0, 1.0)
+    w1 = np.cos(0.5 * math.pi * t) ** 2
+    window = w1[None, :] * w1[:, None]
+    absorption = np.repeat(1.0 - window**2, 2, axis=1)  # power fraction removed
+    window.flags.writeable = absorption.flags.writeable = False
+    return window, absorption
 
-    def __init__(self, grid: Grid, k: float):
-        kax = grid.kaxis()
-        kk = kax[None, :] ** 2 + kax[:, None] ** 2
-        self.grid = grid
-        self.k = k
-        self.kk = kk
-        w1 = _window_1d(grid.axis(), grid.extent / 2.0)
-        self.window = w1[None, :] * w1[:, None]
-        self.absorption = 1.0 - self.window**2  # power fraction the window removes
-        self.rotation = np.empty((grid.n, grid.n), complex)
-        self._cache: dict[float, np.ndarray] = {}
 
-    def phase(self, dz: float) -> np.ndarray:
-        """Vacuum kernel exp(-i kk dz / 2k), through :func:`_cis`; cached per dz."""
-        p = self._cache.get(dz)
-        if p is None:
-            p = _cis(self.kk * (-0.5 * dz / self.k), np.empty(self.kk.shape, complex))
-            self._cache[dz] = p
-        return p
+@functools.lru_cache(maxsize=4)
+def _kernel(grid: Grid, k: float, dz: float) -> np.ndarray:
+    """Vacuum kernel exp(-i kk dz / 2k), through :func:`_cis`; read-only.
 
-    def vacuum(self, u: np.ndarray, dz: float) -> tuple[np.ndarray, float]:
-        """One windowed vacuum step; returns (field, absorbed power).
+    Cached per (grid, k, dz): a split step uses two step lengths, and one
+    kernel at n = 1024 takes 16 MB, so only a few are kept.
+    """
+    kax = grid.kaxis()
+    kk = kax[None, :] ** 2 + kax[:, None] ** 2
+    p = _cis(kk * (-0.5 * dz / k), np.empty(kk.shape, complex))
+    p.flags.writeable = False
+    return p
 
-        ``u`` is overwritten.  The absorbed power is sum |u|^2 (1 - w^2) dA,
-        taken in one pass before the window w is applied.
-        """
-        spec = scipy.fft.fft2(u, overwrite_x=True)
-        spec *= self.phase(dz)
-        u = scipy.fft.ifft2(spec, overwrite_x=True)
-        absorbed = float(np.vdot(u, self.absorption * u).real) * self.grid.spacing**2
-        u *= self.window
-        return u, absorbed
+
+def _vacuum(u: np.ndarray, grid: Grid, k: float, dz: float) -> tuple[np.ndarray, float]:
+    """One windowed vacuum step; returns (field, absorbed power).
+
+    ``u`` is overwritten.  The absorbed power is sum |u|^2 (1 - w^2) dA,
+    taken in one pass before the window w is applied; ``einsum`` sums it
+    without BLAS, so the value does not depend on the thread count.  The
+    FFTs run on the calling thread only: extra FFT threads would compete
+    with the other pool workers (see :func:`run_ensemble_multi`), or with
+    the BLAS threads that spin on after the screen matmul.
+    """
+    window, absorption = _window(grid)
+    spec = scipy.fft.fft2(u, overwrite_x=True)
+    spec *= _kernel(grid, k, dz)
+    u = scipy.fft.ifft2(spec, overwrite_x=True)
+    v = u.view(float)
+    absorbed = float(np.einsum("ij,ij,ij->", v, v, absorption)) * grid.spacing**2
+    u *= window
+    return u, absorbed
 
 
 def split_step(fld: Field, screens: Sequence[SparseScreen], geom: ChannelGeometry,
-               shift_x: float = 0.0, *, _prop: Optional[_Propagator] = None,
-               _caches=None) -> Field:
+               shift_x: float = 0.0, *, _caches=None) -> Field:
     """Propagate the field to z = L through the given screens.
 
     Symmetric split-step: half-slab vacuum step, screen phase, half-slab
@@ -431,31 +425,27 @@ def split_step(fld: Field, screens: Sequence[SparseScreen], geom: ChannelGeometr
     is a single vacuum Fresnel propagation over the whole path.  The result
     carries the absorbed-power fraction in ``leaked_power``.
 
-    The screen factor exp(i phi) is computed by :func:`_cis` into the
-    propagator's ``rotation`` buffer, with the freshly computed phase as its
-    scratch, so the step allocates no n x n temporaries for it.
+    The screen factor exp(i phi) is computed by :func:`_cis` into one
+    ``rotation`` buffer per call, with the freshly computed phase as its
+    scratch, so the screens allocate no further n x n temporaries for it.
+    ``_caches`` holds each screen's :func:`_grid_tables`.
     """
-    prop = _prop or _Propagator(fld.grid, geom.k)
-    xs = fld.grid.axis()
-    u = fld.values.copy()
-    leaked = 0.0
-    if not screens:
-        u, dp = prop.vacuum(u, geom.path_length)
-        leaked += dp
-    else:
+    grid, k = fld.grid, geom.k
+    xs = grid.axis()
+    steps = [geom.path_length]
+    if screens:
         dz = screens[0].slab_thickness
         if not math.isclose(dz * len(screens), geom.path_length, rel_tol=1e-9):
             raise ConfigError("screens do not tile the path length")
-        u, dp = prop.vacuum(u, dz / 2.0)
+        steps = [dz / 2.0, *[dz] * (len(screens) - 1), dz / 2.0]
+    u, leaked = _vacuum(fld.values.copy(), grid, k, steps[0])
+    rotation = np.empty_like(u)
+    for i, (screen, step) in enumerate(zip(screens, steps[1:])):
+        cache = _caches[i] if _caches is not None else None
+        u *= _cis(_phase_on_grid(screen, xs, xs, shift_x, cache=cache), rotation)
+        u, dp = _vacuum(u, grid, k, step)
         leaked += dp
-        for i, screen in enumerate(screens):
-            cache = _caches[i] if _caches is not None else None
-            phi = _phase_on_grid(screen, xs, xs, shift_x, cache=cache)
-            u *= _cis(phi, prop.rotation)
-            step = dz if i + 1 < len(screens) else dz / 2.0
-            u, dp = prop.vacuum(u, step)
-            leaked += dp
-    return Field(grid=fld.grid, values=u, leaked_power=fld.leaked_power + leaked)
+    return Field(grid=grid, values=u, leaked_power=fld.leaked_power + leaked)
 
 
 # ---------------------------------------------------------------------------
@@ -550,10 +540,10 @@ class SimConfig:
             raise ConfigError("need n_screens >= 5", field="sim.n_screens")
         if self.n_components < 64:
             raise ConfigError("need n_components >= 64", field="sim.n_components")
-        if self.duration > 0.0 and self.dt <= 0.0:
-            raise ConfigError("time series needs dt > 0", field="sim.dt")
-        if self.wind_speed < 0.0:
-            raise ConfigError("wind speed must be >= 0", field="sim.wind_speed")
+        if self.duration > 0.0 and not 0.0 < self.dt < math.inf:
+            raise ConfigError("time series needs a finite dt > 0", field="sim.dt")
+        if not 0.0 <= self.wind_speed < math.inf:
+            raise ConfigError("wind speed must be finite and >= 0", field="sim.wind_speed")
         w_lt = long_term_spot_radius(self.geometry, self.spectrum)
         min_extent = 8.0 * max(self.geometry.beam_radius, w_lt)
         if self.grid.extent < min_extent:
@@ -625,47 +615,39 @@ def _collect(results, apertures: Sequence[float]):
     return by_aperture, EnsembleReport(len(leaks), n_leaky, worst, warnings)
 
 
-class _Engine:
-    """Per-process cache of everything constant across realizations."""
-
-    def __init__(self, config: SimConfig, apertures: Sequence[float]):
-        self.config = config
-        self.apertures = tuple(apertures)
-        self.source = gaussian_source(config.geometry, config.grid)
-        self.prop = _Propagator(config.grid, config.geometry.k)
-        for a in self.apertures:
-            _aperture_weights(config.grid, a)
-
-    def screens_for(self, stream: RngStream) -> list[SparseScreen]:
-        return sample_screens(
-            self.config.spectrum, self.config.geometry, self.config.n_screens,
-            self.config.n_components, stream, n_bands=self.config.n_bands,
-            kappa_min=self.config.kappa_min, kappa_max=self.config.kappa_max,
-        )
-
-    def run(self, index: int, screens, shift_x=0.0, caches=None, time=None):
-        """Propagate through ``screens`` and observe every aperture.
-
-        Returns ``(records, leaked_power)``, the pair :func:`_collect` takes.
-        """
-        fld = split_step(self.source, screens, self.config.geometry,
-                         shift_x, _prop=self.prop, _caches=caches)
-        r0, smat = beam_stats(fld)
-        records = [
-            SampleRecord(
-                eta=transmittance(fld, a), x0=r0[0], y0=r0[1],
-                sxx=smat[0, 0], syy=smat[1, 1], sxy=smat[0, 1],
-                realization_index=index, time=time,
-            )
-            for a in self.apertures
-        ]
-        return records, fld.leaked_power
-
-    def run_one(self, index: int):
-        return self.run(index, self.screens_for(RngStream(self.config.seed, index)))
+@functools.lru_cache(maxsize=4)
+def _source(geom: ChannelGeometry, grid: Grid) -> np.ndarray:
+    """Values of :func:`gaussian_source`, cached per (geometry, grid); read-only."""
+    u = gaussian_source(geom, grid).values
+    u.flags.writeable = False
+    return u
 
 
-_WORKER_ENGINE: Optional[_Engine] = None
+def _realization(config: SimConfig, apertures: Sequence[float], index: int,
+                 screens=None, shift_x=0.0, caches=None, time=None):
+    """Propagate through ``screens`` and observe every aperture.
+
+    Without ``screens`` the set of realization ``index`` is drawn from
+    stream ``index`` of the master seed.  Returns ``(records,
+    leaked_power)``, the pair :func:`_collect` takes.
+    """
+    geom, grid = config.geometry, config.grid
+    if screens is None:
+        screens = _screens(config, index)
+    fld = split_step(Field(grid=grid, values=_source(geom, grid)), screens, geom,
+                     shift_x, _caches=caches)
+    r0, smat = beam_stats(fld)
+    records = [SampleRecord(eta=transmittance(fld, a), x0=r0[0], y0=r0[1], sxx=smat[0, 0],
+                            syy=smat[1, 1], sxy=smat[0, 1], realization_index=index, time=time)
+               for a in apertures]
+    return records, fld.leaked_power
+
+
+def _screens(config: SimConfig, stream_index: int) -> list[SparseScreen]:
+    return sample_screens(config.spectrum, config.geometry, config.n_screens,
+                          config.n_components, RngStream(config.seed, stream_index),
+                          n_bands=config.n_bands, kappa_min=config.kappa_min,
+                          kappa_max=config.kappa_max)
 
 
 # C entry points of openblas_set_num_threads(int) in the OpenBLAS builds that
@@ -698,16 +680,6 @@ def _one_blas_thread() -> None:
                 fn.restype = None
                 fn(1)
                 break
-
-
-def _worker_init(config: SimConfig, apertures):
-    global _WORKER_ENGINE
-    _one_blas_thread()
-    _WORKER_ENGINE = _Engine(config, apertures)
-
-
-def _worker_run(index: int):
-    return _WORKER_ENGINE.run_one(index)
 
 
 def run_ensemble(config: SimConfig, workers: int = 1) -> list[SampleRecord]:
@@ -745,14 +717,13 @@ def run_ensemble_multi(config: SimConfig, apertures: Sequence[float],
         raise ConfigError("need at least one aperture", field="apertures")
     apertures = tuple(apertures)
     indices = range(config.n_realizations)
+    run = functools.partial(_realization, config, apertures)
     if workers <= 1:
-        return _collect(map(_Engine(config, apertures).run_one, indices), apertures)
+        return _collect(map(run, indices), apertures)
     import concurrent.futures as cf
 
-    with cf.ProcessPoolExecutor(
-        max_workers=workers, initializer=_worker_init, initargs=(config, apertures),
-    ) as pool:
-        return _collect(pool.map(_worker_run, indices, chunksize=8), apertures)
+    with cf.ProcessPoolExecutor(max_workers=workers, initializer=_one_blas_thread) as pool:
+        return _collect(pool.map(run, indices, chunksize=8), apertures)
 
 
 def run_timeseries(config: SimConfig, apertures: Optional[Sequence[float]] = None):
@@ -768,13 +739,12 @@ def run_timeseries(config: SimConfig, apertures: Optional[Sequence[float]] = Non
     if not config.duration > 0.0:
         raise ConfigError("time series needs duration > 0", field="sim.duration")
     apertures = tuple(apertures) if apertures else (config.geometry.aperture_radius,)
-    engine = _Engine(config, apertures)
-    screens = engine.screens_for(RngStream(config.seed, 0))
+    screens = _screens(config, 0)
     xs = config.grid.axis()
     caches = [_grid_tables(s, xs, xs) for s in screens]
     times = [m * config.dt for m in range(round(config.duration / config.dt))]
-    return _collect((engine.run(m, screens, config.wind_speed * t, caches, time=t)
-                     for m, t in enumerate(times)), apertures)
+    return _collect((_realization(config, apertures, m, screens, config.wind_speed * t,
+                                  caches, time=t) for m, t in enumerate(times)), apertures)
 
 
 def ensemble_summary(records: Sequence[SampleRecord]) -> dict:
