@@ -26,7 +26,7 @@ import numpy as np
 from scipy import special
 
 from .errors import DomainError
-from .pdt import PdtModel, _read_only, fractional_moment
+from .pdt import PdtModel, _node_sum, _read_only, fractional_moment
 from .pdt import model_density  # noqa: F401  (benchmarks/workloads.py traces it here)
 from .stats import EmpiricalSample, integrated_autocorr_time
 
@@ -49,7 +49,9 @@ __all__ = [
 ]
 
 TAIL_BOUND = 1e-9
-_BLOCK = 8192  # transmittances per block of channel_pmf
+# pmf entries per block of channel_pmf, a block being the pmf rows of
+# consecutive transmittances: 512 kB whatever n_max is, unless one row is longer
+_BLOCK_ELEMENTS = 1 << 16
 
 
 @dataclass(frozen=True)
@@ -181,21 +183,26 @@ def _pmf_matrix(state: InputState, eta, n_max: int) -> np.ndarray:
     n = np.arange(n_max + 1)
     if isinstance(state, Coherent):
         mu = eta * state.mean_n
-        return np.exp(_n_log(n, mu) - mu - special.gammaln(n + 1.0))
-    if isinstance(state, Fock):
+        out = _n_log(n, mu)
+        out -= mu
+        out -= special.gammaln(n + 1.0)
+    elif isinstance(state, Fock):
         if state.n > n_max:
             raise DomainError(f"n_max={n_max} below Fock occupation {state.n}")
         k = n[: state.n + 1]
         logc = (special.gammaln(state.n + 1.0) - special.gammaln(k + 1.0)
                 - special.gammaln(state.n - k + 1.0))
         out = np.zeros((eta.shape[0], n_max + 1))
-        out[:, : state.n + 1] = np.exp(
-            logc + special.xlogy(k, eta) + special.xlog1py(state.n - k, -eta)
-        )
+        log_pmf = special.xlogy(k, eta, out=out[:, : state.n + 1])
+        log_pmf += logc
+        log_pmf += special.xlog1py(state.n - k, -eta)
+        np.exp(log_pmf, out=log_pmf)
         return out
-    # thermal
-    m = eta * state.nbar
-    return np.exp(_n_log(n, m) - (n + 1) * np.log1p(m))
+    else:  # thermal
+        m = eta * state.nbar
+        out = _n_log(n, m)
+        out -= (n + 1) * np.log1p(m)
+    return np.exp(out, out=out)
 
 
 def _stats_from_pmf(pmf: np.ndarray, state: InputState, caller: str) -> PhotonStats:
@@ -210,8 +217,8 @@ def _stats_from_pmf(pmf: np.ndarray, state: InputState, caller: str) -> PhotonSt
             f"{caller}: tail {tail:.2e} exceeds {TAIL_BOUND} at n_max={pmf.size - 1}; "
             f"suggest n_max >= {default_n_max(state)}"
         )
-    mean = float(pmf @ n)
-    second = float(pmf @ (n * n))
+    mean = _node_sum(pmf, n)
+    second = _node_sum(pmf, n * n)
     var = second - mean * mean
     q = (var - mean) / mean if mean > 0.0 else 0.0
     return PhotonStats(pmf=pmf, mean=mean, variance=var, mandel_q=q,
@@ -234,17 +241,23 @@ def channel_pmf(state: InputState, channel: ChannelSpec,
     """Photon statistics after a (possibly fluctuating) loss channel.
 
     The pmf is sum_i w_i pmf(state, eta_i) over the channel's point set
-    ``channel.nodes`` (eta_i, w_i), taken over blocks of at most ``_BLOCK``
-    transmittances to bound memory for long records.  Raises
+    ``channel.nodes`` (eta_i, w_i), taken over blocks of at most
+    ``_BLOCK_ELEMENTS`` pmf entries, so that memory stays bounded for long
+    records and large n_max alike.  Each block's weighted sum is an
+    ``einsum``, not a BLAS product: OpenBLAS hands a large product to its
+    other threads, at a flat cost of some 8 ms per call on a 2-core host, and
+    the last bits of the pmf would then depend on the thread count.  Raises
     :class:`DomainError`, naming ``default_n_max(state)``, when ``n_max``
     leaves more than ``TAIL_BOUND`` of the mass out.
     """
     if n_max is None:
         n_max = default_n_max(state)
     eta, weight = channel.nodes
+    rows = max(_BLOCK_ELEMENTS // (n_max + 1), 1)
     pmf = np.zeros(n_max + 1)
-    for i in range(0, eta.size, _BLOCK):
-        pmf += weight[i:i + _BLOCK] @ _pmf_matrix(state, eta[i:i + _BLOCK], n_max)
+    for i in range(0, eta.size, rows):
+        block = _pmf_matrix(state, eta[i:i + rows], n_max)
+        pmf += np.einsum("i,ij->j", weight[i:i + rows], block)
     return _stats_from_pmf(pmf, state, "channel_pmf")
 
 
@@ -254,12 +267,13 @@ def quadrature_moments(state: Coherent, channel: ChannelSpec) -> tuple[float, fl
     mean_x = 2 Re(alpha) <sqrt(eta)>;
     var_x = 1 + 4 Re(alpha)^2 (<eta> - <sqrt(eta)>^2) >= 1, with equality
     iff the channel transmittance is deterministic.  The two moments of eta
-    are sums over ``channel.nodes``.
+    are sums over ``channel.nodes``, taken without BLAS as in
+    :func:`~turbchan.pdt.fractional_moment`.
     """
     if not isinstance(state, Coherent):
         raise DomainError("quadrature_moments: coherent input only")
     eta, weight = channel.nodes
-    m_half, m_one = float(weight @ eta**0.5), float(weight @ eta)
+    m_half, m_one = _node_sum(weight, eta**0.5), _node_sum(weight, eta)
     re = state.alpha.real
     mean_x = 2.0 * re * m_half
     var_x = 1.0 + 4.0 * re * re * (m_one - m_half * m_half)

@@ -119,12 +119,22 @@ def silverman_bandwidth(sample: EmpiricalSample) -> float:
 
 
 def kde(sample: EmpiricalSample, bandwidth: float | None = None):
-    """Gaussian KDE with mass reflected at 0 and 1; returns a callable."""
+    """Gaussian KDE with mass reflected at 0 and 1; returns a callable.
+
+    Only samples within sqrt(74) h (8.6 h) of an edge are reflected about
+    it: on [0, 1] the reflection of any other sample is at least 8.6 h
+    away and carries at most exp(-37) of a kernel's peak.  With at most
+    two such kernels per sample, the density falls by at most
+    2 exp(-37) / (h sqrt(2 pi)).
+    """
     h = silverman_bandwidth(sample) if bandwidth is None else float(bandwidth)
     if h <= 0.0:
         raise DomainError("kde: bandwidth must be > 0")
-    v = sample.values
+    v = sample.values  # sorted
     n = v.size
+    reach = math.sqrt(74.0) * h
+    near_0 = v[: np.searchsorted(v, reach)]
+    near_1 = v[np.searchsorted(v, 1.0 - reach, side="right"):]
 
     def density(eta):
         x = np.atleast_1d(np.asarray(eta, dtype=float))
@@ -132,7 +142,7 @@ def kde(sample: EmpiricalSample, bandwidth: float | None = None):
         inside = (x >= 0.0) & (x <= 1.0)
         xi = x[inside]
         # direct kernel plus reflections about both boundaries
-        for centers in (v, -v, 2.0 - v):
+        for centers in (v, -near_0, 2.0 - near_1):
             z = (xi[:, None] - centers[None, :]) / h
             out[inside] += np.exp(-0.5 * z * z).sum(axis=1)
         out[inside] /= n * h * math.sqrt(2.0 * math.pi)

@@ -1,14 +1,16 @@
 """Photocounting statistics and quadrature moments through loss channels."""
 
+import concurrent.futures as cf
 import math
+import multiprocessing
 
 import mpmath
 import numpy as np
 import pytest
-from scipy import integrate
+from scipy import integrate, special
 from scipy import stats as sps
 
-from turbchan import pdt
+from turbchan import pdt, propagation, quantum
 from turbchan.errors import DomainError
 from turbchan.quantum import (
     Coherent,
@@ -22,6 +24,7 @@ from turbchan.quantum import (
     default_n_max,
     ergodicity_report,
     loss_pmf,
+    _n_log,
     _pmf_matrix,
     quadrature_moments,
 )
@@ -166,6 +169,25 @@ class TestChannelPmf:
         ps = channel_pmf(Coherent(2.0), EmpiricalChannel(EmpiricalSample(vals)))
         assert ps.mean == pytest.approx(4.0 * vals.mean(), rel=1e-9)
 
+    def test_blocks_bounded_by_elements(self, monkeypatch):
+        shapes = []
+        matrix = quantum._pmf_matrix
+        monkeypatch.setattr(quantum, "_pmf_matrix", lambda state, eta, n_max: (
+            shapes.append((len(eta), n_max + 1)) or matrix(state, eta, n_max)))
+        vals = np.random.default_rng(3).beta(2.0, 5.0, 20_000)
+        channel = EmpiricalChannel(EmpiricalSample(vals))
+        state = Coherent(30.0)  # n_max = 1097
+        ps = channel_pmf(state, channel)
+        assert sum(rows for rows, _ in shapes) == vals.size
+        assert max(rows * cols for rows, cols in shapes) <= quantum._BLOCK_ELEMENTS
+        assert ps.mean == pytest.approx(900.0 * vals.mean(), rel=1e-9)
+        # the former blocks of 8192 transmittances, summed by BLAS products
+        eta, weight = channel.nodes
+        n_max = default_n_max(state)
+        want = sum(weight[i:i + 8192] @ matrix(state, eta[i:i + 8192], n_max)
+                   for i in range(0, eta.size, 8192))
+        np.testing.assert_allclose(ps.pmf, want, rtol=1e-12, atol=0.0)
+
     def test_elliptic_channel_uses_samples(self):
         model = pdt.EllipticBeam(sigma_bw2=1e-4, mu_S=math.log(4e-4),
                                  Sigma=0.05 * np.eye(2), aperture=0.02,
@@ -244,6 +266,32 @@ class TestPmfMatrix:
         want = (m / (1.0 + m)) ** np.arange(31) / (1.0 + m)
         assert np.allclose(got, want, rtol=1e-13, atol=0.0)
 
+    @staticmethod
+    def out_of_place(state, eta, n_max):
+        """The pmf matrix as one expression per state, each step a new array."""
+        eta = eta[:, None]
+        n = np.arange(n_max + 1)
+        if isinstance(state, Coherent):
+            mu = eta * state.mean_n
+            return np.exp(_n_log(n, mu) - mu - special.gammaln(n + 1.0))
+        if isinstance(state, Fock):
+            k = n[: state.n + 1]
+            logc = (special.gammaln(state.n + 1.0) - special.gammaln(k + 1.0)
+                    - special.gammaln(state.n - k + 1.0))
+            out = np.zeros((eta.shape[0], n_max + 1))
+            out[:, : state.n + 1] = np.exp(
+                logc + special.xlogy(k, eta) + special.xlog1py(state.n - k, -eta))
+            return out
+        m = eta * state.nbar
+        return np.exp(_n_log(n, m) - (n + 1) * np.log1p(m))
+
+    @pytest.mark.parametrize("state, n_max", [
+        (Coherent(2.0), 25), (Fock(4), 6), (Thermal(1.7), 30),
+    ], ids=["coherent", "fock", "thermal"])
+    def test_in_place_is_bitwise_out_of_place(self, state, n_max):
+        got = _pmf_matrix(state, self.ETAS, n_max)
+        assert got.tobytes() == self.out_of_place(state, self.ETAS, n_max).tobytes()
+
 
 class TestQuadratureMoments:
     def test_vacuum_untouched(self):
@@ -266,6 +314,31 @@ class TestQuadratureMoments:
     def test_rejects_noncoherent(self):
         with pytest.raises(DomainError):
             quadrature_moments(Fock(1), FixedEta(0.5))
+
+
+def node_sums() -> dict:
+    """Sums over point sets of more than 10 000 nodes, as float.hex strings."""
+    model = pdt.totalprob_model("beta", 1e-4, 4e-4, pdt.MomentPair(0.5, 0.28), 0.02)
+    channel = EmpiricalChannel(EmpiricalSample(
+        np.random.default_rng(12).beta(2.0, 5.0, 200_000)))
+    out = {f"fractional_moment({p})": pdt.fractional_moment(model, p)
+           for p in (0.5, 1.0, 2.0)}
+    out["quadrature_moments"] = quadrature_moments(Coherent(2.0), channel)
+    for alpha in (2.0, 6.0, 30.0):  # n_max 22, 80 and 1097
+        ps = channel_pmf(Coherent(alpha), channel)
+        out[f"channel_pmf({alpha})"] = (*ps.pmf, ps.mean, ps.variance)
+    return {key: [float(v).hex() for v in np.atleast_1d(value)]
+            for key, value in out.items()}
+
+
+def test_node_sums_do_not_depend_on_blas_threads():
+    # a pool worker runs OpenBLAS on one thread; this process keeps its own
+    spawn = multiprocessing.get_context("spawn")
+    with cf.ProcessPoolExecutor(max_workers=1, mp_context=spawn,
+                                initializer=propagation._one_blas_thread) as pool:
+        in_worker = pool.submit(node_sums)
+        here = node_sums()
+        assert in_worker.result(timeout=300) == here
 
 
 @pytest.mark.parametrize("build", [

@@ -124,6 +124,30 @@ class TestHistogramKde:
         integral = np.trapezoid(f(es), es)
         assert integral == pytest.approx(1.0, abs=1e-4)
 
+    @staticmethod
+    def all_reflections(v, h, x):
+        """The KDE with every sample reflected about both edges."""
+        out = sum(np.exp(-0.5 * ((x[:, None] - c[None, :]) / h) ** 2).sum(axis=1)
+                  for c in (v, -v, 2.0 - v))
+        return out / (v.size * h * math.sqrt(2.0 * math.pi))
+
+    def test_kde_matches_all_reflections(self):
+        sample = EmpiricalSample(np.random.default_rng(42).beta(2.0, 2.0, 20_000))
+        h = silverman_bandwidth(sample)
+        x = np.linspace(0.0, 1.0, 201)
+        want = self.all_reflections(sample.values, h, x)
+        np.testing.assert_allclose(kde(sample)(x), want, rtol=1e-13, atol=0.0)
+
+    def test_kde_far_reflections_below_bound(self):
+        # no sample within 8.6 h of an edge: nothing is reflected, and the
+        # density at an edge (about 1e-50 here) is half the all-samples sum
+        sample = EmpiricalSample(np.random.default_rng(4).uniform(0.3, 0.7, 5000))
+        h = 0.02
+        x = np.linspace(0.0, 1.0, 201)
+        diff = self.all_reflections(sample.values, h, x) - kde(sample, bandwidth=h)(x)
+        assert np.all(diff >= 0.0)
+        assert diff.max() < 2.0 * math.exp(-37.0) / (h * math.sqrt(2.0 * math.pi))
+
     def test_silverman_positive(self):
         gen = np.random.default_rng(2)
         assert silverman_bandwidth(EmpiricalSample(gen.random(100))) > 0.0
