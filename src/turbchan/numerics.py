@@ -99,8 +99,7 @@ def marcum_q1(a, b) -> float:
 # ---------------------------------------------------------------------------
 
 
-def adaptive_quad(f, lo: float, hi: float, tol: float = 1e-10, *,
-                  points=None) -> float:
+def adaptive_quad(f, lo: float, hi: float, tol: float = 1e-10) -> float:
     """Integrate f over (lo, hi) to absolute accuracy ``tol``.
 
     ``hi`` (or ``lo``) may be infinite; integrable endpoint singularities
@@ -112,10 +111,6 @@ def adaptive_quad(f, lo: float, hi: float, tol: float = 1e-10, *,
     from scipy import integrate  # imported here: it is slow to import
 
     kwargs = dict(epsabs=tol, epsrel=max(1e-12, tol * 1e-2), limit=200)
-    if points is not None and np.isfinite(lo) and np.isfinite(hi):
-        pts = [p for p in points if lo < p < hi]
-        if pts:
-            kwargs["points"] = pts
     with np.errstate(all="ignore"):
         result = integrate.quad(f, lo, hi, full_output=1, **kwargs)
     value, abserr = result[0], result[1]
@@ -132,21 +127,24 @@ def adaptive_quad(f, lo: float, hi: float, tol: float = 1e-10, *,
     return float(value)
 
 
-def solve2(F, x0, tol: float = 1e-10, *, max_iter: int = 80,
-           scan=None) -> np.ndarray:
+_SOLVE2_MAX_ITER = 80  # Newton steps per start
+
+
+def solve2(F, x0, tol: float = 1e-10, *, scan=None) -> np.ndarray:
     """Solve the 2x2 system F(x) = 0 by damped Newton iteration.
 
-    The Jacobian comes from central finite differences.  If iteration from
-    ``x0`` stalls and ``scan=(lo, hi, n)`` is given, the box is scanned on an
-    n x n grid and Newton restarts from the best point.  Callers needing
-    positive parameters should solve in log space and exponentiate.
+    The Jacobian comes from central finite differences; each start takes at
+    most ``_SOLVE2_MAX_ITER`` Newton steps.  If iteration from ``x0`` stalls
+    and ``scan=(lo, hi, n)`` is given, the box is scanned on an n x n grid
+    and Newton restarts from the best point.  Callers needing positive
+    parameters should solve in log space and exponentiate.
     """
 
     def newton(x_start):
         x = np.asarray(x_start, dtype=float).copy()
         fx = np.asarray(F(x), dtype=float)
         best = (float(np.max(np.abs(fx))), x.copy())
-        for _ in range(max_iter):
+        for _ in range(_SOLVE2_MAX_ITER):
             nrm = float(np.max(np.abs(fx)))
             if nrm <= tol:
                 return x, nrm

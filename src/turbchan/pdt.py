@@ -479,22 +479,15 @@ def bw_moments(S, sigma_bw2, a) -> tuple:
         m1 = -np.expm1(-2.0 * a * a / total)
         p = S / (8.0 * sigma_bw2)
         beta = 1.0 / (2.0 * p + 1.0)
-        # 2p(p+1)/(2p^2+3p+1) written stably for p >> 1
-        ratio = (2.0 + 2.0 / p) / (2.0 + 3.0 / p + 1.0 / (p * p))
-        alpha = (2.0 * a / np.sqrt(S)) * np.sqrt(ratio)
-        # p -> 0 (spot << wander) is the Bernoulli limit m2 -> m1
+        # alpha^2 = (4 a^2 / S) 2p / (2p + 1) = 4 a^2 / total, so that
+        # exp(-alpha^2 / 2) = 1 - m1.  p -> 0 (spot << wander) is the
+        # Bernoulli limit m2 = m1, which c = d = 0 gives.
+        alpha = 2.0 * a / np.sqrt(total)
         tiny_p = p < 1e-10
-        with np.errstate(divide="ignore", invalid="ignore"):
-            den = np.sqrt(np.maximum(1.0 - beta * beta, 1e-300))
-            c = np.where(tiny_p, 0.0, alpha / den)
-            d = np.where(tiny_p, 0.0, alpha * beta / den)
-        m2 = (
-            1.0
-            - 2.0 * np.exp(-2.0 * a * a / total)
-            + np.exp(-0.5 * alpha * alpha)
-            * (1.0 - marcum_q1(c, d) + marcum_q1(d, c))
-        )
-        m2 = np.where(tiny_p, m1, m2)
+        den = np.sqrt(np.maximum(1.0 - beta * beta, 1e-300))
+        c = np.where(tiny_p, 0.0, alpha / den)
+        d = np.where(tiny_p, 0.0, alpha * beta / den)
+        m2 = m1 - (1.0 - m1) * (marcum_q1(c, d) - marcum_q1(d, c))
     if scalar:
         return float(m1[0]), float(m2[0])
     return m1, m2
@@ -503,10 +496,19 @@ def bw_moments(S, sigma_bw2, a) -> tuple:
 def match_bw(m: MomentPair, a: float) -> tuple[float, float]:
     """Solve the closed-form moment pair for (S, sigma_bw2).
 
-    Works in log-parameter space; a coarse scan over the wander fraction
-    initializes the Newton iteration.  Raises :class:`SolverError` for
-    targets outside the model's range (e.g. m2 = m1, the Bernoulli limit).
+    m1 alone fixes the total T = 4 sigma_bw^2 + S = -2 a^2 / ln(1 - m1).  At
+    that total m2 rises from m1^2 to m1 with the wander fraction
+    f = 4 sigma_bw^2 / T, so one bracketed root in x = logit f matches m2.
+    The bracket [-48, 48] runs from :func:`bw_moments`' zero-wander branch
+    (m2 = m1^2) to its p < 1e-10 branch (m2 = m1).  Raises
+    :class:`SolverError` for targets outside the model's range: m2 = m1 (the
+    Bernoulli limit), and the targets within about 1e-6 of the variance range
+    below it that fall in the jump at that branch.
     """
+    from scipy.optimize import brentq  # imported here: it is slow to import
+
+    if not _positive(a):
+        raise DomainError(f"match_bw: a={a} must be finite and > 0")
     t1, t2 = m.m1, m.m2
     if t1 >= 1.0:
         raise SolverError("match_bw: m1 = 1 needs an infinite aperture")
@@ -516,26 +518,19 @@ def match_bw(m: MomentPair, a: float) -> tuple[float, float]:
     if t2 <= t1 * t1 * (1.0 + 1e-12):
         return total, 0.0  # zero wander: point mass at eta0
 
-    def forward(u):
-        s = math.exp(min(max(u[0], -600.0), 600.0))
-        s2bw = math.exp(min(max(u[1], -600.0), 600.0))
-        try:
-            m1v, m2v = bw_moments(s, s2bw, a)
-        except NumericsError:  # marcum_q1 cannot be trusted at this trial point
-            return np.full(2, math.nan)
-        return np.array([(m1v - t1) / t1, (m2v - t2) / t2])
+    def split(x):
+        # S = T expit(-x): written as T (1 - f), S rounds to 0 near x = 37
+        return total * special.expit(-x), total * special.expit(x) / 4.0
 
-    # scan wander fraction f = 4 sigma^2 / total at the m1-implied total
-    fractions = 1.0 / (1.0 + np.exp(-np.linspace(-12.0, 12.0, 49)))
-    best_u, best_r = None, np.inf
-    for f in fractions:
-        u = np.array([math.log(total * (1.0 - f)), math.log(total * f / 4.0)])
-        r = np.max(np.abs(forward(u)))
-        if np.isfinite(r) and r < best_r:
-            best_u, best_r = u, r
-    sol = solve2(forward, best_u, tol=1e-11,
-                 scan=(best_u - 2.0, best_u + 2.0, 9))
-    return math.exp(sol[0]), math.exp(sol[1])
+    def excess(x):
+        return bw_moments(*split(x), a)[1] - t2
+
+    x = brentq(excess, -48.0, 48.0)
+    if abs(excess(x)) > 1e-9 * t2:
+        raise SolverError(f"match_bw: m2={t2} falls in the jump at bw_moments' "
+                          "p < 1e-10 branch")
+    S, sigma_bw2 = split(x)
+    return float(S), float(sigma_bw2)
 
 
 # ---------------------------------------------------------------------------
@@ -601,14 +596,16 @@ def match_circular(m: MomentPair, sigma_bw2: float, a: float) -> tuple[float, fl
     floating point, or where :func:`marcum_q1` fails, gets non-finite
     residuals, which the solver rejects.
     """
+    if not _positive(a):
+        raise DomainError(f"match_circular: a={a} must be finite and > 0")
+    if not 0.0 <= sigma_bw2 < math.inf:
+        raise DomainError(f"match_circular: sigma_bw2={sigma_bw2} must be finite and >= 0")
     t1, t2 = m.m1, m.m2
 
     def forward(u):
         mu_s = min(max(u[0], -600.0), 600.0)
         s_s2 = math.exp(min(max(u[1], -600.0), 60.0))
-        # far trial points overflow exp(), and spots far below the wander
-        # take bw_moments' p -> 0 branch after dividing by p^2 = 0
-        with np.errstate(over="ignore", divide="ignore"):
+        with np.errstate(over="ignore"):  # far trial points overflow exp()
             s, _ = _lognormal_spots(mu_s, s_s2)
             if not (s.min() > 0.0 and s.max() < math.inf):
                 return np.full(2, math.nan)
@@ -620,7 +617,7 @@ def match_circular(m: MomentPair, sigma_bw2: float, a: float) -> tuple[float, fl
 
     try:
         s0, _ = match_bw(m, a)
-        mu0 = math.log(max(s0 - 1e-30, 1e-30))
+        mu0 = math.log(s0)
     except SolverError:
         mu0 = math.log(a * a)
     u0 = np.array([mu0, math.log(0.05)])

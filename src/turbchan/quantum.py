@@ -225,14 +225,23 @@ def _stats_from_pmf(pmf: np.ndarray, state: InputState, caller: str) -> PhotonSt
                        tail_bound=tail)
 
 
+def _cutoff(state: InputState, n_max, caller: str) -> int:
+    """``n_max``, or ``default_n_max(state)`` for None; raises
+    :class:`DomainError` unless it is an integer >= 0 (numpy's too)."""
+    if n_max is None:
+        return default_n_max(state)
+    if not (isinstance(n_max, numbers.Integral) and n_max >= 0):
+        raise DomainError(f"{caller}: n_max={n_max!r} must be an integer >= 0")
+    return int(n_max)
+
+
 def loss_pmf(state: InputState, eta: float, n_max: Optional[int] = None) -> PhotonStats:
     """Photon statistics after a fixed-transmittance loss channel; raises
     :class:`DomainError` as :func:`channel_pmf` does when ``n_max`` cuts the
     tail."""
     if not (0.0 <= eta <= 1.0):
         raise DomainError("loss_pmf: eta must be in [0, 1]")
-    if n_max is None:
-        n_max = default_n_max(state)
+    n_max = _cutoff(state, n_max, "loss_pmf")
     return _stats_from_pmf(_pmf_matrix(state, [eta], n_max)[0], state, "loss_pmf")
 
 
@@ -250,8 +259,7 @@ def channel_pmf(state: InputState, channel: ChannelSpec,
     :class:`DomainError`, naming ``default_n_max(state)``, when ``n_max``
     leaves more than ``TAIL_BOUND`` of the mass out.
     """
-    if n_max is None:
-        n_max = default_n_max(state)
+    n_max = _cutoff(state, n_max, "channel_pmf")
     eta, weight = channel.nodes
     rows = max(_BLOCK_ELEMENTS // (n_max + 1), 1)
     pmf = np.zeros(n_max + 1)
@@ -302,8 +310,6 @@ def ergodicity_report(state: InputState, pdt_model: PdtModel, eta_series,
     (so the caller can judge whether the record is long enough).
     """
     series = np.asarray(eta_series, dtype=float)
-    if n_max is None:
-        n_max = default_n_max(state)
     model_stats = channel_pmf(state, PdtChannel(pdt_model), n_max)
     emp_stats = channel_pmf(state, EmpiricalChannel(EmpiricalSample(series)), n_max)
     tv = 0.5 * float(np.sum(np.abs(model_stats.pmf - emp_stats.pmf)))

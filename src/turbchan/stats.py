@@ -67,6 +67,8 @@ class PairSample:
         if e1.shape != e2.shape or e1.ndim != 1 or e1.size == 0:
             raise DomainError("PairSample: eta1/eta2 must be equal-length 1-D arrays")
         for e in (e1, e2):
+            if not np.all(np.isfinite(e)):
+                raise DomainError("PairSample: values must be finite")
             if np.any(e < -1e-12) or np.any(e > 1.0 + 1e-12):
                 raise DomainError("PairSample: values must lie in [0, 1]")
         object.__setattr__(self, "eta1", np.clip(e1, 0.0, 1.0))
@@ -128,8 +130,8 @@ def kde(sample: EmpiricalSample, bandwidth: float | None = None):
     2 exp(-37) / (h sqrt(2 pi)).
     """
     h = silverman_bandwidth(sample) if bandwidth is None else float(bandwidth)
-    if h <= 0.0:
-        raise DomainError("kde: bandwidth must be > 0")
+    if not 0.0 < h < math.inf:
+        raise DomainError(f"kde: bandwidth={h} must be finite and > 0")
     v = sample.values  # sorted
     n = v.size
     reach = math.sqrt(74.0) * h
@@ -163,6 +165,8 @@ def corr_fn(series, lags) -> list[tuple[float, float]]:
     arr = np.asarray(series, dtype=float)
     if arr.ndim != 2 or arr.shape[1] != 2:
         raise DomainError("corr_fn: series must be (t, eta) rows")
+    if not np.all(np.isfinite(arr)):
+        raise DomainError("corr_fn: series must be finite")
     t = arr[:, 0]
     eta = arr[:, 1]
     n = eta.size
@@ -204,6 +208,8 @@ def integrated_autocorr_time(eta: np.ndarray, max_lag: int | None = None) -> flo
     n = x.size
     if n < 10:
         raise DomainError("integrated_autocorr_time: series too short")
+    if not np.all(np.isfinite(x)):
+        raise DomainError("integrated_autocorr_time: series must be finite")
     x = x - x.mean()
     var = float(np.mean(x * x))
     if var == 0.0:

@@ -222,6 +222,15 @@ class TestEsposito:
         assert m1 == pytest.approx(-math.expm1(-2 * 0.02**2 / 4e-4), rel=1e-12)
         assert m2 == pytest.approx(m1 * m1, rel=1e-12)
 
+    @pytest.mark.parametrize("S", [1e-200, 1e-320])
+    def test_spot_far_below_wander_is_bernoulli(self, S):
+        # S / 8 sigma_bw^2 underflows; this once warned of a division by
+        # zero (1e-200) or an overflow (1e-320)
+        m1, m2 = pdt.bw_moments(S, 1e-5, 0.02)
+        want = -math.expm1(-2 * 0.02**2 / (4 * 1e-5 + S))
+        assert m1 == pytest.approx(want, rel=1e-15)
+        assert m2 == m1
+
     def test_full_capture_limit(self):
         m1, m2 = pdt.bw_moments(4e-4, 1e-4, 10.0)
         assert m1 == pytest.approx(1.0, abs=1e-12)
@@ -263,6 +272,45 @@ class TestMatchBw:
         S, s2 = pdt.match_bw(pdt.MomentPair(0.5, 0.25), 0.02)
         assert s2 == 0.0
         assert S == pytest.approx(-2 * 0.02**2 / math.log(0.5), rel=1e-12)
+
+    @pytest.mark.parametrize("m1,m2,S,sigma_bw2", [
+        (0.40361578159005407, 0.16856091326891226, 0.001176199277662794,
+         9.289455521788154e-05),
+        (0.4047639995449275, 0.16906157499984176, 0.001186280206523416,
+         8.893695683025529e-05),
+        (0.4046592289862692, 0.16889875841961938, 0.001189216664805785,
+         8.833366817105243e-05),
+        (0.40312009814057814, 0.16781154246259725, 0.0011891581501371473,
+         9.027780198848105e-05),
+        (0.40356199249020075, 0.16824315931926948, 0.0011852242947493021,
+         9.070583011670443e-05),
+    ], ids=["seed1", "seed7", "seed21", "seed301", "seed421"])
+    def test_benchmark_fits(self, m1, m2, S, sigma_bw2):
+        # the beam-wandering fits of the benchmark's pdt_photon records, as
+        # the two-parameter Newton search found them
+        got = pdt.match_bw(pdt.MomentPair(m1, m2), 0.02)
+        assert got == pytest.approx((S, sigma_bw2), rel=1e-9, abs=0.0)
+
+    @pytest.mark.parametrize("m1", np.linspace(0.02, 0.98, 49)[::12].tolist())
+    def test_fits_across_the_variance_range(self, m1):
+        # m2 a fraction v of the way from m1^2 to the Bernoulli bound m1; at
+        # v = 0.999999 the target falls in the jump of bw_moments' p < 1e-10
+        # branch
+        for v in (1e-11, 1e-9, 1e-6, 1e-4, 0.01, 0.1, 0.3, 0.5, 0.7, 0.9, 0.99,
+                  0.999, 0.999999, 1.0 - 1e-10):
+            target = pdt.MomentPair(m1, m1 * m1 + v * m1 * (1.0 - m1))
+            if v == 0.999999:
+                with pytest.raises(SolverError):
+                    pdt.match_bw(target, 0.02)
+                continue
+            S, s2 = pdt.match_bw(target, 0.02)
+            got = pdt.bw_moments(S, s2, 0.02)
+            assert got == pytest.approx((target.m1, target.m2), rel=1e-9, abs=0.0)
+
+    @pytest.mark.parametrize("a", [math.nan, math.inf, 0.0, -0.02])
+    def test_bad_aperture_rejected(self, a):
+        with pytest.raises(DomainError, match=": a="):
+            pdt.match_bw(pdt.MomentPair(0.5, 0.3), a)
 
 
 class TestCircular:
@@ -351,6 +399,14 @@ class TestCircular:
         m1_r, m2_r = pdt.circular_moments(mu_r, s2_r, sigma_bw2, 0.02)
         assert m1_r == pytest.approx(target.m1, rel=1e-9)
         assert m2_r == pytest.approx(target.m2, rel=1e-9)
+
+    @pytest.mark.parametrize("sigma_bw2,a,name", [
+        (1e-4, math.nan, ": a="), (1e-4, math.inf, ": a="), (1e-4, 0.0, ": a="),
+        (1e-4, -0.02, ": a="), (math.nan, 0.02, ": sigma_bw2="),
+        (math.inf, 0.02, ": sigma_bw2="), (-1e-4, 0.02, ": sigma_bw2=")])
+    def test_bad_input_rejected(self, sigma_bw2, a, name):
+        with pytest.raises(DomainError, match=name):
+            pdt.match_circular(pdt.MomentPair(0.5, 0.3), sigma_bw2, a)
 
     def test_vanishing_spread_consistent_with_match_bw(self):
         m1, m2 = pdt.bw_moments(3e-4, 8e-5, 0.02)

@@ -360,6 +360,19 @@ def test_fock_accepts_numpy_integers():
     assert np.max(np.abs(ps.pmf - loss_pmf(Fock(3), 0.5).pmf)) == 0.0
 
 
+@pytest.mark.parametrize("call", [
+    lambda n_max: loss_pmf(Coherent(2.0), 0.5, n_max),
+    lambda n_max: channel_pmf(Coherent(2.0), FixedEta(0.5), n_max),
+], ids=["loss_pmf", "channel_pmf"])
+def test_n_max_must_be_a_non_negative_integer(call):
+    # -1 once raised ZeroDivisionError, 2.5 numpy's TypeError
+    for bad in (-1, 2.5, np.float64(30.0)):
+        with pytest.raises(DomainError, match="n_max"):
+            call(bad)
+    want = call(30).pmf
+    assert np.array_equal(call(np.int64(30)).pmf, want)
+
+
 class TestNMaxSizing:
     def test_fock_cutoff(self):
         assert default_n_max(Fock(5)) == 5

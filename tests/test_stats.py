@@ -148,6 +148,12 @@ class TestHistogramKde:
         assert np.all(diff >= 0.0)
         assert diff.max() < 2.0 * math.exp(-37.0) / (h * math.sqrt(2.0 * math.pi))
 
+    @pytest.mark.parametrize("h", [math.nan, math.inf])
+    def test_kde_rejects_non_finite_bandwidth(self, h):
+        # NaN gave a NaN density, inf a density of 0
+        with pytest.raises(DomainError):
+            kde(EmpiricalSample(np.array([0.2, 0.5, 0.7])), bandwidth=h)
+
     def test_silverman_positive(self):
         gen = np.random.default_rng(2)
         assert silverman_bandwidth(EmpiricalSample(gen.random(100))) > 0.0
@@ -205,6 +211,12 @@ class TestCorrFn:
         with pytest.raises(DomainError):
             corr_fn(series, [0.0])
 
+    def test_nan_rejected(self):
+        series = make_series(100)
+        series[10, 1] = math.nan
+        with pytest.raises(DomainError):
+            corr_fn(series, [1e-3])
+
 
 class TestAutocorrTime:
     def test_iid_is_one(self):
@@ -217,6 +229,12 @@ class TestAutocorrTime:
         tau = integrated_autocorr_time(series[:, 1])
         # AR(1): tau = (1+rho)/(1-rho) = 19
         assert tau == pytest.approx(19.0, rel=0.2)
+
+    def test_nan_rejected(self):
+        series = np.random.default_rng(4).random(100)
+        series[10] = math.nan
+        with pytest.raises(DomainError):
+            integrated_autocorr_time(series)
 
 
 class TestConditionalPdt:
@@ -280,3 +298,8 @@ class TestTwoTimeHist:
     def test_bins_validated(self):
         with pytest.raises(DomainError):
             two_time_hist(PairSample(np.array([0.5]), np.array([0.5]), 0.0), 1)
+
+    def test_nan_pair_rejected(self):
+        # two_time_hist once dropped such a pair without a word
+        with pytest.raises(DomainError):
+            PairSample(np.array([0.5, math.nan]), np.array([0.5, 0.5]), 0.0)
