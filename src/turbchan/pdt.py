@@ -464,13 +464,19 @@ def bw_moments(S, sigma_bw2, a) -> tuple:
     """Closed-form <eta>, <eta^2> of a wandering Gaussian beam (Esposito).
 
     Vectorized over S; exact for the physical beam, independent of the
-    eta0 convention.
+    eta0 convention.  Raises :class:`DomainError`, naming the parameter,
+    unless S > 0, sigma_bw2 >= 0 and a > 0 are finite.
     """
     S = np.asarray(S, dtype=float)
     scalar = S.ndim == 0
     S = np.atleast_1d(S)
-    if np.any(S <= 0.0) or sigma_bw2 < 0.0 or a <= 0.0:
-        raise DomainError("bw_moments: need S > 0, sigma_bw2 >= 0, a > 0")
+    bad_s = S[~((S > 0.0) & (S < math.inf))]
+    if bad_s.size:
+        raise DomainError(f"bw_moments: S={bad_s[0]} must be finite and > 0")
+    if not 0.0 <= sigma_bw2 < math.inf:
+        raise DomainError(f"bw_moments: sigma_bw2={sigma_bw2} must be finite and >= 0")
+    if not _positive(a):
+        raise DomainError(f"bw_moments: a={a} must be finite and > 0")
     if sigma_bw2 <= 1e-12 * np.min(S):
         m1 = -np.expm1(-2.0 * a * a / S)
         m2 = m1 * m1

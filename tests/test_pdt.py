@@ -231,6 +231,18 @@ class TestEsposito:
         assert m1 == pytest.approx(want, rel=1e-15)
         assert m2 == m1
 
+    @pytest.mark.parametrize("S,s2,a,name", [
+        (math.inf, 1e-5, 0.02, "S=inf"), (math.nan, 1e-5, 0.02, "S=nan"),
+        ([4e-4, math.nan], 1e-5, 0.02, "S=nan"),
+        (4e-4, math.inf, 0.02, "sigma_bw2=inf"), (4e-4, math.nan, 0.02, "sigma_bw2=nan"),
+        (4e-4, 1e-5, math.inf, "a=inf"), (4e-4, 1e-5, math.nan, "a=nan"),
+    ])
+    def test_non_finite_input_rejected(self, S, s2, a, name):
+        # an infinite S or sigma_bw2 once gave (0.0, 0.0); NaN and a = inf
+        # failed inside marcum_q1, not naming the parameter
+        with pytest.raises(DomainError, match=f"bw_moments: {name} "):
+            pdt.bw_moments(S, s2, a)
+
     def test_full_capture_limit(self):
         m1, m2 = pdt.bw_moments(4e-4, 1e-4, 10.0)
         assert m1 == pytest.approx(1.0, abs=1e-12)

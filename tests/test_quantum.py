@@ -3,10 +3,13 @@
 import concurrent.futures as cf
 import math
 import multiprocessing
+import re
 
 import mpmath
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as hst
 from scipy import integrate, special
 from scipy import stats as sps
 
@@ -24,7 +27,6 @@ from turbchan.quantum import (
     default_n_max,
     ergodicity_report,
     loss_pmf,
-    _n_log,
     _pmf_matrix,
     quadrature_moments,
 )
@@ -170,23 +172,35 @@ class TestChannelPmf:
         assert ps.mean == pytest.approx(4.0 * vals.mean(), rel=1e-9)
 
     def test_blocks_bounded_by_elements(self, monkeypatch):
-        shapes = []
+        seeded = []  # (seed photon numbers, nodes) of each block
         matrix = quantum._pmf_matrix
-        monkeypatch.setattr(quantum, "_pmf_matrix", lambda state, eta, n_max: (
-            shapes.append((len(eta), n_max + 1)) or matrix(state, eta, n_max)))
+        monkeypatch.setattr(quantum, "_pmf_matrix", lambda state, eta, n: (
+            seeded.append((np.array(n), np.array(eta))) or matrix(state, eta, n)))
         vals = np.random.default_rng(3).beta(2.0, 5.0, 20_000)
         channel = EmpiricalChannel(EmpiricalSample(vals))
-        state = Coherent(30.0)  # n_max = 1097
-        ps = channel_pmf(state, channel)
-        assert sum(rows for rows, _ in shapes) == vals.size
-        assert max(rows * cols for rows, cols in shapes) <= quantum._BLOCK_ELEMENTS
+        ps = channel_pmf(Coherent(30.0), channel)  # n_max = 1097
+        # every node once, in blocks of at most _BLOCK_ELEMENTS seeds x nodes
+        assert np.array_equal(np.concatenate([eta for _, eta in seeded]), channel.nodes[0])
+        assert max(n.size * eta.size for n, eta in seeded) <= quantum._BLOCK_ELEMENTS
+        assert np.array_equal(seeded[0][0], np.arange(0, 1098, quantum._SEED_SPACING))
         assert ps.mean == pytest.approx(900.0 * vals.mean(), rel=1e-9)
-        # the former blocks of 8192 transmittances, summed by BLAS products
-        eta, weight = channel.nodes
-        n_max = default_n_max(state)
-        want = sum(weight[i:i + 8192] @ matrix(state, eta[i:i + 8192], n_max)
-                   for i in range(0, eta.size, 8192))
-        np.testing.assert_allclose(ps.pmf, want, rtol=1e-12, atol=0.0)
+
+    def test_large_coherent_mixture_against_mpmath(self):
+        # 50 nodes of the record above, stepped (50 x 1098 pmf entries):
+        # Poisson pmfs at |alpha|^2 = 900 in 40 digits, by the same ratio
+        vals = np.sort(np.random.default_rng(3).beta(2.0, 5.0, 20_000))[::400]
+        got = channel_pmf(Coherent(30.0), EmpiricalChannel(EmpiricalSample(vals))).pmf
+        want = []
+        with mpmath.workdps(40):
+            terms = [mpmath.exp(-900 * mpmath.mpf(e)) / vals.size for e in vals]
+            for n in range(got.size):
+                if n:
+                    terms = [t * 900 * mpmath.mpf(e) / n for t, e in zip(terms, vals)]
+                want.append(float(mpmath.fsum(terms)))
+        want = np.array(want)
+        big = want >= 1e-250
+        assert big.sum() > 900
+        np.testing.assert_allclose(got[big], want[big], rtol=1.5e-12, atol=0.0)
 
     def test_elliptic_channel_uses_samples(self):
         model = pdt.EllipticBeam(sigma_bw2=1e-4, mu_S=math.log(4e-4),
@@ -204,7 +218,7 @@ class TestChannelNodes:
     def test_fixed_eta_is_loss_pmf(self, state):
         for eta in (0.0, 0.37, 1.0):
             got = channel_pmf(state, FixedEta(eta)).pmf
-            assert np.max(np.abs(got - loss_pmf(state, eta).pmf)) <= 1e-15
+            assert got.tobytes() == loss_pmf(state, eta).pmf.tobytes()
 
     def test_fixed_eta_tail_cut_raises(self):
         with pytest.raises(DomainError):
@@ -251,46 +265,153 @@ class TestPmfMatrix:
     ETAS = np.array([0.0, 1e-300, 0.2, 0.5, 0.9, 1.0])
 
     def test_coherent_is_poisson(self):
-        got = _pmf_matrix(Coherent(2.0), self.ETAS, 25)
+        got = _pmf_matrix(Coherent(2.0), self.ETAS, np.arange(26)).T
         want = sps.poisson.pmf(np.arange(26), 4.0 * self.ETAS[:, None])
         assert np.allclose(got, want, rtol=1e-13, atol=0.0)
 
     def test_fock_is_binomial(self):
-        got = _pmf_matrix(Fock(4), self.ETAS, 6)
+        got = _pmf_matrix(Fock(4), self.ETAS, np.arange(7)).T
         want = sps.binom.pmf(np.arange(7), 4, self.ETAS[:, None])
         assert np.allclose(got, want, rtol=1e-13, atol=0.0)
 
     def test_thermal_is_geometric(self):
         m = 1.7 * self.ETAS[:, None]
-        got = _pmf_matrix(Thermal(1.7), self.ETAS, 30)
+        got = _pmf_matrix(Thermal(1.7), self.ETAS, np.arange(31)).T
         want = (m / (1.0 + m)) ** np.arange(31) / (1.0 + m)
         assert np.allclose(got, want, rtol=1e-13, atol=0.0)
 
     @staticmethod
     def out_of_place(state, eta, n_max):
         """The pmf matrix as one expression per state, each step a new array."""
-        eta = eta[:, None]
-        n = np.arange(n_max + 1)
-        if isinstance(state, Coherent):
-            mu = eta * state.mean_n
-            return np.exp(_n_log(n, mu) - mu - special.gammaln(n + 1.0))
+        n = np.arange(n_max + 1)[:, None]
         if isinstance(state, Fock):
             k = n[: state.n + 1]
-            logc = (special.gammaln(state.n + 1.0) - special.gammaln(k + 1.0)
-                    - special.gammaln(state.n - k + 1.0))
-            out = np.zeros((eta.shape[0], n_max + 1))
-            out[:, : state.n + 1] = np.exp(
+            logc = -math.log1p(state.n) - special.betaln(state.n - k + 1.0, k + 1.0)
+            out = np.zeros((n_max + 1, eta.size))
+            out[: state.n + 1] = np.exp(
                 logc + special.xlogy(k, eta) + special.xlog1py(state.n - k, -eta))
             return out
-        m = eta * state.nbar
-        return np.exp(_n_log(n, m) - (n + 1) * np.log1p(m))
+        with np.errstate(divide="ignore", invalid="ignore"):
+            if isinstance(state, Coherent):
+                mu = eta * state.mean_n
+                return np.exp(np.where(n == 0, 0.0, n * np.log(mu)) - mu
+                              - special.gammaln(n + 1.0))
+            m = eta * state.nbar
+            return np.exp(np.where(n == 0, 0.0, n * -np.log1p(1.0 / m)) - np.log1p(m))
 
     @pytest.mark.parametrize("state, n_max", [
         (Coherent(2.0), 25), (Fock(4), 6), (Thermal(1.7), 30),
     ], ids=["coherent", "fock", "thermal"])
     def test_in_place_is_bitwise_out_of_place(self, state, n_max):
-        got = _pmf_matrix(state, self.ETAS, n_max)
+        got = _pmf_matrix(state, self.ETAS, np.arange(n_max + 1))
         assert got.tobytes() == self.out_of_place(state, self.ETAS, n_max).tobytes()
+
+
+def oracle_pmf(state, eta, n):
+    """Per-entry pmf after a fixed loss: scipy's Poisson, and its discrete
+    exponential (planck, lambda = ln(1 + 1/m)) for thermal light, the vacuum
+    at m = 0; the binomial exactly, in 40 digits (scipy's binom.pmf is
+    1.1e-13 off at N = 60, eta = 1e-300)."""
+    if isinstance(state, Coherent):
+        return sps.poisson.pmf(n, state.mean_n * eta)
+    if isinstance(state, Thermal):
+        m = state.nbar * eta
+        return (n == 0).astype(float) if m == 0.0 else sps.planck.pmf(n, math.log1p(1.0 / m))
+    with mpmath.workdps(40):
+        e = mpmath.mpf(eta)
+        return np.array([float(mpmath.binomial(state.n, int(k)) * e**int(k)
+                               * (1 - e) ** (state.n - int(k))) for k in n])
+
+
+class TestPerEntryOracles:
+    """Each pmf entry after a fixed loss, seeded in log space (loss_pmf)
+    and stepped from the seeds (a one-node column sum), at rel 1e-13."""
+
+    ETAS = [0.0, 1e-300, 0.2, 0.5, 0.9, 1.0]
+    STATES = [Coherent(2.0), Thermal(1.7), Thermal(100.0), Fock(4), Fock(60)]
+
+    @pytest.mark.parametrize("eta", ETAS)
+    @pytest.mark.parametrize("state", STATES, ids=repr)
+    def test_loss_pmf(self, state, eta):
+        got = loss_pmf(state, eta).pmf
+        want = oracle_pmf(state, eta, np.arange(got.size))
+        np.testing.assert_allclose(got, want, rtol=1e-13, atol=0.0)
+
+    @pytest.mark.parametrize("eta", ETAS)
+    @pytest.mark.parametrize("state", STATES[:3], ids=repr)
+    def test_stepped(self, state, eta):
+        n_max = default_n_max(state)  # 22, 51 and 2316: 1, 2 and 73 seeds
+        got = quantum._weighted_columns(state, np.array([eta]), np.ones(1), n_max,
+                                        quantum._SEED_SPACING).ravel()[: n_max + 1]
+        want = oracle_pmf(state, eta, np.arange(n_max + 1))
+        np.testing.assert_allclose(got, want, rtol=1e-13, atol=0.0)
+
+
+class PointSet:
+    """A bare channel: transmittances with positive weights summing to 1,
+    each node repeated ``repeat`` times (a repeat of 512 makes channel_pmf
+    step from seeds, 1 seeds every entry)."""
+
+    def __init__(self, points, repeat):
+        eta, weight = (np.array(v) for v in zip(*points))
+        self.eta, self.weight = eta, weight / math.fsum(weight)
+        self.nodes = (np.repeat(eta, repeat), np.repeat(self.weight / repeat, repeat))
+
+    def moment(self, p):
+        return math.fsum(self.weight * self.eta**p)
+
+
+POINT_SETS = hst.builds(
+    PointSet,
+    hst.lists(hst.tuples(hst.floats(0.1, 1.0), hst.floats(0.1, 1.0)), min_size=1, max_size=6),
+    hst.sampled_from([1, 512]))
+
+
+def pmf_moments(pmf):
+    """<n> and <n(n - 1)> of a pmf, summed exactly rounded."""
+    n = np.arange(pmf.size, dtype=float)
+    return math.fsum(n * pmf), math.fsum(n * (n - 1.0) * pmf)
+
+
+def assert_mandel_q(got, want, mean, fact2):
+    """Q at rel 1e-12 of the larger of |Q| and <n^2> / <n>, the terms that
+    Q = (<n^2> - <n>^2 - <n>) / <n> is the difference of."""
+    assert abs(got - want) <= 1e-12 * max(abs(want), (fact2 + mean) / mean)
+
+
+class TestMomentOracles:
+    """Closed-form moments of the mixture pmf over random point sets."""
+
+    @settings(max_examples=60, deadline=None)
+    @given(points=POINT_SETS, alpha=hst.floats(1.0, 4.0))
+    def test_coherent_mean_and_mandel_q(self, points, alpha):
+        # n_max 100 leaves e^-70 of the mass out at |alpha|^2 = 16
+        ps = channel_pmf(Coherent(alpha), points, n_max=100)
+        m1, m2 = points.moment(1), points.moment(2)
+        mean, fact2 = pmf_moments(ps.pmf)
+        assert mean == pytest.approx(alpha**2 * m1, rel=1e-12, abs=0.0)
+        assert fact2 == pytest.approx(alpha**4 * m2, rel=1e-12, abs=0.0)
+        var_eta = math.fsum(points.weight * (points.eta - m1) ** 2)
+        assert_mandel_q(ps.mandel_q, alpha**2 * var_eta / m1, mean, fact2)
+
+    @settings(max_examples=60, deadline=None)
+    @given(points=POINT_SETS, nbar=hst.floats(0.5, 5.0))
+    def test_thermal_factorial_moment(self, points, nbar):
+        # n_max 400 leaves (5/6)^400 = 2e-32 of the mass out at nbar = 5
+        ps = channel_pmf(Thermal(nbar), points, n_max=400)
+        mean, fact2 = pmf_moments(ps.pmf)
+        assert mean == pytest.approx(nbar * points.moment(1), rel=1e-12, abs=0.0)
+        assert fact2 == pytest.approx(2.0 * nbar**2 * points.moment(2), rel=1e-12, abs=0.0)
+
+    @settings(max_examples=60, deadline=None)
+    @given(points=POINT_SETS, n=hst.integers(1, 40))
+    def test_fock_mandel_q(self, points, n):
+        ps = channel_pmf(Fock(n), points)
+        m1, m2 = points.moment(1), points.moment(2)
+        mean, fact2 = pmf_moments(ps.pmf)
+        assert mean == pytest.approx(n * m1, rel=1e-12, abs=0.0)
+        assert fact2 == pytest.approx(n * (n - 1) * m2, rel=1e-12, abs=1e-300)
+        assert_mandel_q(ps.mandel_q, (n - 1) * m2 / m1 - n * m1, mean, fact2)
 
 
 class TestQuadratureMoments:
@@ -324,9 +445,10 @@ def node_sums() -> dict:
     out = {f"fractional_moment({p})": pdt.fractional_moment(model, p)
            for p in (0.5, 1.0, 2.0)}
     out["quadrature_moments"] = quadrature_moments(Coherent(2.0), channel)
-    for alpha in (2.0, 6.0, 30.0):  # n_max 22, 80 and 1097
-        ps = channel_pmf(Coherent(alpha), channel)
-        out[f"channel_pmf({alpha})"] = (*ps.pmf, ps.mean, ps.variance)
+    for state in (Coherent(2.0), Coherent(6.0), Coherent(30.0), Thermal(100.0)):
+        # n_max 22, 80, 1097 and 2316
+        ps = channel_pmf(state, channel)
+        out[f"channel_pmf({state})"] = (*ps.pmf, ps.mean, ps.variance)
     return {key: [float(v).hex() for v in np.atleast_1d(value)]
             for key, value in out.items()}
 
@@ -402,6 +524,14 @@ class TestNMaxSizing:
         st = Thermal(3.0)
         n = default_n_max(st)
         assert (3.0 / 4.0) ** (n + 1) <= 1e-9
+
+    @pytest.mark.parametrize("nbar", [1e16, 1e17, 1e300])
+    def test_thermal_ratio_rounding_to_one_raises(self, nbar):
+        # nbar / (1 + nbar) rounds to 1: the tail never falls (this once
+        # raised ZeroDivisionError); at 1e15 the cutoff is 2.3e16
+        with pytest.raises(DomainError, match=re.escape(f"nbar={nbar}")):
+            default_n_max(Thermal(nbar))
+        assert default_n_max(Thermal(1e15)) == pytest.approx(2.3e16, rel=0.01)
 
 
 class TestErgodicityReport:

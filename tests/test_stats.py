@@ -138,14 +138,32 @@ class TestHistogramKde:
         want = self.all_reflections(sample.values, h, x)
         np.testing.assert_allclose(kde(sample)(x), want, rtol=1e-13, atol=0.0)
 
+    def test_kde_windows_match_all_samples(self):
+        # the samples of test_kde_reflection_conserves_mass, at shuffled
+        # points where the density is above 0.1, so that the kernels left
+        # out (each below exp(-37) of its peak) stay below rel 1e-14;
+        # points outside [0, 1] get 0
+        gen = np.random.default_rng(9)
+        draws = np.abs(gen.normal(0.0, 0.03, 20_000))
+        sample = EmpiricalSample(draws[draws <= 1.0])
+        h = 0.02
+        x = gen.permutation(np.linspace(0.0, 0.12, 201))
+        want = self.all_reflections(sample.values, h, x)
+        np.testing.assert_allclose(kde(sample, bandwidth=h)(x), want, rtol=1e-13, atol=0.0)
+        assert np.all(kde(sample, bandwidth=h)(np.array([-0.1, 1.5])) == 0.0)
+
     def test_kde_far_reflections_below_bound(self):
-        # no sample within 8.6 h of an edge: nothing is reflected, and the
-        # density at an edge (about 1e-50 here) is half the all-samples sum
+        # no sample within 8.6 h of an edge: nothing is reflected, and no
+        # kernel reaches an edge; the density there is 0, where the
+        # all-samples sum is about 1e-50
         sample = EmpiricalSample(np.random.default_rng(4).uniform(0.3, 0.7, 5000))
         h = 0.02
         x = np.linspace(0.0, 1.0, 201)
-        diff = self.all_reflections(sample.values, h, x) - kde(sample, bandwidth=h)(x)
-        assert np.all(diff >= 0.0)
+        want = self.all_reflections(sample.values, h, x)
+        diff = want - kde(sample, bandwidth=h)(x)
+        # nothing is added: kde sums a subset of the kernels, in another
+        # order, so only by rounding (16 eps of a 5000-term sum) above
+        assert np.all(diff >= -16.0 * np.finfo(float).eps * want)
         assert diff.max() < 2.0 * math.exp(-37.0) / (h * math.sqrt(2.0 * math.pi))
 
     @pytest.mark.parametrize("h", [math.nan, math.inf])
