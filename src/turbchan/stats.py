@@ -14,9 +14,6 @@ import numpy as np
 
 from .errors import DomainError, EmptySelectionError
 
-# kernel evaluations per run of points in kde, within a factor 2: 8 MB per array
-_KDE_BLOCK = 1 << 20
-
 __all__ = [
     "EmpiricalSample",
     "PairSample",
@@ -147,21 +144,11 @@ def kde(sample: EmpiricalSample, bandwidth: float | None = None):
     def density(eta):
         x = np.atleast_1d(np.asarray(eta, dtype=float))
         out = np.zeros_like(x)
-        inside = np.flatnonzero((x >= 0.0) & (x <= 1.0))
-        inside = inside[np.argsort(x[inside])]
-        xs = x[inside]
-        lo = np.searchsorted(centers, xs - reach)
-        hi = np.searchsorted(centers, xs + reach, side="right")
-        # runs of at most `run` points within `reach` of the first: a run's
-        # centres are those of its first and last point, so a run makes at
-        # most 2 _KDE_BLOCK kernel evaluations
-        run = max(_KDE_BLOCK // max(int(np.max(hi - lo, initial=0)), 1), 1)
-        i = 0
-        while i < xs.size:
-            j = min(i + run, np.searchsorted(xs, xs[i] + reach, side="right"))
-            z = (xs[i:j, None] - centers[lo[i]:hi[j - 1]]) / h
-            out[inside[i:j]] = np.exp(-0.5 * z * z).sum(axis=1)
-            i = j
+        lo = np.searchsorted(centers, x - reach)
+        hi = np.searchsorted(centers, x + reach, side="right")
+        for k in np.flatnonzero((x >= 0.0) & (x <= 1.0)):
+            z = (x[k] - centers[lo[k]:hi[k]]) / h
+            out[k] = np.exp(-0.5 * z * z).sum()
         out /= n * h * math.sqrt(2.0 * math.pi)
         return out if np.ndim(eta) else float(out[0])
 

@@ -282,7 +282,9 @@ class TestPmfMatrix:
 
     @staticmethod
     def out_of_place(state, eta, n_max):
-        """The pmf matrix as one expression per state, each step a new array."""
+        """The pmf matrix as one expression per state, each step a new array,
+        in the formulas of _pmf_matrix (test_within_former_formulas ties the
+        thermal and Fock ones to the formulas they replaced)."""
         n = np.arange(n_max + 1)[:, None]
         if isinstance(state, Fock):
             k = n[: state.n + 1]
@@ -305,6 +307,34 @@ class TestPmfMatrix:
     def test_in_place_is_bitwise_out_of_place(self, state, n_max):
         got = _pmf_matrix(state, self.ETAS, np.arange(n_max + 1))
         assert got.tobytes() == self.out_of_place(state, self.ETAS, n_max).tobytes()
+
+    @staticmethod
+    def former(state, eta, n_max):
+        """The thermal and Fock pmf matrices as computed before their seeds
+        were made accurate: n ln m - (n + 1) ln(1 + m), and ln C(N, k) from
+        three gammaln."""
+        n = np.arange(n_max + 1)[:, None]
+        if isinstance(state, Fock):
+            k = n[: state.n + 1]
+            logc = (special.gammaln(state.n + 1.0) - special.gammaln(k + 1.0)
+                    - special.gammaln(state.n - k + 1.0))
+            out = np.zeros((n_max + 1, eta.size))
+            out[: state.n + 1] = np.exp(
+                logc + special.xlogy(k, eta) + special.xlog1py(state.n - k, -eta))
+            return out
+        m = eta * state.nbar
+        with np.errstate(divide="ignore", invalid="ignore"):
+            return np.exp(np.where(n == 0, 0.0, n * np.log(m)) - (n + 1) * np.log1p(m))
+
+    @pytest.mark.parametrize("state", [Thermal(1.7), Thermal(100.0), Fock(4), Fock(60)],
+                             ids=repr)
+    def test_within_former_formulas(self, state):
+        # the former formulas' own error: 2.2e-12 at nbar = 100 (n ln m
+        # cancels against (n + 1) ln(1 + m)), 1.1e-13 at N = 60
+        n_max = default_n_max(state)
+        got = _pmf_matrix(state, self.ETAS, np.arange(n_max + 1))
+        np.testing.assert_allclose(got, self.former(state, self.ETAS, n_max),
+                                   rtol=3e-12, atol=1e-250)
 
 
 def oracle_pmf(state, eta, n):

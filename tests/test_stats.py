@@ -160,10 +160,21 @@ class TestHistogramKde:
         h = 0.02
         x = np.linspace(0.0, 1.0, 201)
         want = self.all_reflections(sample.values, h, x)
-        diff = want - kde(sample, bandwidth=h)(x)
-        # nothing is added: kde sums a subset of the kernels, in another
-        # order, so only by rounding (16 eps of a 5000-term sum) above
-        assert np.all(diff >= -16.0 * np.finfo(float).eps * want)
+        got = kde(sample, bandwidth=h)(x)
+        diff = want - got
+        # the all-samples sum over the kernels centred farther than 8.6 h
+        # from each point, which kde leaves out
+        v = sample.values
+        dropped = sum(
+            np.where(np.abs(x[:, None] - c[None, :]) > math.sqrt(74.0) * h,
+                     np.exp(-0.5 * ((x[:, None] - c[None, :]) / h) ** 2), 0.0).sum(axis=1)
+            for c in (v, -v, 2.0 - v)) / (v.size * h * math.sqrt(2.0 * math.pi))
+        # where they show in that sum, kde adds nothing: it is below the sum
+        shown = dropped > 1e-14 * want
+        assert shown[0] and shown[-1] and got[0] == got[-1] == 0.0
+        assert np.all(diff[shown] >= 0.0)
+        # elsewhere the two sums differ only in the order of their terms
+        np.testing.assert_allclose(got[~shown], want[~shown], rtol=1e-13, atol=0.0)
         assert diff.max() < 2.0 * math.exp(-37.0) / (h * math.sqrt(2.0 * math.pi))
 
     @pytest.mark.parametrize("h", [math.nan, math.inf])
