@@ -115,7 +115,7 @@ class MomentPair:
 
 
 # ---------------------------------------------------------------------------
-# Point sets and quadrature CDFs shared by the families
+# Point sets shared by the families, and the quadrature CDF
 # ---------------------------------------------------------------------------
 
 _GL64_X, _GL64_W = np.polynomial.legendre.leggauss(64)
@@ -198,7 +198,10 @@ class TruncLogNormal:
     """Log-normal in eta truncated to [0, 1] and renormalized.
 
     Density exp(-(ln eta + mu)^2 / 2 sigma2) / (F1 sqrt(2 pi sigma2) eta),
-    F1 the untruncated CDF at eta = 1.
+    F1 = Phi(mu / sigma) the untruncated CDF at eta = 1; CDF
+    Phi((ln eta + mu) / sigma) / F1.  Both take F1 by its logarithm
+    (``log_ndtr``), which stays finite where F1 underflows (mu / sigma below
+    about -38).
     """
 
     mu: float
@@ -211,8 +214,9 @@ class TruncLogNormal:
             raise DomainError("TruncLogNormal: sigma2 must be finite and > 0")
 
     @property
-    def norm(self) -> float:
-        return float(special.ndtr(self.mu / math.sqrt(self.sigma2)))
+    def log_norm(self) -> float:
+        """ln F1, the logarithm of the untruncated CDF at eta = 1."""
+        return float(special.log_ndtr(self.mu / math.sqrt(self.sigma2)))
 
     def density(self, eta: np.ndarray) -> np.ndarray:
         out = np.zeros_like(eta)
@@ -221,11 +225,14 @@ class TruncLogNormal:
             e = eta[mask]
             sig = math.sqrt(self.sigma2)
             z = (np.log(e) + self.mu) / sig
-            out[mask] = np.exp(-0.5 * z * z) / (self.norm * math.sqrt(2 * math.pi) * sig * e)
+            out[mask] = (np.exp(-0.5 * z * z - self.log_norm)
+                         / (math.sqrt(2 * math.pi) * sig * e))
         return out
 
     def cdf(self, eta: np.ndarray) -> np.ndarray:
-        return _quad_cdf(self, eta)
+        with np.errstate(divide="ignore"):  # ln 0 = -inf, where the CDF is 0
+            z = (np.log(np.clip(eta, 0.0, 1.0)) + self.mu) / math.sqrt(self.sigma2)
+        return np.exp(special.log_ndtr(z) - self.log_norm)
 
     @cached_property
     def nodes(self) -> tuple[np.ndarray, np.ndarray]:
@@ -281,7 +288,7 @@ class BetaPdt:
         return out
 
     def cdf(self, eta: np.ndarray) -> np.ndarray:
-        return _quad_cdf(self, eta)
+        return special.betainc(self.a, self.b, np.clip(eta, 0.0, 1.0))
 
     @cached_property
     def nodes(self) -> tuple[np.ndarray, np.ndarray]:
@@ -642,8 +649,12 @@ class EllipticBeam:
     """Random Gaussian ellipse with wander; PDT accessible only by sampling.
 
     ``Sigma`` is the 2x2 covariance of (ln W1^2, ln W2^2).  A cached sample
-    set (drawn deterministically from ``sample_seed``) backs the empirical
-    CDF and moments.
+    set of ``cache_size`` draws (deterministic in ``sample_seed``) backs the
+    empirical CDF and moments.  :func:`elliptic_sample` builds it in blocks
+    of 8192 samples without a BLAS call, so the samples do not depend on the
+    thread count.  At the default 200 000 samples the build peaks near
+    11 MiB: draws, samples and weights (48 bytes a sample) plus one block's
+    temporaries.
     """
 
     sigma_bw2: float
@@ -678,7 +689,8 @@ class EllipticBeam:
         """The sorted cached samples, with equal weights."""
         vals, _ = elliptic_sample(self, self.aperture, self.cache_size,
                                   RngStream(self.sample_seed, 0))
-        return _read_only(np.sort(vals), np.full(vals.size, 1.0 / vals.size))
+        vals.sort()
+        return _read_only(vals, np.full(vals.size, 1.0 / vals.size))
 
 
 def _psd_2x2(sigma: np.ndarray) -> np.ndarray:
@@ -738,33 +750,20 @@ def _elliptic_eta0(w1sq, w2sq, a):
     return np.clip(1.0 - term1 - term2, 0.0, 1.0)
 
 
-def elliptic_sample(model: EllipticBeam, a: float, n: int,
-                    stream: RngStream) -> tuple[np.ndarray, int]:
-    """Monte Carlo transmittance draws from the elliptic-beam model.
+# samples per block of elliptic_sample: the transform's temporaries stay near
+# 2 MiB whatever the number of samples
+_ELLIPTIC_BLOCK = 8192
 
-    Draws (Theta1, Theta2) bivariate normal, an orientation uniform on
-    (0, pi/2], and a Gaussian centroid; evaluates the approximate
-    transmittance through the effective-spot (Lambert W) formula.  Returns
-    the samples clamped to [0, 1] together with the clamp count.
-    """
-    if n < 1:
-        raise DomainError("elliptic_sample: n must be >= 1")
-    gen = stream.generator()
-    sigma = _psd_2x2(model.Sigma)
-    try:
-        chol = np.linalg.cholesky(sigma + 1e-15 * np.eye(2))
-    except np.linalg.LinAlgError:
-        chol = np.zeros((2, 2))
-    theta = gen.standard_normal((n, 2)) @ chol.T + model.mu_S
-    w1sq = np.exp(theta[:, 0])
-    w2sq = np.exp(theta[:, 1])
+
+def _elliptic_eta(theta1, theta2, phi, r0x, r0y, a):
+    """Transmittance of the ellipses exp(theta1), exp(theta2) at orientation
+    phi and centroid (r0x, r0y), through the effective-spot formula."""
+    w1sq = np.exp(theta1)
+    w2sq = np.exp(theta2)
     w1 = np.sqrt(w1sq)
     w2 = np.sqrt(w2sq)
-    phi = gen.random(n) * (0.5 * math.pi)
-    r0xy = gen.normal(0.0, math.sqrt(model.sigma_bw2), (n, 2))
-    r0 = np.hypot(r0xy[:, 0], r0xy[:, 1])
-    phi0 = np.arctan2(r0xy[:, 1], r0xy[:, 0])
-    chi = phi - phi0
+    r0 = np.hypot(r0x, r0y)
+    chi = phi - np.arctan2(r0y, r0x)
     cos2 = np.cos(chi) ** 2
     sin2 = 1.0 - cos2
     ln_arg = (
@@ -776,9 +775,49 @@ def elliptic_sample(model: EllipticBeam, a: float, n: int,
     lam, rdim = _bw_lambda_R(w_eff2, a)
     eta0 = _elliptic_eta0(w1sq, w2sq, a)
     with np.errstate(over="ignore"):
-        eta = eta0 * np.exp(-(((r0 / a) / rdim) ** lam))
-    clamped = int(np.sum((eta < 0.0) | (eta > 1.0)))
-    return np.clip(eta, 0.0, 1.0), clamped
+        return eta0 * np.exp(-(((r0 / a) / rdim) ** lam))
+
+
+def elliptic_sample(model: EllipticBeam, a: float, n: int,
+                    stream: RngStream) -> tuple[np.ndarray, int]:
+    """Monte Carlo transmittance draws from the elliptic-beam model.
+
+    Draws (Theta1, Theta2) bivariate normal, an orientation uniform on
+    (0, pi/2], and a Gaussian centroid; evaluates the approximate
+    transmittance through the effective-spot (Lambert W) formula.  Returns
+    the samples clamped to [0, 1] together with the clamp count.
+
+    The three random arrays are drawn whole, in that order; the transform
+    then runs over blocks of ``_ELLIPTIC_BLOCK`` (8192) samples into one
+    output array, so that beyond the draws and the output (40 bytes a
+    sample) memory stays near 2 MiB, and the samples do not depend on the
+    block size.  Theta = mu_S + L g is written out for the lower-triangular
+    Cholesky factor L of Sigma: no BLAS call, whose threads would make the
+    last bits depend on the thread count.
+    """
+    if n < 1:
+        raise DomainError("elliptic_sample: n must be >= 1")
+    gen = stream.generator()
+    sigma = _psd_2x2(model.Sigma)
+    try:
+        chol = np.linalg.cholesky(sigma + 1e-15 * np.eye(2))
+    except np.linalg.LinAlgError:
+        chol = np.zeros((2, 2))
+    (l11, _), (l21, l22) = chol
+    g = gen.standard_normal((n, 2))
+    phi = gen.random(n)
+    phi *= 0.5 * math.pi
+    r0xy = gen.normal(0.0, math.sqrt(model.sigma_bw2), (n, 2))
+    eta = np.empty(n)
+    clamped = 0
+    for lo in range(0, n, _ELLIPTIC_BLOCK):
+        block = slice(lo, lo + _ELLIPTIC_BLOCK)
+        g1, g2 = g[block, 0], g[block, 1]
+        out = _elliptic_eta(l11 * g1 + model.mu_S, (l21 * g1 + l22 * g2) + model.mu_S,
+                            phi[block], r0xy[block, 0], r0xy[block, 1], a)
+        clamped += int(np.count_nonzero((out < 0.0) | (out > 1.0)))
+        np.clip(out, 0.0, 1.0, out=eta[block])
+    return eta, clamped
 
 
 # ---------------------------------------------------------------------------
@@ -883,19 +922,32 @@ PdtModel = Union[TruncLogNormal, BetaPdt, BeamWander, CircularBeam,
 # ---------------------------------------------------------------------------
 
 
+def _points(eta, caller: str) -> np.ndarray:
+    """eta as a 1-D float array; raises :class:`DomainError` on a NaN
+    (+-inf are valid points)."""
+    pts = np.atleast_1d(np.asarray(eta, dtype=float))
+    if np.isnan(pts).any():
+        raise DomainError(f"{caller}: eta is NaN")
+    return pts
+
+
 def model_density(model: PdtModel, eta) -> np.ndarray:
-    """``model.density`` at one point (a float back) or many (not EllipticBeam)."""
-    out = model.density(np.atleast_1d(np.asarray(eta, dtype=float)))
+    """``model.density`` at one point (a float back) or many (not EllipticBeam).
+
+    Raises :class:`DomainError` if any point is NaN.
+    """
+    out = model.density(_points(eta, "model_density"))
     return float(out[0]) if np.ndim(eta) == 0 else out
 
 
 def model_cdf(model: PdtModel, eta):
     """``model.cdf`` at one point (a float back) or many.
 
-    BeamWander and CircularBeam use closed forms, EllipticBeam its empirical
-    sample CDF, the other families adaptive quadrature of the density.
+    TruncLogNormal, BetaPdt, BeamWander and CircularBeam use closed forms,
+    EllipticBeam its empirical sample CDF, and TotalProb adaptive quadrature
+    of its density.  Raises :class:`DomainError` if any point is NaN.
     """
-    out = model.cdf(np.atleast_1d(np.asarray(eta, dtype=float)))
+    out = model.cdf(_points(eta, "model_cdf"))
     return float(out[0]) if np.ndim(eta) == 0 else out
 
 

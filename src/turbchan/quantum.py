@@ -69,6 +69,8 @@ _BLOCK_ELEMENTS = 1 << 16
 _SEED_SPACING = 32
 # ... where nodes x (n_max + 1) reaches this; below it every entry is seeded
 _MIN_STEPPED_ENTRIES = 1 << 15
+# most pmf entries (n_max + 1) a call may ask for: 512 MiB of float64
+MAX_PMF_ENTRIES = 1 << 26
 
 
 @dataclass(frozen=True)
@@ -282,11 +284,16 @@ def _stats_from_pmf(pmf: np.ndarray, state: InputState, caller: str) -> PhotonSt
 
 def _cutoff(state: InputState, n_max, caller: str) -> int:
     """``n_max``, or ``default_n_max(state)`` for None; raises
-    :class:`DomainError` unless it is an integer >= 0 (numpy's too)."""
+    :class:`DomainError`, before anything is allocated, unless it is an
+    integer >= 0 (numpy's too) with n_max + 1 at most ``MAX_PMF_ENTRIES``
+    (2^26)."""
     if n_max is None:
-        return default_n_max(state)
-    if not (isinstance(n_max, numbers.Integral) and n_max >= 0):
+        n_max = default_n_max(state)
+    elif not (isinstance(n_max, numbers.Integral) and n_max >= 0):
         raise DomainError(f"{caller}: n_max={n_max!r} must be an integer >= 0")
+    if n_max + 1 > MAX_PMF_ENTRIES:
+        raise DomainError(f"{caller}: n_max={n_max} for {state} (mean photon number "
+                          f"{state.mean_n:g}) exceeds the cap of 2^26 pmf entries")
     return int(n_max)
 
 
@@ -323,7 +330,9 @@ def channel_pmf(state: InputState, channel: ChannelSpec,
     2-core host, and the last bits of the pmf would then depend on the
     thread count.  Raises :class:`DomainError`, naming
     ``default_n_max(state)``, when ``n_max`` leaves more than ``TAIL_BOUND``
-    of the mass out.
+    of the mass out, and, before allocating anything, when ``n_max`` (given
+    or default) asks for more than ``MAX_PMF_ENTRIES`` (2^26) entries: a
+    thermal state's default cutoff does from nbar of about 3e6 on.
     """
     n_max = _cutoff(state, n_max, "channel_pmf")
     eta, weight = channel.nodes

@@ -1,6 +1,7 @@
 """Model families: constructors, densities, moment matching, degeneracies."""
 
 import math
+import tracemalloc
 
 import mpmath
 import numpy as np
@@ -147,6 +148,71 @@ class TestBetaPdt:
         second = mean * (b.a + 1.0) / (b.a + b.b + 1.0)
         assert mean == pytest.approx(m1, rel=1e-9)
         assert second == pytest.approx(m2, rel=1e-9)
+
+
+CDF_ETAS = [0.0, 1e-300, 0.3, 1.0, 2.0]
+LOGNORMALS = [pdt.lognormal_from_moments(pdt.MomentPair(0.5, 0.3)),
+              pdt.TruncLogNormal(mu=0.1, sigma2=4.0),
+              pdt.TruncLogNormal(mu=-1.5, sigma2=0.5),
+              pdt.TruncLogNormal(mu=2.0, sigma2=1e4)]  # CDF 5.6e-12 at eta = 1e-300
+BETAS = [pdt.beta_from_moments(pdt.MomentPair(0.5, 0.28)), pdt.BetaPdt(2.0, 2.0),
+         pdt.BetaPdt(0.3, 5.0), pdt.BetaPdt(40.0, 0.7)]
+
+
+class TestClosedFormCdf:
+    @pytest.mark.parametrize("tln", LOGNORMALS, ids=repr)
+    def test_lognormal_against_scipy(self, tln):
+        ref = sps.lognorm(s=math.sqrt(tln.sigma2), scale=math.exp(-tln.mu))
+        for eta in CDF_ETAS:
+            want = ref.cdf(min(eta, 1.0)) / ref.cdf(1.0)
+            assert pdt.model_cdf(tln, eta) == pytest.approx(want, rel=1e-12, abs=0.0), eta
+        es = np.array([1e-3, 0.3, 0.9, 1.0])
+        assert pdt.model_density(tln, es) == pytest.approx(ref.pdf(es) / ref.cdf(1.0),
+                                                           rel=1e-12, abs=0.0)
+
+    @pytest.mark.parametrize("beta", BETAS, ids=repr)
+    def test_beta_against_scipy(self, beta):
+        for eta in CDF_ETAS:
+            want = sps.beta.cdf(eta, beta.a, beta.b)
+            assert pdt.model_cdf(beta, eta) == pytest.approx(want, rel=1e-12, abs=0.0), eta
+
+    @pytest.mark.parametrize("model", LOGNORMALS + BETAS, ids=repr)
+    def test_cdf_at_one_is_exactly_one(self, model):
+        # the quadrature CDF gave 0.9999999999938768 for Beta(11/3, 11/3)
+        assert pdt.model_cdf(model, 1.0) == 1.0
+        assert np.all(pdt.model_cdf(model, np.array([1.0, 1.5, math.inf])) == 1.0)
+
+    def test_far_truncated_lognormal_against_mpmath(self):
+        # F1 = Phi(-60) = 1e-785 underflows: its density once warned and its
+        # CDF came back NaN
+        tln = pdt.TruncLogNormal(mu=-60.0, sigma2=1.0)
+        es = np.array([0.2, 0.5, 0.9, 0.99, 0.999])
+        with mpmath.workdps(40):
+            norm = mpmath.ncdf(-60)
+            cdf = [float(mpmath.ncdf(mpmath.log(e) - 60) / norm) for e in es]
+            dens = [float(mpmath.npdf(mpmath.log(e) - 60) / (norm * e)) for e in es]
+        assert pdt.model_cdf(tln, es) == pytest.approx(cdf, rel=1e-11, abs=0.0)
+        assert pdt.model_density(tln, es) == pytest.approx(dens, rel=1e-11, abs=0.0)
+        assert pdt.model_cdf(tln, 1.0) == 1.0
+
+
+@pytest.mark.parametrize("model", [
+    pdt.lognormal_from_moments(pdt.MomentPair(0.5, 0.28)),
+    pdt.beta_from_moments(pdt.MomentPair(0.5, 0.28)),
+    pdt.BeamWander(1e-4, 4e-4, 0.02),
+    pdt.CircularBeam(1e-4, math.log(4e-4), 0.1, 0.02),
+    pdt.EllipticBeam(1e-4, math.log(4e-4), 0.05 * np.eye(2), 0.02, cache_size=2000),
+    pdt.totalprob_model("lognormal", 1e-4, 4e-4, pdt.MomentPair(0.5, 0.28), 0.02),
+], ids=["lognormal", "beta", "beam_wander", "circular", "elliptic", "totalprob"])
+def test_nan_eta_rejected(model):
+    # a NaN once gave 0.0 (1.0 for EllipticBeam), and inside an array the
+    # quadrature CDF at the largest finite point (0.890 here, log-normal)
+    for call in (pdt.model_cdf, pdt.model_density):
+        for eta in (math.nan, np.array([0.3, math.nan, 0.7])):
+            with pytest.raises(DomainError, match="eta is NaN"):
+                call(model, eta)
+    assert pdt.model_cdf(model, np.array([-math.inf, math.inf])) == pytest.approx(
+        [0.0, 1.0], abs=1e-6)
 
 
 class TestBwGeometry:
@@ -491,6 +557,55 @@ class TestElliptic:
         assert pdt.model_cdf(model, 0.0) == 0.0
         mid = pdt.model_cdf(model, 0.5)
         assert 0.0 < mid < 1.0
+
+    # close to the benchmark's pdt_photon fits, with correlated semi-axes
+    FIT = pdt.EllipticBeam(sigma_bw2=8.1e-5, mu_S=math.log(1.2e-3),
+                           Sigma=np.array([[0.04, 0.015], [0.015, 0.04]]),
+                           aperture=0.02)
+
+    @pytest.mark.parametrize("n", [1, 6, 7, 8, 50])
+    def test_block_size_does_not_change_samples(self, n, monkeypatch):
+        want, want_clamped = pdt.elliptic_sample(self.FIT, 0.02, n, RngStream(9, 0))
+        monkeypatch.setattr(pdt, "_ELLIPTIC_BLOCK", 7)
+        got, clamped = pdt.elliptic_sample(self.FIT, 0.02, n, RngStream(9, 0))
+        assert got.tobytes() == want.tobytes()
+        assert clamped == want_clamped
+
+    def test_matches_former_matmul(self):
+        # the former elliptic_sample: every draw as one array, theta mapped by
+        # a BLAS product with the transposed Cholesky factor
+        model, a, n = self.FIT, 0.02, 20_000
+        gen = RngStream(5, 0).generator()
+        chol = np.linalg.cholesky(model.Sigma + 1e-15 * np.eye(2))
+        theta = gen.standard_normal((n, 2)) @ chol.T + model.mu_S
+        w1sq, w2sq = np.exp(theta[:, 0]), np.exp(theta[:, 1])
+        w1, w2 = np.sqrt(w1sq), np.sqrt(w2sq)
+        phi = gen.random(n) * (0.5 * math.pi)
+        r0xy = gen.normal(0.0, math.sqrt(model.sigma_bw2), (n, 2))
+        r0 = np.hypot(r0xy[:, 0], r0xy[:, 1])
+        cos2 = np.cos(phi - np.arctan2(r0xy[:, 1], r0xy[:, 0])) ** 2
+        sin2 = 1.0 - cos2
+        ln_arg = (np.log(4.0 * a * a / (w1 * w2)) + a * a / w1sq * (1.0 + 2.0 * cos2)
+                  + a * a / w2sq * (1.0 + 2.0 * sin2))
+        lam, rdim = pdt._bw_lambda_R(4.0 * a * a / special.wrightomega(ln_arg), a)
+        want = pdt._elliptic_eta0(w1sq, w2sq, a) * np.exp(-((r0 / a / rdim) ** lam))
+        got, clamped = pdt.elliptic_sample(model, a, n, RngStream(5, 0))
+        assert clamped == 0
+        assert np.max(np.abs(got - want)) <= 1e-10
+
+    def test_nodes_memory_bounded(self):
+        # every draw as one array held 58 MiB of temporaries at 200k samples
+        model = pdt.EllipticBeam(self.FIT.sigma_bw2, self.FIT.mu_S, self.FIT.Sigma,
+                                 0.02, cache_size=200_000)
+        tracemalloc.start()
+        try:
+            eta, weight = model.nodes
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert eta.size == weight.size == 200_000
+        assert np.all(np.diff(eta) >= 0.0)
+        assert peak <= 16 * 2**20
 
 
 class TestTotalProb:

@@ -4,6 +4,7 @@ import concurrent.futures as cf
 import math
 import multiprocessing
 import re
+import tracemalloc
 
 import mpmath
 import numpy as np
@@ -474,6 +475,9 @@ def node_sums() -> dict:
         np.random.default_rng(12).beta(2.0, 5.0, 200_000)))
     out = {f"fractional_moment({p})": pdt.fractional_moment(model, p)
            for p in (0.5, 1.0, 2.0)}
+    elliptic = pdt.EllipticBeam(8.1e-5, math.log(1.2e-3),
+                                np.array([[0.04, 0.015], [0.015, 0.04]]), 0.02)
+    out["elliptic nodes"] = elliptic.nodes[0]  # 200 000 samples
     out["quadrature_moments"] = quadrature_moments(Coherent(2.0), channel)
     for state in (Coherent(2.0), Coherent(6.0), Coherent(30.0), Thermal(100.0)):
         # n_max 22, 80, 1097 and 2316
@@ -562,6 +566,33 @@ class TestNMaxSizing:
         with pytest.raises(DomainError, match=re.escape(f"nbar={nbar}")):
             default_n_max(Thermal(nbar))
         assert default_n_max(Thermal(1e15)) == pytest.approx(2.3e16, rel=0.01)
+
+    @pytest.mark.parametrize("state,n_max", [
+        (Thermal(1e7), None),  # default cutoff 230 258 522
+        (Thermal(1e15), None),
+        (Coherent(2.0), 2**40),
+    ], ids=["thermal-1e7", "thermal-1e15", "explicit-2^40"])
+    def test_cutoff_above_cap_raises_before_allocating(self, state, n_max):
+        # Thermal(1e7) once raised numpy's MemoryError for 1.72 GiB, and
+        # Thermal(1e15) for 164 PiB
+        assert quantum.MAX_PMF_ENTRIES == 2**26
+        named = f"n_max={default_n_max(state) if n_max is None else n_max} "
+        tracemalloc.start()
+        try:
+            with pytest.raises(DomainError, match=re.escape(named)) as err:
+                loss_pmf(state, 0.5, n_max)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert str(state) in str(err.value)
+        assert f"mean photon number {state.mean_n:g}" in str(err.value)
+        assert peak < 2**16
+
+    def test_cutoff_at_cap_is_accepted(self):
+        # n_max + 1 = 2^26 entries is the largest cutoff _cutoff lets through
+        assert quantum._cutoff(Thermal(1.0), 2**26 - 1, "test") == 2**26 - 1
+        with pytest.raises(DomainError, match="cap of 2\\^26"):
+            quantum._cutoff(Thermal(1.0), 2**26, "test")
 
 
 class TestErgodicityReport:
