@@ -687,8 +687,8 @@ class EllipticBeam:
     @cached_property
     def nodes(self) -> tuple[np.ndarray, np.ndarray]:
         """The sorted cached samples, with equal weights."""
-        vals, _ = elliptic_sample(self, self.aperture, self.cache_size,
-                                  RngStream(self.sample_seed, 0))
+        vals = elliptic_sample(self, self.aperture, self.cache_size,
+                               RngStream(self.sample_seed, 0))
         vals.sort()
         return _read_only(vals, np.full(vals.size, 1.0 / vals.size))
 
@@ -779,13 +779,15 @@ def _elliptic_eta(theta1, theta2, phi, r0x, r0y, a):
 
 
 def elliptic_sample(model: EllipticBeam, a: float, n: int,
-                    stream: RngStream) -> tuple[np.ndarray, int]:
+                    stream: RngStream) -> np.ndarray:
     """Monte Carlo transmittance draws from the elliptic-beam model.
 
     Draws (Theta1, Theta2) bivariate normal, an orientation uniform on
     (0, pi/2], and a Gaussian centroid; evaluates the approximate
     transmittance through the effective-spot (Lambert W) formula.  Returns
-    the samples clamped to [0, 1] together with the clamp count.
+    the samples, which lie in [0, 1] by construction: eta0 is clipped to
+    [0, 1] and the wander factor exp(-(r0/R)^lambda) lies in [0, 1].  The
+    aperture radius ``a`` must be finite and > 0.
 
     The three random arrays are drawn whole, in that order; the transform
     then runs over blocks of ``_ELLIPTIC_BLOCK`` (8192) samples into one
@@ -797,6 +799,8 @@ def elliptic_sample(model: EllipticBeam, a: float, n: int,
     """
     if n < 1:
         raise DomainError("elliptic_sample: n must be >= 1")
+    if not _positive(a):
+        raise DomainError(f"elliptic_sample: aperture radius a={a} must be finite and > 0")
     gen = stream.generator()
     sigma = _psd_2x2(model.Sigma)
     try:
@@ -809,15 +813,12 @@ def elliptic_sample(model: EllipticBeam, a: float, n: int,
     phi *= 0.5 * math.pi
     r0xy = gen.normal(0.0, math.sqrt(model.sigma_bw2), (n, 2))
     eta = np.empty(n)
-    clamped = 0
     for lo in range(0, n, _ELLIPTIC_BLOCK):
         block = slice(lo, lo + _ELLIPTIC_BLOCK)
         g1, g2 = g[block, 0], g[block, 1]
-        out = _elliptic_eta(l11 * g1 + model.mu_S, (l21 * g1 + l22 * g2) + model.mu_S,
-                            phi[block], r0xy[block, 0], r0xy[block, 1], a)
-        clamped += int(np.count_nonzero((out < 0.0) | (out > 1.0)))
-        np.clip(out, 0.0, 1.0, out=eta[block])
-    return eta, clamped
+        eta[block] = _elliptic_eta(l11 * g1 + model.mu_S, (l21 * g1 + l22 * g2) + model.mu_S,
+                                   phi[block], r0xy[block, 0], r0xy[block, 1], a)
+    return eta
 
 
 # ---------------------------------------------------------------------------

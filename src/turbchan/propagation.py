@@ -250,6 +250,8 @@ def sample_screens(spectrum: SpectrumModel, geom: ChannelGeometry, n_screens: in
     """
     if n_components < 64:
         raise ConfigError("need n_components >= 64", field="sim.n_components")
+    if n_bands < 1:
+        raise ConfigError("need n_bands >= 1", field="sim.n_bands")
     integrals, tables = _band_tables(spectrum, kappa_min, kappa_max, n_bands)
     dz = geom.path_length / n_screens
     # phase variance of each band in one slab
@@ -318,45 +320,65 @@ def _cis(theta: np.ndarray, out: np.ndarray) -> np.ndarray:
     return out
 
 
-def _grid_tables(screen: SparseScreen, xs: np.ndarray, ys: np.ndarray):
-    """Cos/sin tables of one screen on the grid axes: ``([cx; sx], cy, sy)``.
+def _axis_cis(k: np.ndarray, axis: np.ndarray) -> np.ndarray:
+    """exp(i k x) on a uniform ``axis`` of power-of-two length, as (axis, K).
 
-    ``cx = cos(kx x)`` and ``sx = sin(kx x)`` are stacked into one 2K x n
-    array, the right-hand factor of :func:`_phase_on_grid`'s matmul.  The
-    tables are the real and imaginary parts of exp(i kx x) and exp(i ky y),
-    computed by :func:`_cis`; ``cy`` and ``sy`` are views of one complex
-    K x n array.
+    Angle addition: with x = x[q m] + r h for a fine block of m points,
+    m a power of two near sqrt(n),
+
+        exp(i k x[q m + r]) = exp(i k x[q m]) * exp(i k r h),
+
+    so :func:`_cis` runs on the n / m coarse and the m fine angles only, and
+    one broadcast complex multiply fills the n x K table.  The coarse
+    points are the axis's own values.  Each component's column agrees with
+    exp(i k x) within (16 + 2 max |k x|) 2^-52, about twice the error of
+    cos and sin at the rounded product k x.
     """
-    ex = _cis(np.outer(screen.kx, xs), np.empty((screen.kx.size, xs.size), complex))
-    ey = _cis(np.outer(screen.ky, ys), np.empty((screen.ky.size, ys.size), complex))
-    return np.concatenate([ex.real, ex.imag]), ey.real, ey.imag
+    n = axis.size
+    m = 1 << ((n.bit_length() - 1) // 2)
+    h = (axis[-1] - axis[0]) / (n - 1)
+    coarse = _cis(np.multiply.outer(axis[::m], k), np.empty((n // m, k.size), complex))
+    fine = _cis(np.multiply.outer(np.arange(m) * h, k), np.empty((m, k.size), complex))
+    out = np.empty((n // m, m, k.size), complex)
+    np.multiply(coarse[:, None, :], fine[None, :, :], out=out)
+    return out.reshape(n, k.size)
+
+
+def _grid_tables(screen: SparseScreen, xs: np.ndarray, ys: np.ndarray):
+    """Phasor tables of one screen on the grid axes: ``(ex, ey)``.
+
+    ``ex = exp(i kx x)`` and ``ey = exp(-i ky y)`` are complex (axis, K)
+    arrays built by :func:`_axis_cis`; ``xs`` and ``ys`` are uniform axes
+    whose length is a power of two, as :meth:`Grid.axis` gives.
+    """
+    return _axis_cis(screen.kx, xs), _axis_cis(-screen.ky, ys)
 
 
 def _phase_on_grid(screen: SparseScreen, xs: np.ndarray, ys: np.ndarray,
                    shift_x: float = 0.0, cache=None) -> np.ndarray:
     """Screen phase on the full grid via a rank-2K real factorization.
 
-    With cx = cos(kx x), sx = sin(kx x), cy = cos(ky y), sy = sin(ky y),
+    With c = a + i b, the screen is phi = Re sum_j c_j exp(-i (kx_j x + ky_j y)).
+    Writing W = c exp(-i ky y) (n x K) and E = exp(i kx x) (n x K),
 
-        phi(y, x) = sum_j cx_j (a_j cy_j + b_j sy_j) + sx_j (b_j cy_j - a_j sy_j),
+        phi(y, x) = Re sum_j W[y, j] conj(E[x, j])
+                  = sum_j W.re E.re + W.im E.im,
 
-    i.e. one real matmul [a cy + b sy; b cy - a sy]^T @ [cx; sx] of 2K x n
-    factors, half the flops of the equivalent complex product.  ``cache``
-    holds the tables of :func:`_grid_tables` (frozen-turbulence series reuse
-    them at every step); without it they are computed here.  A shift s along
-    x rotates each (a_j, b_j) by kx_j s, which keeps the shift exact.  In the
-    pool workers of :func:`run_ensemble` this matmul runs on one BLAS thread
-    (see :func:`run_ensemble_multi`).
+    which is one real matmul ``W.view(float) @ E.view(float).T`` of n x 2K
+    factors with the (re, im) index interleaved: half the flops of the
+    equivalent complex product.  ``cache`` holds the tables of
+    :func:`_grid_tables` (frozen-turbulence series reuse them at every
+    step); without it they are computed here.  A shift s along x multiplies
+    c by exp(-i kx s), which keeps the shift exact.  In the pool workers of
+    :func:`run_ensemble` this matmul runs on one BLAS thread (see
+    :func:`run_ensemble_multi`).
     """
-    right, cy, sy = cache if cache is not None else _grid_tables(screen, xs, ys)
-    a = screen.amp_cos[:, None]
-    b = screen.amp_sin[:, None]
+    ex, ey = cache if cache is not None else _grid_tables(screen, xs, ys)
+    c = screen.amp_cos + 1j * screen.amp_sin
     if shift_x != 0.0:
-        turn = screen.kx[:, None] * shift_x
-        c, s = np.cos(turn), np.sin(turn)
-        a, b = a * c + b * s, b * c - a * s
-    left = np.concatenate([a * cy + b * sy, b * cy - a * sy])
-    return left.T @ right
+        c *= np.exp(-1j * screen.kx * shift_x)
+    left = ey * c
+    return left.view(float) @ ex.view(float).T
 
 
 # ---------------------------------------------------------------------------
@@ -404,7 +426,7 @@ def _vacuum(u: np.ndarray, grid: Grid, k: float, dz: float) -> tuple[np.ndarray,
     without BLAS, so the value does not depend on the thread count.  The
     FFTs run on the calling thread only: extra FFT threads would compete
     with the other pool workers (see :func:`run_ensemble_multi`), or with
-    the BLAS threads that spin on after the screen matmul.
+    the BLAS threads that spin on after the screen-phase matmul.
     """
     window, absorption = _window(grid)
     spec = scipy.fft.fft2(u, overwrite_x=True)
@@ -417,7 +439,7 @@ def _vacuum(u: np.ndarray, grid: Grid, k: float, dz: float) -> tuple[np.ndarray,
 
 
 def split_step(fld: Field, screens: Sequence[SparseScreen], geom: ChannelGeometry,
-               shift_x: float = 0.0, *, _caches=None) -> Field:
+               shift_x: float = 0.0, *, _caches=None, _launched: bool = False) -> Field:
     """Propagate the field to z = L through the given screens.
 
     Symmetric split-step: half-slab vacuum step, screen phase, half-slab
@@ -428,7 +450,10 @@ def split_step(fld: Field, screens: Sequence[SparseScreen], geom: ChannelGeometr
     The screen factor exp(i phi) is computed by :func:`_cis` into one
     ``rotation`` buffer per call, with the freshly computed phase as its
     scratch, so the screens allocate no further n x n temporaries for it.
-    ``_caches`` holds each screen's :func:`_grid_tables`.
+    ``_caches`` holds each screen's :func:`_grid_tables`.  With
+    ``_launched``, ``fld`` has already taken the first half-slab step (the
+    cached :func:`_launch` of :func:`_realization`), its ``leaked_power``
+    included, and only a copy of its values is made.
     """
     grid, k = fld.grid, geom.k
     xs = grid.axis()
@@ -438,14 +463,18 @@ def split_step(fld: Field, screens: Sequence[SparseScreen], geom: ChannelGeometr
         if not math.isclose(dz * len(screens), geom.path_length, rel_tol=1e-9):
             raise ConfigError("screens do not tile the path length")
         steps = [dz / 2.0, *[dz] * (len(screens) - 1), dz / 2.0]
-    u, leaked = _vacuum(fld.values.copy(), grid, k, steps[0])
+    if _launched:
+        u, leaked = fld.values.copy(), fld.leaked_power
+    else:
+        u, absorbed = _vacuum(fld.values.copy(), grid, k, steps[0])
+        leaked = fld.leaked_power + absorbed
     rotation = np.empty_like(u)
     for i, (screen, step) in enumerate(zip(screens, steps[1:])):
         cache = _caches[i] if _caches is not None else None
         u *= _cis(_phase_on_grid(screen, xs, xs, shift_x, cache=cache), rotation)
         u, dp = _vacuum(u, grid, k, step)
         leaked += dp
-    return Field(grid=grid, values=u, leaked_power=fld.leaked_power + leaked)
+    return Field(grid=grid, values=u, leaked_power=leaked)
 
 
 # ---------------------------------------------------------------------------
@@ -478,9 +507,12 @@ def _aperture_weights(grid: Grid, radius: float) -> np.ndarray:
 
 
 def transmittance(fld: Field, aperture_radius: float) -> float:
-    """Fraction of (unit-normalized) intensity inside the centered disc."""
-    if aperture_radius < 0.0:
-        raise DomainError("aperture radius must be >= 0")
+    """Fraction of (unit-normalized) intensity inside the centered disc.
+
+    A radius of +inf takes the whole grid; a negative or NaN radius raises.
+    """
+    if not aperture_radius >= 0.0:
+        raise DomainError(f"aperture radius {aperture_radius} must be >= 0")
     if aperture_radius == 0.0:
         return 0.0
     w = _aperture_weights(fld.grid, aperture_radius)
@@ -540,6 +572,8 @@ class SimConfig:
             raise ConfigError("need n_screens >= 5", field="sim.n_screens")
         if self.n_components < 64:
             raise ConfigError("need n_components >= 64", field="sim.n_components")
+        if self.n_bands < 1:
+            raise ConfigError("need n_bands >= 1", field="sim.n_bands")
         if self.duration > 0.0 and not 0.0 < self.dt < math.inf:
             raise ConfigError("time series needs a finite dt > 0", field="sim.dt")
         if not 0.0 <= self.wind_speed < math.inf:
@@ -616,11 +650,16 @@ def _collect(results, apertures: Sequence[float]):
 
 
 @functools.lru_cache(maxsize=4)
-def _source(geom: ChannelGeometry, grid: Grid) -> np.ndarray:
-    """Values of :func:`gaussian_source`, cached per (geometry, grid); read-only."""
-    u = gaussian_source(geom, grid).values
+def _launch(geom: ChannelGeometry, grid: Grid, dz: float) -> tuple[np.ndarray, float]:
+    """The source after its first half-slab step: ``(values, absorbed power)``.
+
+    Every realization with slabs ``dz`` thick starts from the
+    :func:`gaussian_source` propagated dz / 2 and windowed.  Cached per
+    (geometry, grid, dz); the values are read-only.
+    """
+    u, absorbed = _vacuum(gaussian_source(geom, grid).values, grid, geom.k, dz / 2.0)
     u.flags.writeable = False
-    return u
+    return u, absorbed
 
 
 def _realization(config: SimConfig, apertures: Sequence[float], index: int,
@@ -628,14 +667,16 @@ def _realization(config: SimConfig, apertures: Sequence[float], index: int,
     """Propagate through ``screens`` and observe every aperture.
 
     Without ``screens`` the set of realization ``index`` is drawn from
-    stream ``index`` of the master seed.  Returns ``(records,
-    leaked_power)``, the pair :func:`_collect` takes.
+    stream ``index`` of the master seed.  The first half-slab step is the
+    cached :func:`_launch`.  Returns ``(records, leaked_power)``, the pair
+    :func:`_collect` takes.
     """
     geom, grid = config.geometry, config.grid
     if screens is None:
         screens = _screens(config, index)
-    fld = split_step(Field(grid=grid, values=_source(geom, grid)), screens, geom,
-                     shift_x, _caches=caches)
+    u, absorbed = _launch(geom, grid, screens[0].slab_thickness)
+    fld = split_step(Field(grid=grid, values=u, leaked_power=absorbed), screens, geom,
+                     shift_x, _caches=caches, _launched=True)
     r0, smat = beam_stats(fld)
     records = [SampleRecord(eta=transmittance(fld, a), x0=r0[0], y0=r0[1], sxx=smat[0, 0],
                             syy=smat[1, 1], sxy=smat[0, 1], realization_index=index, time=time)
@@ -699,15 +740,17 @@ def run_ensemble_multi(config: SimConfig, apertures: Sequence[float],
     """Realizations ``0 .. n_realizations - 1``, each recorded at every aperture.
 
     Returns ``(records_by_aperture, report)``; the field is propagated once
-    per realization and clipped by each aperture.
+    per realization and clipped by each aperture.  A NaN or negative radius
+    raises before any propagation; +inf takes all the power on the grid.
 
     With ``workers > 1`` the realizations go to a process pool in chunks of
     8, and ``pool.map`` hands them back in index order.  Each pool worker
     sets its OpenBLAS to one thread before it starts.  A worker inherits the
     parent's BLAS thread count (one per core), so without this every worker
-    would run that many busy-waiting BLAS threads for the screen matmul, and
-    two workers on two cores would share them with four.  The parent keeps
-    its threads, so ``workers=1`` is unchanged.  The records do not depend on
+    would run that many busy-waiting BLAS threads for the real n x 2K by
+    2K x n product of each screen's phase (:func:`_phase_on_grid`), and two
+    workers on two cores would share them with four.  The parent keeps its
+    threads, so ``workers=1`` is unchanged.  The records do not depend on
     the thread count: OpenBLAS splits a matmul over blocks of the output, not
     over the summed index.
     """
@@ -716,6 +759,9 @@ def run_ensemble_multi(config: SimConfig, apertures: Sequence[float],
     if not apertures:
         raise ConfigError("need at least one aperture", field="apertures")
     apertures = tuple(apertures)
+    if not all(a >= 0.0 for a in apertures):
+        raise ConfigError(f"aperture radii {apertures} must be >= 0 (not NaN)",
+                          field="apertures")
     indices = range(config.n_realizations)
     run = functools.partial(_realization, config, apertures)
     if workers <= 1:

@@ -538,16 +538,22 @@ class TestElliptic:
         W2 = 4e-4
         model = pdt.EllipticBeam(sigma_bw2=1e-28, mu_S=math.log(W2),
                                  Sigma=np.zeros((2, 2)), aperture=0.02)
-        vals, _ = pdt.elliptic_sample(model, 0.02, 50, RngStream(3, 0))
+        vals = pdt.elliptic_sample(model, 0.02, 50, RngStream(3, 0))
         eta0 = pdt.bw_geometry(W2, 0.02, "consistent")[0]
         assert np.allclose(vals, eta0, atol=1e-6)
 
     def test_samples_clamped_to_unit_interval(self):
         model = pdt.EllipticBeam(sigma_bw2=4e-4, mu_S=math.log(2e-4),
                                  Sigma=0.3 * np.eye(2), aperture=0.02)
-        vals, n_clamped = pdt.elliptic_sample(model, 0.02, 20000, RngStream(4, 0))
+        vals = pdt.elliptic_sample(model, 0.02, 20000, RngStream(4, 0))
         assert np.all((vals >= 0.0) & (vals <= 1.0))
-        assert n_clamped >= 0
+
+    @pytest.mark.parametrize("a", [math.nan, math.inf, -0.02, 0.0])
+    def test_rejects_bad_aperture(self, a):
+        model = pdt.EllipticBeam(sigma_bw2=4e-4, mu_S=math.log(2e-4),
+                                 Sigma=0.3 * np.eye(2), aperture=0.02)
+        with pytest.raises(DomainError, match="aperture"):
+            pdt.elliptic_sample(model, a, 100, RngStream(4, 0))
 
     def test_ecdf_available_through_model_cdf(self):
         model = pdt.EllipticBeam(sigma_bw2=1e-4, mu_S=math.log(4e-4),
@@ -565,11 +571,10 @@ class TestElliptic:
 
     @pytest.mark.parametrize("n", [1, 6, 7, 8, 50])
     def test_block_size_does_not_change_samples(self, n, monkeypatch):
-        want, want_clamped = pdt.elliptic_sample(self.FIT, 0.02, n, RngStream(9, 0))
+        want = pdt.elliptic_sample(self.FIT, 0.02, n, RngStream(9, 0))
         monkeypatch.setattr(pdt, "_ELLIPTIC_BLOCK", 7)
-        got, clamped = pdt.elliptic_sample(self.FIT, 0.02, n, RngStream(9, 0))
+        got = pdt.elliptic_sample(self.FIT, 0.02, n, RngStream(9, 0))
         assert got.tobytes() == want.tobytes()
-        assert clamped == want_clamped
 
     def test_matches_former_matmul(self):
         # the former elliptic_sample: every draw as one array, theta mapped by
@@ -589,8 +594,7 @@ class TestElliptic:
                   + a * a / w2sq * (1.0 + 2.0 * sin2))
         lam, rdim = pdt._bw_lambda_R(4.0 * a * a / special.wrightomega(ln_arg), a)
         want = pdt._elliptic_eta0(w1sq, w2sq, a) * np.exp(-((r0 / a / rdim) ** lam))
-        got, clamped = pdt.elliptic_sample(model, a, n, RngStream(5, 0))
-        assert clamped == 0
+        got = pdt.elliptic_sample(model, a, n, RngStream(5, 0))
         assert np.max(np.abs(got - want)) <= 1e-10
 
     def test_nodes_memory_bounded(self):

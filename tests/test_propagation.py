@@ -7,6 +7,7 @@ import math
 import numpy as np
 import pytest
 
+from turbchan import propagation
 from turbchan.errors import ConfigError, DomainError
 from turbchan.numerics import RngStream
 from turbchan.propagation import (
@@ -32,9 +33,11 @@ from turbchan.propagation import (
     _collect,
     _grid_tables,
     _kernel,
+    _launch,
     _one_blas_thread,
     _phase_on_grid,
-    _source,
+    _realization,
+    _screens,
     _vacuum,
     _window,
 )
@@ -150,6 +153,15 @@ class TestScreens:
         assert np.all(kmag >= kmin * (1 - 1e-9))
         assert np.all(kmag <= kmax * (1 + 1e-9))
 
+    @pytest.mark.parametrize("n_bands", [0, -1])
+    def test_n_bands_below_one_raises(self, n_bands):
+        with pytest.raises(ConfigError) as err:
+            small_config(n_bands=n_bands)
+        assert err.value.field == "sim.n_bands"
+        with pytest.raises(ConfigError) as err:
+            sample_screens(FIG2_SPEC, FIG2_GEOM, 5, 96, RngStream(0, 0), n_bands=n_bands)
+        assert err.value.field == "sim.n_bands"
+
     def test_kolmogorov_needs_explicit_bands(self):
         with pytest.raises(ConfigError):
             sample_screens(Kolmogorov(1e-15), FIG2_GEOM, 5, 96, RngStream(0, 0))
@@ -260,6 +272,24 @@ class TestCis:
         assert np.isfinite(z[3])
 
 
+class TestGridTables:
+    @pytest.mark.parametrize("n", [256, 512, 1024])
+    def test_match_extended_precision(self, n):
+        # angle addition builds each table from n / m coarse and m fine
+        # phasors; each component's error stays within a few units of
+        # |k x| 2^-52 of exp(+-i k x) in 64-bit-mantissa arithmetic, with
+        # |k x| that component's largest angle on the axis
+        xs = default_grid(FIG2_GEOM, FIG2_SPEC, n=n).axis()
+        screen = sample_screens(FIG2_SPEC, FIG2_GEOM, 10, 256, RngStream(0, 0))[0]
+        for table, k in zip(_grid_tables(screen, xs, xs), (screen.kx, -screen.ky)):
+            assert table.shape == (n, k.size)
+            theta = np.multiply.outer(xs.astype(np.longdouble), k.astype(np.longdouble))
+            err = np.maximum(np.abs(table.real - np.cos(theta)),
+                             np.abs(table.imag - np.sin(theta))).astype(float)
+            largest = np.max(np.abs(theta), axis=0).astype(float)
+            assert np.all(np.max(err, axis=0) <= (16.0 + 2.0 * largest) * EPS)
+
+
 class TestSplitStepScreens:
     def case(self):
         config = small_config()
@@ -281,6 +311,38 @@ class TestSplitStepScreens:
             u = u * np.exp(1j * _phase_on_grid(screen, xs, xs, 0.013))
             u, _ = _vacuum(u, grid, geom.k, dz if i + 1 < len(screens[0]) else dz / 2.0)
         assert np.max(np.abs(got.values - u)) <= 1e-13
+
+    @pytest.mark.parametrize("shift", [0.0, 0.013])
+    def test_realization_matches_plain_split_step(self, shift):
+        # the cached launch step changes no bit of the records or the leak
+        config = small_config(seed=77)
+        apertures = (0.02, 0.04, math.inf)
+        screens = _screens(config, 3)
+        caches = [_grid_tables(s, config.grid.axis(), config.grid.axis()) for s in screens]
+        got, leaked = _realization(config, apertures, 3, screens, shift, caches)
+        fld = split_step(gaussian_source(config.geometry, config.grid), screens,
+                         config.geometry, shift)
+        r0, smat = beam_stats(fld)
+        want = [SampleRecord(eta=transmittance(fld, a), x0=r0[0], y0=r0[1], sxx=smat[0, 0],
+                             syy=smat[1, 1], sxy=smat[0, 1], realization_index=3)
+                for a in apertures]
+        assert [repr(r) for r in got] == [repr(r) for r in want]
+        assert leaked.hex() == fld.leaked_power.hex()
+
+    def test_one_split_step_per_realization(self, monkeypatch):
+        # the traced benchmark times propagation through this module attribute
+        calls = []
+        plain = propagation.split_step
+
+        def counting(*args, **kwargs):
+            calls.append(args[0].grid)
+            return plain(*args, **kwargs)
+
+        monkeypatch.setattr(propagation, "split_step", counting)
+        run_ensemble_multi(small_config(n_realizations=3), [0.02, 0.04])
+        assert len(calls) == 3
+        run_timeseries(small_config(wind_speed=10.0, dt=1e-3, duration=0.002))
+        assert len(calls) == 5
 
     def test_rotation_buffer_reuse(self):
         # one rotation buffer per call, reused across its screens, and the
@@ -364,6 +426,15 @@ def vacuum_field():
 class TestTransmittanceAndStats:
     def test_zero_aperture(self, vacuum_field):
         assert transmittance(vacuum_field, 0.0) == 0.0
+
+    def test_nan_aperture_raises(self, vacuum_field):
+        with pytest.raises(DomainError):
+            transmittance(vacuum_field, math.nan)
+        with pytest.raises(DomainError):
+            transmittance(vacuum_field, -0.01)
+
+    def test_infinite_aperture_takes_all_power(self, vacuum_field):
+        assert transmittance(vacuum_field, math.inf) == min(vacuum_field.power(), 1.0)
 
     def test_full_aperture(self, vacuum_field):
         eta = transmittance(vacuum_field, vacuum_field.grid.extent / 2)
@@ -462,16 +533,25 @@ class TestEnsemble:
         assert one == two
         assert one[1].max_leaked_power.hex() == two[1].max_leaked_power.hex()
 
+    @pytest.mark.parametrize("bad", [math.nan, -0.01])
+    def test_bad_aperture_raises_before_propagation(self, bad, monkeypatch):
+        calls = []
+        monkeypatch.setattr(propagation, "split_step", lambda *a, **k: calls.append(a))
+        with pytest.raises(ConfigError) as err:
+            run_ensemble_multi(small_config(), [0.02, bad])
+        assert err.value.field == "apertures"
+        assert calls == []
+
     def test_second_call_builds_no_constants(self):
         cfg = small_config(n_realizations=2)
         run_ensemble(cfg)
-        caches = (_source, _window, _kernel)
+        caches = (_launch, _window, _kernel)
         misses = [f.cache_info().misses for f in caches]
         run_ensemble(small_config(n_realizations=2, seed=9))
         assert [f.cache_info().misses for f in caches] == misses
         dz = cfg.geometry.path_length / cfg.n_screens
         k = cfg.geometry.k
-        cached = [_source(cfg.geometry, cfg.grid), *_window(cfg.grid),
+        cached = [_launch(cfg.geometry, cfg.grid, dz)[0], *_window(cfg.grid),
                   _kernel(cfg.grid, k, dz), _kernel(cfg.grid, k, dz / 2.0)]
         assert [f.cache_info().misses for f in caches] == misses  # the runs' own arrays
         assert not any(c.flags.writeable for c in cached)
