@@ -21,9 +21,11 @@ models.
 
 from __future__ import annotations
 
+import contextlib
 import ctypes
 import functools
 import math
+import os
 from dataclasses import dataclass
 from typing import Optional, Sequence
 
@@ -194,32 +196,48 @@ def _band_counts(n_components: int, n_bands: int) -> np.ndarray:
     return counts
 
 
-@functools.lru_cache(maxsize=64)
-def _band_tables(spectrum: SpectrumModel, kappa_min: Optional[float],
-                 kappa_max: Optional[float], n_bands: int):
-    """Per-band variance integrals and inverse-CDF tables for |kappa| draws.
+def _band_limits(spectrum: SpectrumModel, kappa_min: Optional[float],
+                 kappa_max: Optional[float]) -> tuple[float, float]:
+    """The screens' wavenumber band ``(kappa_min, kappa_max)``, checked.
 
-    Bands are log-spaced between kappa_min and kappa_max; within a band the
-    magnitude is importance-sampled from kappa * Phi_n(kappa), so every
-    component carries an equal share of its band's phase variance and the
-    sampled correlation function is unbiased.  A missing bound of a von
-    Karman-Tatarskii spectrum defaults to 2 pi / 4 L0 or 4 pi / l0.
-
-    Returns ``(integrals, [(cdf, kappa) per band])``, built once per key and
-    process and shared, hence read-only.
+    A bound left as None of a von Karman-Tatarskii spectrum defaults to
+    2 pi / 4 L0 or 4 pi / l0; a Kolmogorov spectrum needs both.  Raises
+    ``ConfigError`` unless 0 < kappa_min < kappa_max < inf.
     """
     if kappa_min is None or kappa_max is None:
-        if isinstance(spectrum, VonKarmanTatarskii):
-            kappa_min = kappa_min or 2.0 * math.pi / (4.0 * spectrum.outer_scale)
-            kappa_max = kappa_max or 2.0 * math.pi / (spectrum.inner_scale / 2.0)
-        else:
+        if not isinstance(spectrum, VonKarmanTatarskii):
             raise ConfigError(
                 "Kolmogorov screens need explicit kappa_min/kappa_max "
                 "(the power law has no intrinsic scales)",
                 field="spectrum",
             )
-    if not (0.0 < kappa_min < kappa_max):
-        raise ConfigError("need 0 < kappa_min < kappa_max for screen bands")
+        if kappa_min is None:
+            kappa_min = 2.0 * math.pi / (4.0 * spectrum.outer_scale)
+        if kappa_max is None:
+            kappa_max = 2.0 * math.pi / (spectrum.inner_scale / 2.0)
+    if not 0.0 < kappa_min < math.inf:
+        raise ConfigError(f"kappa_min = {kappa_min} must be finite and > 0",
+                          field="sim.kappa_min")
+    if not kappa_min < kappa_max < math.inf:
+        raise ConfigError(f"kappa_max = {kappa_max} must be finite and > kappa_min "
+                          f"= {kappa_min}", field="sim.kappa_max")
+    return kappa_min, kappa_max
+
+
+@functools.lru_cache(maxsize=64)
+def _band_tables(spectrum: SpectrumModel, kappa_min: Optional[float],
+                 kappa_max: Optional[float], n_bands: int):
+    """Per-band variance integrals and inverse-CDF tables for |kappa| draws.
+
+    Bands are log-spaced between the :func:`_band_limits`; within a band the
+    magnitude is importance-sampled from kappa * Phi_n(kappa), so every
+    component carries an equal share of its band's phase variance and the
+    sampled correlation function is unbiased.
+
+    Returns ``(integrals, [(cdf, kappa) per band])``, built once per key and
+    process and shared, hence read-only.
+    """
+    kappa_min, kappa_max = _band_limits(spectrum, kappa_min, kappa_max)
     edges = np.exp(np.linspace(math.log(kappa_min), math.log(kappa_max), n_bands + 1))
     integrals = np.empty(n_bands)
     tables = []
@@ -320,7 +338,7 @@ def _cis(theta: np.ndarray, out: np.ndarray) -> np.ndarray:
     return out
 
 
-def _axis_cis(k: np.ndarray, axis: np.ndarray) -> np.ndarray:
+def _axis_cis(k: np.ndarray, axis: np.ndarray, out=None) -> np.ndarray:
     """exp(i k x) on a uniform ``axis`` of power-of-two length, as (axis, K).
 
     Angle addition: with x = x[q m] + r h for a fine block of m points,
@@ -332,30 +350,33 @@ def _axis_cis(k: np.ndarray, axis: np.ndarray) -> np.ndarray:
     one broadcast complex multiply fills the n x K table.  The coarse
     points are the axis's own values.  Each component's column agrees with
     exp(i k x) within (16 + 2 max |k x|) 2^-52, about twice the error of
-    cos and sin at the rounded product k x.
+    cos and sin at the rounded product k x.  ``out``, if given, is a
+    C-contiguous complex (axis, K) array the table is written into.
     """
     n = axis.size
     m = 1 << ((n.bit_length() - 1) // 2)
     h = (axis[-1] - axis[0]) / (n - 1)
     coarse = _cis(np.multiply.outer(axis[::m], k), np.empty((n // m, k.size), complex))
     fine = _cis(np.multiply.outer(np.arange(m) * h, k), np.empty((m, k.size), complex))
-    out = np.empty((n // m, m, k.size), complex)
-    np.multiply(coarse[:, None, :], fine[None, :, :], out=out)
-    return out.reshape(n, k.size)
+    out = np.empty((n, k.size), complex) if out is None else out
+    np.multiply(coarse[:, None, :], fine[None, :, :], out=out.reshape(n // m, m, k.size))
+    return out
 
 
-def _grid_tables(screen: SparseScreen, xs: np.ndarray, ys: np.ndarray):
+def _grid_tables(screen: SparseScreen, xs: np.ndarray, ys: np.ndarray,
+                 out=(None, None)):
     """Phasor tables of one screen on the grid axes: ``(ex, ey)``.
 
     ``ex = exp(i kx x)`` and ``ey = exp(-i ky y)`` are complex (axis, K)
-    arrays built by :func:`_axis_cis`; ``xs`` and ``ys`` are uniform axes
-    whose length is a power of two, as :meth:`Grid.axis` gives.
+    arrays built by :func:`_axis_cis`, into the two arrays of ``out`` if
+    given; ``xs`` and ``ys`` are uniform axes whose length is a power of
+    two, as :meth:`Grid.axis` gives.
     """
-    return _axis_cis(screen.kx, xs), _axis_cis(-screen.ky, ys)
+    return _axis_cis(screen.kx, xs, out[0]), _axis_cis(-screen.ky, ys, out[1])
 
 
 def _phase_on_grid(screen: SparseScreen, xs: np.ndarray, ys: np.ndarray,
-                   shift_x: float = 0.0, cache=None) -> np.ndarray:
+                   shift_x: float = 0.0, cache=None, out=(None, None)) -> np.ndarray:
     """Screen phase on the full grid via a rank-2K real factorization.
 
     With c = a + i b, the screen is phi = Re sum_j c_j exp(-i (kx_j x + ky_j y)).
@@ -369,16 +390,19 @@ def _phase_on_grid(screen: SparseScreen, xs: np.ndarray, ys: np.ndarray,
     equivalent complex product.  ``cache`` holds the tables of
     :func:`_grid_tables` (frozen-turbulence series reuse them at every
     step); without it they are computed here.  A shift s along x multiplies
-    c by exp(-i kx s), which keeps the shift exact.  In the pool workers of
-    :func:`run_ensemble` this matmul runs on one BLAS thread (see
+    c by exp(-i kx s), which keeps the shift exact.  ``out``, if given, is
+    the pair of C-contiguous arrays ``(phase, left)``, (ys, xs) real and
+    (ys, K) complex, that phi and W are written into.  In ensemble and
+    series runs this matmul runs on one OpenBLAS thread (see
     :func:`run_ensemble_multi`).
     """
     ex, ey = cache if cache is not None else _grid_tables(screen, xs, ys)
     c = screen.amp_cos + 1j * screen.amp_sin
     if shift_x != 0.0:
         c *= np.exp(-1j * screen.kx * shift_x)
-    left = ey * c
-    return left.view(float) @ ex.view(float).T
+    phase, left = out
+    left = np.multiply(ey, c, out=left)
+    return np.matmul(left.view(float), ex.view(float).T, out=phase)
 
 
 # ---------------------------------------------------------------------------
@@ -387,21 +411,32 @@ def _phase_on_grid(screen: SparseScreen, xs: np.ndarray, ys: np.ndarray,
 
 
 @functools.lru_cache(maxsize=4)
-def _window(grid: Grid) -> tuple[np.ndarray, np.ndarray]:
-    """Absorbing window w and the absorption 1 - w^2, cached per grid.
+def _window(grid: Grid) -> tuple:
+    """Absorbing window w on its frame, cached per grid.
 
-    w is a cosine taper over the outer 10% of the span on each side.  The
-    absorption is repeated along the last axis, to match a complex field
-    viewed as interleaved real and imaginary parts.  Both are read-only.
+    w is a cosine taper over the outer 10% of the span on each side and
+    exactly 1 inside it, where it changes neither the field nor the absorbed
+    power.  So only the frame around that inner square is kept, as four
+    blocks: the top and bottom strips and the left and right pieces between
+    them.  Each block is ``(index, w, absorption)``: the (rows, columns)
+    slices of the block, w there and the power fraction removed 1 - w^2,
+    repeated along the last axis to match a complex field viewed as
+    interleaved real and imaginary parts.  The arrays are read-only.
     """
     half = grid.extent / 2.0
     start = 0.8 * half
     t = np.clip((np.abs(grid.axis()) - start) / (half - start), 0.0, 1.0)
     w1 = np.cos(0.5 * math.pi * t) ** 2
-    window = w1[None, :] * w1[:, None]
-    absorption = np.repeat(1.0 - window**2, 2, axis=1)  # power fraction removed
-    window.flags.writeable = absorption.flags.writeable = False
-    return window, absorption
+    inner = np.flatnonzero(t == 0.0)
+    lo, hi = int(inner[0]), int(inner[-1]) + 1
+    blocks = []
+    for rows, cols in ((slice(0, lo), slice(None)), (slice(hi, None), slice(None)),
+                       (slice(lo, hi), slice(0, lo)), (slice(lo, hi), slice(hi, None))):
+        w = w1[rows, None] * w1[None, cols]
+        absorption = np.repeat(1.0 - w**2, 2, axis=1)
+        w.flags.writeable = absorption.flags.writeable = False
+        blocks.append(((rows, cols), w, absorption))
+    return tuple(blocks)
 
 
 @functools.lru_cache(maxsize=4)
@@ -422,24 +457,28 @@ def _vacuum(u: np.ndarray, grid: Grid, k: float, dz: float) -> tuple[np.ndarray,
     """One windowed vacuum step; returns (field, absorbed power).
 
     ``u`` is overwritten.  The absorbed power is sum |u|^2 (1 - w^2) dA,
-    taken in one pass before the window w is applied; ``einsum`` sums it
-    without BLAS, so the value does not depend on the thread count.  The
-    FFTs run on the calling thread only: extra FFT threads would compete
-    with the other pool workers (see :func:`run_ensemble_multi`), or with
-    the BLAS threads that spin on after the screen-phase matmul.
+    taken before the window w is applied, both on the frame of
+    :func:`_window` only; ``einsum`` sums it without BLAS, so the value does
+    not depend on the thread count.  The FFTs run on the calling thread
+    only: in a pool an extra FFT thread would compete with the other
+    workers, and in a serial run the second core builds the next screen's
+    rotation (see :func:`split_step`).
     """
-    window, absorption = _window(grid)
     spec = scipy.fft.fft2(u, overwrite_x=True)
     spec *= _kernel(grid, k, dz)
     u = scipy.fft.ifft2(spec, overwrite_x=True)
-    v = u.view(float)
-    absorbed = float(np.einsum("ij,ij,ij->", v, v, absorption)) * grid.spacing**2
-    u *= window
-    return u, absorbed
+    absorbed = 0.0
+    for index, w, absorption in _window(grid):
+        block = u[index]
+        v = block.view(float)
+        absorbed += float(np.einsum("ij,ij,ij->", v, v, absorption))
+        block *= w
+    return u, absorbed * grid.spacing**2
 
 
 def split_step(fld: Field, screens: Sequence[SparseScreen], geom: ChannelGeometry,
-               shift_x: float = 0.0, *, _caches=None, _launched: bool = False) -> Field:
+               shift_x: float = 0.0, *, _caches=None, _launched: bool = False,
+               _helper=None) -> Field:
     """Propagate the field to z = L through the given screens.
 
     Symmetric split-step: half-slab vacuum step, screen phase, half-slab
@@ -447,13 +486,20 @@ def split_step(fld: Field, screens: Sequence[SparseScreen], geom: ChannelGeometr
     is a single vacuum Fresnel propagation over the whole path.  The result
     carries the absorbed-power fraction in ``leaked_power``.
 
-    The screen factor exp(i phi) is computed by :func:`_cis` into one
-    ``rotation`` buffer per call, with the freshly computed phase as its
-    scratch, so the screens allocate no further n x n temporaries for it.
+    Each screen's factor exp(i phi) is computed by :func:`_cis` into one
+    ``rotation`` buffer per call, from a phase, a left-factor and two table
+    buffers (:func:`_phase_on_grid`), all allocated once per call; both
+    vacuum kernels are built before them, which keeps the peak memory low.
     ``_caches`` holds each screen's :func:`_grid_tables`.  With
     ``_launched``, ``fld`` has already taken the first half-slab step (the
     cached :func:`_launch` of :func:`_realization`), its ``leaked_power``
     included, and only a copy of its values is made.
+
+    ``_helper`` is a one-thread executor (see :func:`_serial_helper`), or
+    None.  With it, screen i + 1's rotation is built on the helper thread
+    while this thread multiplies in rotation i and runs slab i's vacuum
+    step; without it the same work runs inline in that order.  The values
+    are the same bits either way.
     """
     grid, k = fld.grid, geom.k
     xs = grid.axis()
@@ -463,15 +509,36 @@ def split_step(fld: Field, screens: Sequence[SparseScreen], geom: ChannelGeometr
         if not math.isclose(dz * len(screens), geom.path_length, rel_tol=1e-9):
             raise ConfigError("screens do not tile the path length")
         steps = [dz / 2.0, *[dz] * (len(screens) - 1), dz / 2.0]
+    for step in set(steps[1:]):
+        _kernel(grid, k, step)
     if _launched:
         u, leaked = fld.values.copy(), fld.leaked_power
     else:
         u, absorbed = _vacuum(fld.values.copy(), grid, k, steps[0])
         leaked = fld.leaked_power + absorbed
+    n = grid.n
     rotation = np.empty_like(u)
-    for i, (screen, step) in enumerate(zip(screens, steps[1:])):
-        cache = _caches[i] if _caches is not None else None
-        u *= _cis(_phase_on_grid(screen, xs, xs, shift_x, cache=cache), rotation)
+    phase = np.empty((n, n))
+    # the left factor, then the two tables unless cached; flat, so that
+    # screens of any component count take contiguous (n, K) views
+    width = n * max((s.n_components for s in screens), default=0)
+    flat = np.empty((1 if _caches is not None else 3, width), complex)
+
+    def rotate(i: int) -> None:
+        screen = screens[i]
+        left, *tables = (b[: n * screen.n_components].reshape(n, -1) for b in flat)
+        cache = _caches[i] if _caches is not None else _grid_tables(screen, xs, xs, tables)
+        _cis(_phase_on_grid(screen, xs, xs, shift_x, cache, (phase, left)), rotation)
+
+    ahead = _helper.submit(rotate, 0) if _helper is not None and screens else None
+    for i, step in enumerate(steps[1:]):
+        if ahead is None:
+            rotate(i)
+        else:
+            ahead.result()
+        u *= rotation
+        if ahead is not None and i + 1 < len(screens):
+            ahead = _helper.submit(rotate, i + 1)
         u, dp = _vacuum(u, grid, k, step)
         leaked += dp
     return Field(grid=grid, values=u, leaked_power=leaked)
@@ -578,6 +645,7 @@ class SimConfig:
             raise ConfigError("time series needs a finite dt > 0", field="sim.dt")
         if not 0.0 <= self.wind_speed < math.inf:
             raise ConfigError("wind speed must be finite and >= 0", field="sim.wind_speed")
+        _band_limits(self.spectrum, self.kappa_min, self.kappa_max)
         w_lt = long_term_spot_radius(self.geometry, self.spectrum)
         min_extent = 8.0 * max(self.geometry.beam_radius, w_lt)
         if self.grid.extent < min_extent:
@@ -663,20 +731,20 @@ def _launch(geom: ChannelGeometry, grid: Grid, dz: float) -> tuple[np.ndarray, f
 
 
 def _realization(config: SimConfig, apertures: Sequence[float], index: int,
-                 screens=None, shift_x=0.0, caches=None, time=None):
+                 screens=None, shift_x=0.0, caches=None, time=None, helper=None):
     """Propagate through ``screens`` and observe every aperture.
 
     Without ``screens`` the set of realization ``index`` is drawn from
     stream ``index`` of the master seed.  The first half-slab step is the
-    cached :func:`_launch`.  Returns ``(records, leaked_power)``, the pair
-    :func:`_collect` takes.
+    cached :func:`_launch`; ``helper`` goes to :func:`split_step`.  Returns
+    ``(records, leaked_power)``, the pair :func:`_collect` takes.
     """
     geom, grid = config.geometry, config.grid
     if screens is None:
         screens = _screens(config, index)
     u, absorbed = _launch(geom, grid, screens[0].slab_thickness)
     fld = split_step(Field(grid=grid, values=u, leaked_power=absorbed), screens, geom,
-                     shift_x, _caches=caches, _launched=True)
+                     shift_x, _caches=caches, _launched=True, _helper=helper)
     r0, smat = beam_stats(fld)
     records = [SampleRecord(eta=transmittance(fld, a), x0=r0[0], y0=r0[1], sxx=smat[0, 0],
                             syy=smat[1, 1], sxy=smat[0, 1], realization_index=index, time=time)
@@ -691,36 +759,75 @@ def _screens(config: SimConfig, stream_index: int) -> list[SparseScreen]:
                           kappa_max=config.kappa_max)
 
 
-# C entry points of openblas_set_num_threads(int) in the OpenBLAS builds that
-# NumPy and SciPy wheels load (64-bit-integer and plain, prefixed or not).
-_BLAS_THREAD_SETTERS = ("scipy_openblas_set_num_threads64_",
-                        "scipy_openblas_set_num_threads",
-                        "openblas_set_num_threads64_", "openblas_set_num_threads")
+# Prefixes and suffixes of openblas_{get,set}_num_threads in the OpenBLAS
+# builds that NumPy and SciPy wheels load (64-bit-integer and plain,
+# prefixed or not).
+_BLAS_SYMBOLS = (("scipy_openblas_", "64_"), ("scipy_openblas_", ""),
+                 ("openblas_", "64_"), ("openblas_", ""))
 
 
-def _one_blas_thread() -> None:
-    """Set every OpenBLAS loaded in this process to one thread.
+def _blas_controls() -> list:
+    """``(get, set)`` thread-count functions of every loaded OpenBLAS.
 
-    The libraries are found in ``/proc/self/maps``; where there is none, or
-    none exports a setter, nothing changes.
+    The libraries are found in ``/proc/self/maps``; one that exports no
+    getter and setter pair is left out, and without the file the list is
+    empty.
     """
     try:
         with open("/proc/self/maps") as fh:
             libs = sorted({ln.split()[-1] for ln in fh if "openblas" in ln.lower()})
     except OSError:
-        return
+        return []
+    controls = []
     for path in libs:
         try:
             lib = ctypes.CDLL(path)
         except OSError:
             continue
-        for sym in _BLAS_THREAD_SETTERS:
-            fn = getattr(lib, sym, None)
-            if fn is not None:
-                fn.argtypes = [ctypes.c_int]
-                fn.restype = None
-                fn(1)
+        for prefix, suffix in _BLAS_SYMBOLS:
+            get = getattr(lib, f"{prefix}get_num_threads{suffix}", None)
+            put = getattr(lib, f"{prefix}set_num_threads{suffix}", None)
+            if get is not None and put is not None:
+                get.argtypes, get.restype = [], ctypes.c_int
+                put.argtypes, put.restype = [ctypes.c_int], None
+                controls.append((get, put))
                 break
+    return controls
+
+
+def _one_blas_thread() -> None:
+    """Set every OpenBLAS loaded in this process to one thread."""
+    for _, put in _blas_controls():
+        put(1)
+
+
+@contextlib.contextmanager
+def _serial_helper():
+    """One helper thread for a serial run's :func:`split_step` calls, or None.
+
+    Sets every loaded OpenBLAS to one thread and yields a one-worker
+    ``ThreadPoolExecutor``; on exit, also on error, the executor is shut
+    down and each library gets its previous thread count back.  One BLAS
+    thread, because a second one would spin on the core the helper uses.
+    Yields None, and changes nothing, where this process may use one CPU
+    only or no OpenBLAS thread control is found.
+    """
+    cpus = os.sched_getaffinity(0) if hasattr(os, "sched_getaffinity") else ()
+    controls = _blas_controls() if len(cpus) > 1 else []
+    if not controls:
+        yield None
+        return
+    import concurrent.futures as cf
+
+    before = [get() for get, _ in controls]
+    try:
+        for _, put in controls:
+            put(1)
+        with cf.ThreadPoolExecutor(max_workers=1) as helper:
+            yield helper
+    finally:
+        for (_, put), count in zip(controls, before):
+            put(count)
 
 
 def run_ensemble(config: SimConfig, workers: int = 1) -> list[SampleRecord]:
@@ -749,10 +856,16 @@ def run_ensemble_multi(config: SimConfig, apertures: Sequence[float],
     parent's BLAS thread count (one per core), so without this every worker
     would run that many busy-waiting BLAS threads for the real n x 2K by
     2K x n product of each screen's phase (:func:`_phase_on_grid`), and two
-    workers on two cores would share them with four.  The parent keeps its
-    threads, so ``workers=1`` is unchanged.  The records do not depend on
-    the thread count: OpenBLAS splits a matmul over blocks of the output, not
-    over the summed index.
+    workers on two cores would share them with four.  Pool workers run
+    :func:`split_step` without a helper thread.
+
+    With ``workers <= 1`` the run holds one :func:`_serial_helper` context:
+    each screen's phase and rotation are built on a helper thread, one
+    screen ahead of the FFTs, and OpenBLAS runs on one thread until the run
+    ends, when each library gets its previous count back.  On one CPU the
+    run is inline.  The records do not depend on any of this: OpenBLAS
+    splits a matmul over blocks of the output, not over the summed index,
+    and the helper computes the same values the calling thread would.
     """
     if config.n_realizations <= 0:
         raise ConfigError("n_realizations must be > 0", field="sim.n_realizations")
@@ -765,7 +878,8 @@ def run_ensemble_multi(config: SimConfig, apertures: Sequence[float],
     indices = range(config.n_realizations)
     run = functools.partial(_realization, config, apertures)
     if workers <= 1:
-        return _collect(map(run, indices), apertures)
+        with _serial_helper() as helper:
+            return _collect(map(functools.partial(run, helper=helper), indices), apertures)
     import concurrent.futures as cf
 
     with cf.ProcessPoolExecutor(max_workers=workers, initializer=_one_blas_thread) as pool:
@@ -780,7 +894,8 @@ def run_timeseries(config: SimConfig, apertures: Optional[Sequence[float]] = Non
     The series covers ``config.duration`` in round(duration / dt) steps.
     Returns ``(records_by_aperture, report)`` as :func:`run_ensemble_multi`
     does, with one report entry per step; use a single-entry aperture list
-    (the default) for the plain series.
+    (the default) for the plain series.  The steps share one
+    :func:`_serial_helper`, as a serial :func:`run_ensemble_multi` does.
     """
     if not config.duration > 0.0:
         raise ConfigError("time series needs duration > 0", field="sim.duration")
@@ -789,8 +904,10 @@ def run_timeseries(config: SimConfig, apertures: Optional[Sequence[float]] = Non
     xs = config.grid.axis()
     caches = [_grid_tables(s, xs, xs) for s in screens]
     times = [m * config.dt for m in range(round(config.duration / config.dt))]
-    return _collect((_realization(config, apertures, m, screens, config.wind_speed * t,
-                                  caches, time=t) for m, t in enumerate(times)), apertures)
+    with _serial_helper() as helper:
+        return _collect((_realization(config, apertures, m, screens, config.wind_speed * t,
+                                      caches, time=t, helper=helper)
+                         for m, t in enumerate(times)), apertures)
 
 
 def ensemble_summary(records: Sequence[SampleRecord]) -> dict:

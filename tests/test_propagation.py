@@ -3,9 +3,12 @@
 import concurrent.futures as cf
 import ctypes
 import math
+import os
+import threading
 
 import numpy as np
 import pytest
+import scipy.fft
 
 from turbchan import propagation
 from turbchan.errors import ConfigError, DomainError
@@ -38,6 +41,7 @@ from turbchan.propagation import (
     _phase_on_grid,
     _realization,
     _screens,
+    _serial_helper,
     _vacuum,
     _window,
 )
@@ -74,6 +78,20 @@ def _blas_thread_counts():
                 counts.append(fn())
                 break
     return counts
+
+
+def _full_window(grid):
+    """The absorbing window on the whole grid, as a plain n x n array."""
+    half = grid.extent / 2.0
+    start = 0.8 * half
+    t = np.clip((np.abs(grid.axis()) - start) / (half - start), 0.0, 1.0)
+    w1 = np.cos(0.5 * math.pi * t) ** 2
+    return w1[None, :] * w1[:, None]
+
+
+def _unwindowed_step(u, kernel):
+    """The FFT pair of :func:`_vacuum`, without the window."""
+    return scipy.fft.ifft2(scipy.fft.fft2(u) * kernel)
 
 
 def small_config(**kw):
@@ -161,6 +179,28 @@ class TestScreens:
         with pytest.raises(ConfigError) as err:
             sample_screens(FIG2_SPEC, FIG2_GEOM, 5, 96, RngStream(0, 0), n_bands=n_bands)
         assert err.value.field == "sim.n_bands"
+
+    @pytest.mark.parametrize("kappa_min,kappa_max,field", [
+        (None, math.inf, "sim.kappa_max"),
+        (None, math.nan, "sim.kappa_max"),
+        (None, 0.0, "sim.kappa_max"),
+        (0.0, None, "sim.kappa_min"),
+        (-1.0, None, "sim.kappa_min"),
+        (math.nan, None, "sim.kappa_min"),
+        (math.inf, None, "sim.kappa_min"),
+        (1e3, 1e2, "sim.kappa_max"),
+        (1e3, 1e3, "sim.kappa_max"),
+    ])
+    def test_bad_band_limits_raise(self, kappa_min, kappa_max, field):
+        # a bound of 0 is not taken for "use the default", and an infinite
+        # bound does not turn into NaN screens
+        with pytest.raises(ConfigError) as err:
+            sample_screens(FIG2_SPEC, FIG2_GEOM, 5, 96, RngStream(0, 0),
+                           kappa_min=kappa_min, kappa_max=kappa_max)
+        assert err.value.field == field
+        with pytest.raises(ConfigError) as err:
+            small_config(kappa_min=kappa_min, kappa_max=kappa_max)
+        assert err.value.field == field
 
     def test_kolmogorov_needs_explicit_bands(self):
         with pytest.raises(ConfigError):
@@ -391,11 +431,32 @@ class TestSplitStepVacuum:
         ref = np.fft.ifft2(np.fft.fft2(u0) * _kernel(grid, geom.k, geom.path_length))
         cell = grid.spacing**2
         before = float(np.sum(np.abs(ref) ** 2)) * cell
-        ref *= _window(grid)[0]
+        ref *= _full_window(grid)
         after = float(np.sum(np.abs(ref) ** 2)) * cell
         assert before - after > 0.05
         assert absorbed == pytest.approx(before - after, rel=1e-12)
         assert np.max(np.abs(got - ref)) <= 1e-12 * np.max(np.abs(ref))
+
+    @pytest.mark.parametrize("grid", [Grid(n=128, extent=0.3),
+                                      default_grid(FIG2_GEOM, FIG2_SPEC, n=512)])
+    def test_window_frame_matches_full_grid(self, grid):
+        # w = 1 inside the frame: windowing the frame only leaves every bit
+        # of the field as the full-grid multiply does, and the absorbed
+        # power changes only its summation order
+        geom = ChannelGeometry(wavelength=809e-9, path_length=20000.0,
+                               beam_radius=0.0278, aperture_radius=0.02)
+        u0 = gaussian_source(geom, grid).values
+        got, absorbed = _vacuum(u0.copy(), grid, geom.k, geom.path_length)
+        ref = _unwindowed_step(u0, _kernel(grid, geom.k, geom.path_length))
+        v = ref.view(float)
+        full = np.repeat(1.0 - _full_window(grid) ** 2, 2, axis=1)
+        want = float(np.einsum("ij,ij,ij->", v, v, full)) * grid.spacing**2
+        ref *= _full_window(grid)
+        assert np.array_equal(got.view(float), ref.view(float))
+        assert want > 0.0
+        assert absorbed == pytest.approx(want, rel=1e-13, abs=0.0)
+        frame = sum(w.size for _, w, _ in _window(grid))
+        assert frame < 0.4 * grid.n**2
 
     @pytest.mark.parametrize("steps", [10, 20])
     def test_kernel_matches_exp(self, steps):
@@ -551,7 +612,8 @@ class TestEnsemble:
         assert [f.cache_info().misses for f in caches] == misses
         dz = cfg.geometry.path_length / cfg.n_screens
         k = cfg.geometry.k
-        cached = [_launch(cfg.geometry, cfg.grid, dz)[0], *_window(cfg.grid),
+        frame = [a for _, w, absorption in _window(cfg.grid) for a in (w, absorption)]
+        cached = [_launch(cfg.geometry, cfg.grid, dz)[0], *frame,
                   _kernel(cfg.grid, k, dz), _kernel(cfg.grid, k, dz / 2.0)]
         assert [f.cache_info().misses for f in caches] == misses  # the runs' own arrays
         assert not any(c.flags.writeable for c in cached)
@@ -607,6 +669,124 @@ class TestEnsemble:
     def test_extent_guard(self):
         with pytest.raises(ConfigError):
             small_config(grid=Grid(n=256, extent=0.2))
+
+
+@pytest.fixture
+def spy(monkeypatch):
+    """Each split_step call's ``_helper`` and the BLAS thread counts it ran at."""
+    seen = []
+    plain = propagation.split_step
+
+    def spying(*args, **kwargs):
+        seen.append((kwargs.get("_helper"), _blas_thread_counts()))
+        return plain(*args, **kwargs)
+
+    monkeypatch.setattr(propagation, "split_step", spying)
+    return seen
+
+
+def usable_cpus(monkeypatch, count):
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(count)))
+
+
+@pytest.fixture
+def blas():
+    """The BLAS thread counts before the test."""
+    counts = _blas_thread_counts()
+    if not counts:
+        pytest.skip("no OpenBLAS with thread-count controls is loaded")
+    return counts
+
+
+class TestSerialHelper:
+    """The helper thread of serial runs and the one-BLAS-thread toggle."""
+
+    def runs(self, monkeypatch, spy, run):
+        # the same serial run with a helper (two usable CPUs) and inline (one)
+        out = []
+        for cpus in (2, 1):
+            usable_cpus(monkeypatch, cpus)
+            spy.clear()
+            out.append(run())
+            helpers = {h is not None for h, _ in spy}
+            assert helpers == {cpus > 1}
+            if cpus > 1:
+                assert all(set(counts) == {1} for _, counts in spy)
+        return out
+
+    @pytest.mark.parametrize("grid", [None, Grid(n=256, extent=0.45)], ids=["small", "leaky"])
+    def test_ensemble_same_bits(self, monkeypatch, spy, blas, grid):
+        cfg = small_config(n_realizations=3, **({"grid": grid} if grid else {}))
+        helped, inline = self.runs(monkeypatch, spy,
+                                   lambda: run_ensemble_multi(cfg, [0.02, 0.04], workers=1))
+        assert [repr(r) for rs in helped[0].values() for r in rs] == \
+            [repr(r) for rs in inline[0].values() for r in rs]
+        assert helped[1].max_leaked_power.hex() == inline[1].max_leaked_power.hex()
+        if grid is not None:
+            assert helped[1].max_leaked_power > 0.0
+        assert _blas_thread_counts() == blas
+
+    @pytest.mark.parametrize("grid", [None, Grid(n=256, extent=0.45)], ids=["small", "leaky"])
+    def test_timeseries_same_bits(self, monkeypatch, spy, blas, grid):
+        cfg = small_config(wind_speed=10.0, dt=1e-3, duration=0.003,
+                           **({"grid": grid} if grid else {}))
+        helped, inline = self.runs(monkeypatch, spy, lambda: run_timeseries(cfg, [0.02, 0.04]))
+        assert [repr(r) for rs in helped[0].values() for r in rs] == \
+            [repr(r) for rs in inline[0].values() for r in rs]
+        assert helped[1].max_leaked_power.hex() == inline[1].max_leaked_power.hex()
+        assert _blas_thread_counts() == blas
+
+    def test_blas_counts_restored_after_error(self, monkeypatch, spy, blas):
+        usable_cpus(monkeypatch, 2)
+
+        def no_power(fld):
+            raise DomainError("beam_stats: field carries no power")
+
+        monkeypatch.setattr(propagation, "beam_stats", no_power)
+        with pytest.raises(DomainError):
+            run_ensemble(small_config(n_realizations=2))
+        assert spy and spy[0][0] is not None
+        assert _blas_thread_counts() == blas
+        with pytest.raises(DomainError):
+            run_timeseries(small_config(wind_speed=10.0, dt=1e-3, duration=0.002))
+        assert _blas_thread_counts() == blas
+
+    def test_helper_error_propagates(self, monkeypatch, spy, blas):
+        usable_cpus(monkeypatch, 2)
+        plain = propagation._cis
+
+        def failing(theta, out):
+            if threading.current_thread() is not threading.main_thread():
+                raise FloatingPointError("helper job failed")
+            return plain(theta, out)
+
+        monkeypatch.setattr(propagation, "_cis", failing)
+        threads = threading.active_count()
+        with pytest.raises(FloatingPointError, match="helper job failed"):
+            run_ensemble(small_config(n_realizations=2))
+        assert spy and spy[0][0] is not None
+        assert threading.active_count() == threads
+        assert _blas_thread_counts() == blas
+
+    def test_no_blas_control_no_helper(self, monkeypatch):
+        usable_cpus(monkeypatch, 2)
+        monkeypatch.setattr(propagation, "_blas_controls", lambda: [])
+        with _serial_helper() as helper:
+            assert helper is None
+
+    def test_pool_workers_make_no_helper(self, monkeypatch):
+        # the forked workers inherit this patch; a helper there would raise
+        plain = propagation.split_step
+
+        def no_helper(*args, **kwargs):
+            if kwargs.get("_helper") is not None:
+                raise AssertionError("pool worker got a helper")
+            return plain(*args, **kwargs)
+
+        cfg = small_config(n_realizations=2)
+        serial = run_ensemble(cfg, workers=1)
+        monkeypatch.setattr(propagation, "split_step", no_helper)
+        assert run_ensemble(cfg, workers=2) == serial
 
 
 class TestTimeSeries:
