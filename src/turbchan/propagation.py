@@ -130,11 +130,10 @@ def long_term_spot_radius(geom: ChannelGeometry, spectrum: SpectrumModel) -> flo
     return math.sqrt(vac + turb)
 
 
-def default_grid(geom: ChannelGeometry, spectrum: SpectrumModel, n: int = 512,
-                 diameter_factor: float = 10.0) -> Grid:
-    """Grid sized to ``diameter_factor`` long-term spot diameters."""
+def default_grid(geom: ChannelGeometry, spectrum: SpectrumModel, n: int = 512) -> Grid:
+    """Grid sized to 10 long-term spot diameters."""
     w_lt = long_term_spot_radius(geom, spectrum)
-    extent = max(diameter_factor * 2.0 * w_lt, 8.0 * max(geom.beam_radius, w_lt))
+    extent = max(10.0 * 2.0 * w_lt, 8.0 * max(geom.beam_radius, w_lt))
     grid = Grid(n=n, extent=extent)
     if grid.spacing > geom.beam_radius / 8.0:
         raise ConfigError(
@@ -945,16 +944,16 @@ def ensemble_summary(records: Sequence[SampleRecord]) -> dict:
 
 
 def screen_structure_function(screens: Sequence[SparseScreen],
-                              separations: np.ndarray,
-                              directions: int = 8) -> np.ndarray:
+                              separations: np.ndarray) -> np.ndarray:
     """Phase structure function D(r) estimated from sampled screens.
 
     Uses the per-screen conditional expectation
     D_screen(d) = sum_j (a_j^2 + b_j^2)(1 - cos(kappa_j . d)), averaged over
-    screens and over ``directions`` orientations of d; the screen average
-    converges to the spectral-integral structure function.
+    screens and over 8 orientations of d; the screen average converges to
+    the spectral-integral structure function.
     """
     seps = np.asarray(separations, dtype=float)
+    directions = 8
     angles = np.linspace(0.0, math.pi, directions, endpoint=False)
     dirs = np.stack([np.cos(angles), np.sin(angles)], axis=1)
     acc = np.zeros(seps.size)

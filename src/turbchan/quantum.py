@@ -7,27 +7,27 @@ fluctuating channel is the eta-mixture of loss channels weighted by the
 PDT.  Every channel is a weighted point set of transmittances, its
 ``nodes``: a fixed eta with weight 1, a PDT model's own cached point set,
 or a measured record's samples with equal weights; every mixture is a
-finite sum over that set.  The Glauber-Sudarshan P
-function itself is never represented; everything observable here
-(photon-number distributions, quadrature means and variances) follows from
-these mixtures.
+finite sum over that set.  The Glauber-Sudarshan P function itself is
+never represented; everything observable here (photon-number
+distributions, quadrature means and variances) follows from these
+mixtures.  Each input state gives its own law: its eta = 1 cutoff, its
+log-space pmf entries and its ratio P(n + 1) / P(n), if it steps.
 
-A photon-number pmf entry after a fixed loss is the ``exp`` of its
-logarithm, good to about |ln P| ulp (2e-15 relative at |alpha|^2 = 4,
-1e-12 at |alpha|^2 = 900).  A mixture computes only every 32nd photon
-number n0 = 0, 32, 64, ... that way and steps from each to the next 31 by
-the recurrence P(n + 1) = P(n) |alpha|^2 eta / (n + 1) (coherent) or
-P(n + 1) = P(n) m / (1 + m), m = nbar eta (thermal), with no ``exp``; the
-steps add at most 62 roundings, 7e-15, to an entry.  Fock states, whose
-ratio eta / (1 - eta) (N - n) / (n + 1) is singular at eta = 1, and
-mixtures of fewer than 2^15 pmf entries (nodes x photon numbers), where a
-step's Python overhead costs more than the ``exp``s it saves, take every
-entry in log space.
+Accuracy.  A pmf entry after a fixed loss is the ``exp`` of its logarithm,
+good to about |ln P| ulp (2e-15 relative at |alpha|^2 = 4, 1e-12 at
+|alpha|^2 = 900).  A mixture seeds only every 32nd photon number n0 = 0,
+32, 64, ... that way and steps from each to the next 31 by the state's
+ratio, with no ``exp``; the steps add at most 62 roundings, 7e-15, to an
+entry.  An entry lost to a seed that underflows is below 1e-268 (scanned
+over |alpha|^2 eta up to 1e5).  On 50 nodes at |alpha|^2 = 900 the pmf is
+1.04e-12 off a 40-digit sum on entries >= 1e-250, where seeding every
+entry is 1.38e-12 off.  Fock states, which have no ratio, and mixtures of
+fewer than 2^15 pmf entries (nodes x photon numbers), where a step's
+Python overhead costs more than the ``exp``s it saves, seed every entry.
 """
 
 from __future__ import annotations
 
-import cmath
 import math
 import numbers
 from dataclasses import dataclass
@@ -52,7 +52,6 @@ __all__ = [
     "EmpiricalChannel",
     "ChannelSpec",
     "PhotonStats",
-    "default_n_max",
     "loss_pmf",
     "channel_pmf",
     "quadrature_moments",
@@ -78,17 +77,58 @@ class Coherent:
     alpha: complex
 
     def __post_init__(self):
-        if not cmath.isfinite(self.alpha):
-            raise DomainError("Coherent: alpha must be finite")
+        try:
+            finite = math.isfinite(self.mean_n)
+        except OverflowError:  # abs(alpha) ** 2 overflows above |alpha| = 1.34e154
+            finite = False
+        if not finite:
+            raise DomainError(f"Coherent: alpha={self.alpha!r} needs a finite |alpha|^2")
 
     @property
     def mean_n(self) -> float:
         return abs(self.alpha) ** 2
 
+    def cutoff(self) -> int:
+        """Smallest n_max leaving at most 0.1 ``TAIL_BOUND`` out at eta = 1."""
+        mu = self.mean_n
+        if mu == 0.0:
+            return 0
+        # smallest n with P(N > n) <= 0.1 TAIL_BOUND, searched from the quantile
+        n = special.pdtrik(1.0 - 0.1 * TAIL_BOUND, mu)
+        if math.isnan(n):  # scipy gives NaN from mu = 9.9e10 on, far beyond the cap
+            raise DomainError(f"Coherent: |alpha|^2={mu:g} is too large for a cutoff")
+        n = max(int(n), 0)
+        while special.pdtrc(n, mu) > 0.1 * TAIL_BOUND:
+            n += 1
+        while n > 0 and special.pdtrc(n - 1, mu) <= 0.1 * TAIL_BOUND:
+            n -= 1
+        return n
+
+    def log_pmf(self, eta, n):
+        """Poisson: n ln mu - mu - ln n!, mu = |alpha|^2 eta."""
+        mu = eta * self.mean_n
+        with np.errstate(divide="ignore", invalid="ignore"):
+            out = n * np.log(mu)
+        if n[0, 0] == 0:
+            out[0] = 0.0  # 0 ln 0 = 0, where ln x = -inf gave NaN
+        out -= mu
+        out -= special.gammaln(n + 1.0)
+        return out
+
+    def ratio(self, eta, n0, spacing):
+        """|alpha|^2 eta / (n + 1): |alpha|^2 eta per node, n0! / n! per row."""
+        # n0! / (n0 + k)! = 1 / (n0 + 1) / ... / (n0 + k), one division at a
+        # time; w P(n0) (|alpha|^2 eta)^k stays below (n0 + 31)^31, finite
+        # for any n_max a pmf array can have
+        steps = np.arange(spacing)[:, None] + n0.astype(float)
+        steps[0] = 1.0
+        return eta * self.mean_n, np.divide.accumulate(steps, axis=0)
+
 
 @dataclass(frozen=True)
 class Fock:
     n: int
+    ratio = None  # eta / (1 - eta) (N - n) / (n + 1) is singular at eta = 1
 
     def __post_init__(self):
         if not (isinstance(self.n, numbers.Integral) and self.n >= 0):
@@ -97,6 +137,20 @@ class Fock:
     @property
     def mean_n(self) -> float:
         return float(self.n)
+
+    def cutoff(self) -> int:
+        return self.n
+
+    def log_pmf(self, eta, n):
+        """Binomial: ln C(N, k) + k ln eta + (N - k) ln(1 - eta), -inf for k > N."""
+        k = n[n[:, 0] <= self.n]
+        # ln C(N, k) by betaln: 7e-15 off at N = 60, where gammaln is 7e-14 off
+        logc = -math.log1p(self.n) - special.betaln(self.n - k + 1.0, k + 1.0)
+        out = np.full((n.shape[0], eta.size), -np.inf)
+        rows = special.xlogy(k, eta, out=out[: k.shape[0]])
+        rows += logc
+        rows += special.xlog1py(self.n - k, -eta)
+        return out
 
 
 @dataclass(frozen=True)
@@ -110,6 +164,29 @@ class Thermal:
     @property
     def mean_n(self) -> float:
         return self.nbar
+
+    def cutoff(self) -> int:
+        # the eta = 1 tail is (nbar / (1 + nbar))^(n + 1)
+        r = self.nbar / (1.0 + self.nbar)
+        if r == 1.0:
+            raise DomainError(f"Thermal: nbar={self.nbar} is too large for a cutoff: "
+                              "nbar / (1 + nbar) rounds to 1")
+        return max(int(math.ceil(math.log(0.1 * TAIL_BOUND) / math.log(r))) + 1, 1)
+
+    def log_pmf(self, eta, n):
+        """Geometric: n ln r - ln(1 + m), m = nbar eta, ln r = -ln(1 + 1 / m)."""
+        m = eta * self.nbar
+        with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
+            out = n * -np.log1p(1.0 / m)  # 1 / m overflows below m = 1e-308
+        if n[0, 0] == 0:
+            out[0] = 0.0  # 0 ln 0 = 0, where ln 0 = -inf gave NaN
+        out -= np.log1p(m)
+        return out
+
+    def ratio(self, eta, n0, spacing):
+        """m / (1 + m), m = nbar eta, with no scale per row."""
+        m = eta * self.nbar
+        return m / (1.0 + m), 1.0
 
 
 InputState = Union[Coherent, Fock, Thermal]
@@ -165,62 +242,11 @@ class PhotonStats:
             raise DomainError("PhotonStats: negative pmf entry")
 
 
-def default_n_max(state: InputState) -> int:
-    """Smallest cutoff keeping the eta = 1 tail below the tail contract."""
-    if isinstance(state, Fock):
-        return state.n
-    if isinstance(state, Coherent):
-        mu = state.mean_n
-        if mu == 0.0:
-            return 0
-        # smallest n with P(N > n) <= 0.1 TAIL_BOUND, searched from the quantile
-        n = max(int(special.pdtrik(1.0 - 0.1 * TAIL_BOUND, mu)), 0)
-        while special.pdtrc(n, mu) > 0.1 * TAIL_BOUND:
-            n += 1
-        while n > 0 and special.pdtrc(n - 1, mu) <= 0.1 * TAIL_BOUND:
-            n -= 1
-        return n
-    # thermal tail: (nbar / (1 + nbar))^(n+1)
-    ratio = state.nbar / (1.0 + state.nbar)
-    if ratio == 1.0:
-        raise DomainError(f"default_n_max: Thermal nbar={state.nbar} is too large: "
-                          "nbar / (1 + nbar) rounds to 1")
-    n = int(math.ceil(math.log(0.1 * TAIL_BOUND) / math.log(ratio))) + 1
-    return max(n, 1)
-
-
 def _pmf_matrix(state: InputState, eta, n) -> np.ndarray:
     """Photon-number pmf entries after fixed-loss channels, each the ``exp``
     of its log: row j, column i holds P(n[j]) at transmittance eta[i], for
     ascending photon numbers n."""
-    eta = np.asarray(eta, dtype=float)
-    n = np.asarray(n)[:, None]
-    if isinstance(state, Fock):
-        if state.n > n[-1, 0]:
-            raise DomainError(f"n_max={n[-1, 0]} below Fock occupation {state.n}")
-        k = n[n[:, 0] <= state.n]
-        # ln C(N, k) by betaln: 7e-15 off at N = 60, where gammaln is 7e-14 off
-        logc = -math.log1p(state.n) - special.betaln(state.n - k + 1.0, k + 1.0)
-        out = np.zeros((n.shape[0], eta.size))
-        log_pmf = special.xlogy(k, eta, out=out[: k.shape[0]])
-        log_pmf += logc
-        log_pmf += special.xlog1py(state.n - k, -eta)
-        np.exp(log_pmf, out=log_pmf)
-        return out
-    with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
-        if isinstance(state, Coherent):
-            mu = eta * state.mean_n
-            out = n * np.log(mu)
-        else:  # thermal: r^n / (1 + m), ln r = -ln(1 + 1/m), r = m / (1 + m)
-            m = eta * state.nbar
-            out = n * -np.log1p(1.0 / m)  # 1 / m overflows below m = 1e-308
-    if n[0, 0] == 0:
-        out[0] = 0.0  # 0 ln 0 = 0, where ln x = -inf gave NaN
-    if isinstance(state, Coherent):
-        out -= mu
-        out -= special.gammaln(n + 1.0)
-    else:
-        out -= np.log1p(m)
+    out = state.log_pmf(np.asarray(eta, dtype=float), np.asarray(n)[:, None])
     return np.exp(out, out=out)
 
 
@@ -231,12 +257,9 @@ def _weighted_columns(state: InputState, eta: np.ndarray, weight: np.ndarray,
     to spacing - 1 beyond.
 
     The seeds n0 = 0, spacing, 2 spacing, ... are :func:`_pmf_matrix`'s
-    log-space entries.  Each next photon number multiplies the last by the
-    state's ratio P(n + 1) / P(n): m / (1 + m), m = nbar eta, for thermal
-    light, and |alpha|^2 eta / (n + 1) for coherent light, whose 1 / (n + 1)
-    is taken out of the sum over the nodes as the factor n0! / n! of each
-    seed's row.  Fock states take spacing 1: their ratio
-    eta / (1 - eta) (N - n) / (n + 1) is singular at eta = 1.
+    entries; each next photon number multiplies the last by the per-node
+    factor of ``state.ratio``, and each seed's row by its scale at the end
+    (the accuracy is in the module docstring).
     """
     n0 = np.arange(0, n_max + 1, spacing)
     q = _pmf_matrix(state, eta, n0)
@@ -245,54 +268,24 @@ def _weighted_columns(state: InputState, eta: np.ndarray, weight: np.ndarray,
     q.sum(axis=1, out=sums[0])
     if spacing == 1:
         return sums.T
-    if isinstance(state, Coherent):
-        factor = eta * state.mean_n
-        # n0! / (n0 + k)! = 1 / (n0 + 1) / ... / (n0 + k), one division at a
-        # time; q = w P(n0) (|alpha|^2 eta)^k stays below (n0 + 31)^31,
-        # finite for any n_max a pmf array can have
-        steps = np.arange(spacing)[:, None] + n0.astype(float)
-        steps[0] = 1.0
-        scale = np.divide.accumulate(steps, axis=0)
-    else:  # thermal
-        m = eta * state.nbar
-        factor, scale = m / (1.0 + m), 1.0
+    factor, scale = state.ratio(eta, n0, spacing)
     for k in range(1, min(spacing, n_max + 1)):
         q *= factor
         q.sum(axis=1, out=sums[k])
     return (sums * scale).T
 
 
-def _stats_from_pmf(pmf: np.ndarray, state: InputState, caller: str) -> PhotonStats:
-    """Moments of a pmf over 0..n_max; raises :class:`DomainError`, naming
-    the cutoff that would do, when the pmf leaves more than ``TAIL_BOUND``
-    of the mass beyond n_max."""
-    n = np.arange(pmf.size)
-    total = float(pmf.sum())
-    tail = max(1.0 - total, 0.0)
-    if tail > TAIL_BOUND:
-        raise DomainError(
-            f"{caller}: tail {tail:.2e} exceeds {TAIL_BOUND} at n_max={pmf.size - 1}; "
-            f"suggest n_max >= {default_n_max(state)}"
-        )
-    mean = _node_sum(pmf, n)
-    second = _node_sum(pmf, n * n)
-    var = second - mean * mean
-    q = (var - mean) / mean if mean > 0.0 else 0.0
-    return PhotonStats(pmf=pmf, mean=mean, variance=var, mandel_q=q,
-                       tail_bound=tail)
-
-
-def _cutoff(state: InputState, n_max, caller: str) -> int:
-    """``n_max``, or ``default_n_max(state)`` for None; raises
+def _cutoff(state: InputState, n_max) -> int:
+    """``n_max``, or ``state.cutoff()`` for None; raises
     :class:`DomainError`, before anything is allocated, unless it is an
     integer >= 0 (numpy's too) with n_max + 1 at most ``MAX_PMF_ENTRIES``
     (2^26)."""
     if n_max is None:
-        n_max = default_n_max(state)
+        n_max = state.cutoff()
     elif not (isinstance(n_max, numbers.Integral) and n_max >= 0):
-        raise DomainError(f"{caller}: n_max={n_max!r} must be an integer >= 0")
+        raise DomainError(f"channel_pmf: n_max={n_max!r} must be an integer >= 0")
     if n_max + 1 > MAX_PMF_ENTRIES:
-        raise DomainError(f"{caller}: n_max={n_max} for {state} (mean photon number "
+        raise DomainError(f"channel_pmf: n_max={n_max} for {state} (mean photon number "
                           f"{state.mean_n:g}) exceeds the cap of 2^26 pmf entries")
     return int(n_max)
 
@@ -311,16 +304,12 @@ def channel_pmf(state: InputState, channel: ChannelSpec,
 
     The pmf is sum_i w_i pmf(state, eta_i) over the channel's point set
     ``channel.nodes`` (eta_i, w_i).  Every ``_SEED_SPACING``-th (32nd) entry
-    is seeded in log space and the entries between follow by the recurrence
-    in n (see :func:`_weighted_columns`), so that the 31 of 32 entries cost
-    a multiplication each, not an ``exp``.  Fock states and point sets with
-    nodes x (n_max + 1) below ``_MIN_STEPPED_ENTRIES`` (2^15; 1425 nodes at
-    |alpha|^2 = 4) seed every entry.  A seeded entry is good to about
-    |ln P| ulp, and 31 steps add at most 62 roundings (7e-15); an entry lost
-    to a seed that underflows is below 1e-268 (scanned over |alpha|^2 eta up
-    to 1e5).  On 50 nodes at |alpha|^2 = 900 the pmf is 1.04e-12 off a
-    40-digit sum on entries >= 1e-250, where seeding every entry is 1.38e-12
-    off.
+    is seeded in log space and the entries between follow by the state's
+    ratio (see :func:`_weighted_columns`), so that 31 of 32 entries cost a
+    multiplication each, not an ``exp``.  States without a ratio (Fock) and
+    point sets with nodes x (n_max + 1) below ``_MIN_STEPPED_ENTRIES``
+    (2^15; 1425 nodes at |alpha|^2 = 4) seed every entry.  The accuracy of
+    both is stated in the module docstring.
 
     The nodes go in blocks whose working array, (seeds x nodes), holds at
     most ``_BLOCK_ELEMENTS`` entries, so that memory stays bounded for long
@@ -328,16 +317,15 @@ def channel_pmf(state: InputState, channel: ChannelSpec,
     pairwise sums in this thread, not BLAS products: OpenBLAS hands a large
     product to its other threads, at a flat cost of some 8 ms per call on a
     2-core host, and the last bits of the pmf would then depend on the
-    thread count.  Raises :class:`DomainError`, naming
-    ``default_n_max(state)``, when ``n_max`` leaves more than ``TAIL_BOUND``
-    of the mass out, and, before allocating anything, when ``n_max`` (given
-    or default) asks for more than ``MAX_PMF_ENTRIES`` (2^26) entries: a
-    thermal state's default cutoff does from nbar of about 3e6 on.
+    thread count.  Raises :class:`DomainError`, naming ``state.cutoff()``,
+    when ``n_max`` leaves more than ``TAIL_BOUND`` of the mass out, and,
+    before allocating anything, when ``n_max`` (given or default) asks for
+    more than ``MAX_PMF_ENTRIES`` (2^26) entries: a thermal state's default
+    cutoff does from nbar of about 3e6 on.
     """
-    n_max = _cutoff(state, n_max, "channel_pmf")
+    n_max = _cutoff(state, n_max)
     eta, weight = channel.nodes
-    stepped = (eta.size * (n_max + 1) >= _MIN_STEPPED_ENTRIES
-               and not isinstance(state, Fock))
+    stepped = state.ratio is not None and eta.size * (n_max + 1) >= _MIN_STEPPED_ENTRIES
     spacing = _SEED_SPACING if stepped else 1
     seeds = -(-(n_max + 1) // spacing)
     rows = max(_BLOCK_ELEMENTS // seeds, 1)
@@ -345,7 +333,16 @@ def channel_pmf(state: InputState, channel: ChannelSpec,
     for i in range(0, eta.size, rows):
         pmf += _weighted_columns(state, eta[i:i + rows], weight[i:i + rows],
                                  n_max, spacing)
-    return _stats_from_pmf(pmf.ravel()[: n_max + 1], state, "channel_pmf")
+    pmf = pmf.ravel()[: n_max + 1]
+    tail = max(1.0 - float(pmf.sum()), 0.0)
+    if tail > TAIL_BOUND:
+        raise DomainError(f"channel_pmf: tail {tail:.2e} exceeds {TAIL_BOUND} at "
+                          f"n_max={n_max}; suggest n_max >= {state.cutoff()}")
+    n = np.arange(n_max + 1)
+    mean = _node_sum(pmf, n)
+    var = _node_sum(pmf, n * n) - mean * mean
+    return PhotonStats(pmf=pmf, mean=mean, variance=var, tail_bound=tail,
+                       mandel_q=(var - mean) / mean if mean > 0.0 else 0.0)
 
 
 def quadrature_moments(state: Coherent, channel: ChannelSpec) -> tuple[float, float]:

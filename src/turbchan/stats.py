@@ -37,6 +37,8 @@ class EmpiricalSample:
 
     def __post_init__(self):
         v = np.asarray(self.values, dtype=float)
+        if v.ndim != 1:
+            raise DomainError(f"EmpiricalSample: values must be 1-D, not of shape {v.shape}")
         if v.size == 0:
             raise DomainError("EmpiricalSample: empty sample")
         if not np.all(np.isfinite(v)):
@@ -199,12 +201,12 @@ def corr_fn(series, lags) -> list[tuple[float, float]]:
     return out
 
 
-def integrated_autocorr_time(eta: np.ndarray, max_lag: int | None = None) -> float:
+def integrated_autocorr_time(eta: np.ndarray) -> float:
     """Integrated autocorrelation time in steps (>= 1), self-windowed.
 
-    Sums normalized autocorrelations until the first negative value or the
-    5 tau self-consistent window, whichever comes first; used to form
-    effective sample sizes for time-averaged estimates.
+    Sums normalized autocorrelations at lags below n / 4 until the first
+    negative value or the 5 tau self-consistent window, whichever comes
+    first; used to form effective sample sizes for time-averaged estimates.
     """
     x = np.asarray(eta, dtype=float)
     n = x.size
@@ -216,10 +218,8 @@ def integrated_autocorr_time(eta: np.ndarray, max_lag: int | None = None) -> flo
     var = float(np.mean(x * x))
     if var == 0.0:
         return 1.0
-    if max_lag is None:
-        max_lag = n // 4
     tau = 1.0
-    for k in range(1, max_lag):
+    for k in range(1, n // 4):
         rho = float(np.mean(x[:-k] * x[k:])) / var
         if rho <= 0.0:
             break

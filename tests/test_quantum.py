@@ -25,7 +25,6 @@ from turbchan.quantum import (
     PdtChannel,
     Thermal,
     channel_pmf,
-    default_n_max,
     ergodicity_report,
     loss_pmf,
     _pmf_matrix,
@@ -39,7 +38,7 @@ TARGET = pdt.MomentPair(0.45, 0.23)
 
 def quad_vec_pmf(state, model):
     """Mixture pmf by adaptive vector quadrature of the density, plus atoms."""
-    n_max = default_n_max(state)
+    n_max = state.cutoff()
     pmf, _ = integrate.quad_vec(
         lambda e: pdt.model_density(model, e) * loss_pmf(state, e, n_max).pmf,
         0.0, 1.0, epsabs=1e-13, epsrel=1e-11,
@@ -93,6 +92,13 @@ class TestLossPmf:
     def test_coherent_rejects_non_finite_alpha(self, alpha):
         with pytest.raises(DomainError):
             Coherent(alpha)
+
+    @pytest.mark.parametrize("alpha", [1e200, 1.35e154, complex(1e154, 1e154), 1e308])
+    def test_coherent_rejects_alpha_too_large_to_square(self, alpha):
+        # abs(alpha) ** 2 once raised a bare OverflowError from mean_n
+        with pytest.raises(DomainError, match=re.escape("finite |alpha|^2")):
+            loss_pmf(Coherent(alpha), 0.5)
+        assert Coherent(1.34e154).mean_n < math.inf
 
 
 class TestChannelPmf:
@@ -232,7 +238,7 @@ class TestChannelNodes:
     ], ids=["loss_pmf", "channel_pmf-fixed", "channel_pmf-beta"])
     def test_tail_cut_names_the_cutoff(self, call):
         state = Coherent(4.0)
-        with pytest.raises(DomainError, match=f"suggest n_max >= {default_n_max(state)}$"):
+        with pytest.raises(DomainError, match=f"suggest n_max >= {state.cutoff()}$"):
             call(state)
 
     def test_empirical_quadrature_moments_are_sample_means(self):
@@ -332,7 +338,7 @@ class TestPmfMatrix:
     def test_within_former_formulas(self, state):
         # the former formulas' own error: 2.2e-12 at nbar = 100 (n ln m
         # cancels against (n + 1) ln(1 + m)), 1.1e-13 at N = 60
-        n_max = default_n_max(state)
+        n_max = state.cutoff()
         got = _pmf_matrix(state, self.ETAS, np.arange(n_max + 1))
         np.testing.assert_allclose(got, self.former(state, self.ETAS, n_max),
                                    rtol=3e-12, atol=1e-250)
@@ -371,7 +377,7 @@ class TestPerEntryOracles:
     @pytest.mark.parametrize("eta", ETAS)
     @pytest.mark.parametrize("state", STATES[:3], ids=repr)
     def test_stepped(self, state, eta):
-        n_max = default_n_max(state)  # 22, 51 and 2316: 1, 2 and 73 seeds
+        n_max = state.cutoff()  # 22, 51 and 2316: 1, 2 and 73 seeds
         got = quantum._weighted_columns(state, np.array([eta]), np.ones(1), n_max,
                                         quantum._SEED_SPACING).ravel()[: n_max + 1]
         want = oracle_pmf(state, eta, np.arange(n_max + 1))
@@ -531,10 +537,17 @@ def test_n_max_must_be_a_non_negative_integer(call):
 
 class TestNMaxSizing:
     def test_fock_cutoff(self):
-        assert default_n_max(Fock(5)) == 5
+        assert Fock(5).cutoff() == 5
+
+    def test_fock_cutoff_below_occupation(self):
+        # n_max < N: the tail contract names the cutoff, and at eta = 0 the
+        # truncated pmf is exact (both once raised "below Fock occupation")
+        with pytest.raises(DomainError, match="suggest n_max >= 4$"):
+            loss_pmf(Fock(4), 0.5, n_max=2)
+        assert loss_pmf(Fock(4), 0.0, n_max=2).pmf.tolist() == [1.0, 0.0, 0.0]
 
     def test_poisson_tail(self):
-        n = default_n_max(Coherent(2.0))
+        n = Coherent(2.0).cutoff()
         from scipy import stats as sps
 
         assert sps.poisson.sf(n, 4.0) <= 1e-9
@@ -543,7 +556,7 @@ class TestNMaxSizing:
     def test_poisson_cutoff_is_the_smallest(self, mean_n):
         # P(N > k) = P(Gamma(k + 1) < mean_n), in 40 digits; at 1755.43 a
         # running sum of the pmf is 1e-12 off and would give one more
-        n = default_n_max(Coherent(math.sqrt(mean_n)))
+        n = Coherent(math.sqrt(mean_n)).cutoff()
         with mpmath.workdps(40):
             tail = [mpmath.gammainc(k + 1, 0, mean_n, regularized=True) for k in (n, n - 1)]
         assert tail[0] <= 1e-10 < tail[1]
@@ -556,7 +569,7 @@ class TestNMaxSizing:
 
     def test_thermal_tail(self):
         st = Thermal(3.0)
-        n = default_n_max(st)
+        n = st.cutoff()
         assert (3.0 / 4.0) ** (n + 1) <= 1e-9
 
     @pytest.mark.parametrize("nbar", [1e16, 1e17, 1e300])
@@ -564,8 +577,8 @@ class TestNMaxSizing:
         # nbar / (1 + nbar) rounds to 1: the tail never falls (this once
         # raised ZeroDivisionError); at 1e15 the cutoff is 2.3e16
         with pytest.raises(DomainError, match=re.escape(f"nbar={nbar}")):
-            default_n_max(Thermal(nbar))
-        assert default_n_max(Thermal(1e15)) == pytest.approx(2.3e16, rel=0.01)
+            Thermal(nbar).cutoff()
+        assert Thermal(1e15).cutoff() == pytest.approx(2.3e16, rel=0.01)
 
     @pytest.mark.parametrize("state,n_max", [
         (Thermal(1e7), None),  # default cutoff 230 258 522
@@ -576,7 +589,7 @@ class TestNMaxSizing:
         # Thermal(1e7) once raised numpy's MemoryError for 1.72 GiB, and
         # Thermal(1e15) for 164 PiB
         assert quantum.MAX_PMF_ENTRIES == 2**26
-        named = f"n_max={default_n_max(state) if n_max is None else n_max} "
+        named = f"n_max={state.cutoff() if n_max is None else n_max} "
         tracemalloc.start()
         try:
             with pytest.raises(DomainError, match=re.escape(named)) as err:
@@ -588,11 +601,18 @@ class TestNMaxSizing:
         assert f"mean photon number {state.mean_n:g}" in str(err.value)
         assert peak < 2**16
 
+    @pytest.mark.parametrize("alpha", [1e5, 1e6, 1e100])
+    def test_coherent_far_above_cap_raises(self, alpha):
+        # scipy's Poisson quantile is NaN from |alpha|^2 = 9.9e10 on,
+        # which once raised ValueError converting it to an integer
+        with pytest.raises(DomainError, match="alpha"):
+            loss_pmf(Coherent(alpha), 0.5)
+
     def test_cutoff_at_cap_is_accepted(self):
         # n_max + 1 = 2^26 entries is the largest cutoff _cutoff lets through
-        assert quantum._cutoff(Thermal(1.0), 2**26 - 1, "test") == 2**26 - 1
+        assert quantum._cutoff(Thermal(1.0), 2**26 - 1) == 2**26 - 1
         with pytest.raises(DomainError, match="cap of 2\\^26"):
-            quantum._cutoff(Thermal(1.0), 2**26, "test")
+            quantum._cutoff(Thermal(1.0), 2**26)
 
 
 class TestErgodicityReport:

@@ -39,6 +39,13 @@ class TestEcdf:
         with pytest.raises(DomainError):
             EmpiricalSample(np.array([]))
 
+    @pytest.mark.parametrize("values", [np.array(0.5), np.full((2, 3), 0.5)],
+                             ids=["0-d", "2-d"])
+    def test_not_one_dimensional_rejected(self, values):
+        # a 2-D array was once sorted row by row, and a 0-d one raised AxisError
+        with pytest.raises(DomainError, match="1-D"):
+            EmpiricalSample(values)
+
     def test_out_of_range_rejected(self):
         with pytest.raises(DomainError):
             EmpiricalSample(np.array([0.5, 1.5]))
