@@ -2,13 +2,20 @@
 
 The first-order Marcum Q function, adaptive quadrature with an
 absolute-error contract, a damped-Newton solver for 2x2 moment-matching
-systems, and counter-based random streams.
+systems, counter-based random streams, the thread-count controls of the
+loaded OpenBLAS libraries, and the stand-in through which ``pdt`` and
+``quantum`` load ``scipy.special``.
 
-Importing this module loads no scipy subpackage.  ``scipy.integrate``
-(for :func:`adaptive_quad`) and ``scipy.stats`` (for :func:`marcum_q1`)
-load on first use: together they pull in ``scipy.optimize``, ``sparse``,
-``linalg`` and ``spatial``, a large share of a fresh process's import time
-and memory, and the wave-optics path never calls either function.
+What loads when.  Importing turbchan, or any of its modules, loads no scipy
+module, and wave optics runs on numpy alone.  ``scipy.special`` loads at
+the first special function that ``pdt`` or ``quantum`` evaluates (through
+:class:`_OnFirstUse`), ``scipy.integrate`` at the first
+:func:`adaptive_quad`, ``scipy.stats`` at the first :func:`marcum_q1`, and
+``scipy.optimize`` at ``pdt``'s first beam-wandering fit.
+``scipy.special`` alone brings some 85 modules (its array-API layer pulls
+in ``numpy.f2py``, ``numpy.testing`` and ``charset_normalizer``), about
+25 MB resident and 0.3 s of a fresh process's start; ``stats`` and
+``integrate`` add ``sparse``, ``linalg`` and ``spatial``.
 
 Random streams are Philox counter-based generators keyed by
 ``(master_seed, stream_index)``: the same pair always reproduces the same
@@ -18,6 +25,8 @@ results never depend on how work is scheduled across workers.
 
 from __future__ import annotations
 
+import ctypes
+import importlib
 import warnings
 from dataclasses import dataclass
 
@@ -54,6 +63,71 @@ class RngStream:
             dtype=np.uint64,
         )
         return np.random.Generator(np.random.Philox(key=key))
+
+
+# ---------------------------------------------------------------------------
+# Modules imported on first use
+# ---------------------------------------------------------------------------
+
+
+class _OnFirstUse:
+    """Stand-in for a module that is imported at its first attribute use.
+
+    ``special = _OnFirstUse(globals(), "scipy.special")`` binds ``special``
+    to the stand-in; the first ``special.name`` imports ``scipy.special``,
+    rebinds ``special`` in that namespace to the module itself and returns
+    the attribute, so every later lookup finds the module and runs no
+    import.
+    """
+
+    def __init__(self, namespace: dict, name: str):
+        self._namespace, self._name = namespace, name
+
+    def __getattr__(self, attr):
+        module = importlib.import_module(self._name)
+        self._namespace[self._name.rpartition(".")[2]] = module
+        return getattr(module, attr)
+
+
+# ---------------------------------------------------------------------------
+# BLAS thread controls
+# ---------------------------------------------------------------------------
+
+
+# Prefixes and suffixes of openblas_{get,set}_num_threads in the OpenBLAS
+# builds that NumPy and SciPy wheels load (64-bit-integer and plain,
+# prefixed or not).
+_BLAS_SYMBOLS = (("scipy_openblas_", "64_"), ("scipy_openblas_", ""),
+                 ("openblas_", "64_"), ("openblas_", ""))
+
+
+def _blas_controls() -> list:
+    """``(get, set)`` thread-count functions of every loaded OpenBLAS.
+
+    The libraries are found in ``/proc/self/maps``; one that exports no
+    getter and setter pair is left out, and without the file the list is
+    empty.
+    """
+    try:
+        with open("/proc/self/maps") as fh:
+            libs = sorted({ln.split()[-1] for ln in fh if "openblas" in ln.lower()})
+    except OSError:
+        return []
+    controls = []
+    for path in libs:
+        try:
+            lib = ctypes.CDLL(path)
+        except OSError:
+            continue
+        for prefix, suffix in _BLAS_SYMBOLS:
+            get = getattr(lib, f"{prefix}get_num_threads{suffix}", None)
+            put = getattr(lib, f"{prefix}set_num_threads{suffix}", None)
+            if get is not None and put is not None:
+                get.argtypes, get.restype = [], ctypes.c_int
+                put.argtypes, put.restype = [ctypes.c_int], None
+                controls.append((get, put))
+                break
+    return controls
 
 
 # ---------------------------------------------------------------------------

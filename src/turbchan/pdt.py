@@ -42,10 +42,13 @@ from functools import cached_property
 from typing import Sequence, Union
 
 import numpy as np
-from scipy import special
 
 from .errors import DomainError, NumericsError, SolverError
-from .numerics import RngStream, adaptive_quad, marcum_q1, solve2
+from .numerics import RngStream, _OnFirstUse, adaptive_quad, marcum_q1, solve2
+
+# scipy.special, imported at its first use, not with this module (see
+# turbchan.numerics)
+special = _OnFirstUse(globals(), "scipy.special")
 
 __all__ = [
     "EtaConvention",

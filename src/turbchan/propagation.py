@@ -17,12 +17,16 @@ Per-realization outputs are the aperture transmittance, the beam centroid,
 and the spot-shape second-moment matrix; their sample moments estimate the
 ensemble statistics used by the analytical transmittance-distribution
 models.
+
+This module needs numpy only: the vacuum steps are numpy's FFTs, one axis at
+a time and in place, so a wave-optics process loads no module beyond numpy
+and the standard library (see :mod:`turbchan.numerics` for what loads
+when).
 """
 
 from __future__ import annotations
 
 import contextlib
-import ctypes
 import functools
 import math
 import os
@@ -30,10 +34,9 @@ from dataclasses import dataclass
 from typing import Optional, Sequence
 
 import numpy as np
-import scipy.fft
 
 from .errors import ConfigError, DomainError
-from .numerics import RngStream
+from .numerics import RngStream, _blas_controls
 from .turbulence import (
     ChannelGeometry,
     Kolmogorov,
@@ -461,11 +464,15 @@ def _vacuum(u: np.ndarray, grid: Grid, k: float, dz: float) -> tuple[np.ndarray,
     not depend on the thread count.  The FFTs run on the calling thread
     only: in a pool an extra FFT thread would compete with the other
     workers, and in a serial run the second core builds the next screen's
-    rotation (see :func:`split_step`).
+    rotation (see :func:`split_step`).  They are numpy's, one axis at a
+    time and in place (``out=u``), so no spectrum array is allocated; they
+    release the GIL, which lets that helper thread run meanwhile.
     """
-    spec = scipy.fft.fft2(u, overwrite_x=True)
-    spec *= _kernel(grid, k, dz)
-    u = scipy.fft.ifft2(spec, overwrite_x=True)
+    np.fft.fft(u, axis=1, out=u)
+    np.fft.fft(u, axis=0, out=u)
+    u *= _kernel(grid, k, dz)
+    np.fft.ifft(u, axis=0, out=u)
+    np.fft.ifft(u, axis=1, out=u)
     absorbed = 0.0
     for index, w, absorption in _window(grid):
         block = u[index]
@@ -510,10 +517,11 @@ def split_step(fld: Field, screens: Sequence[SparseScreen], geom: ChannelGeometr
         steps = [dz / 2.0, *[dz] * (len(screens) - 1), dz / 2.0]
     for step in set(steps[1:]):
         _kernel(grid, k, step)
+    u = fld.values.astype(complex)  # a copy: the steps transform it in place
     if _launched:
-        u, leaked = fld.values.copy(), fld.leaked_power
+        leaked = fld.leaked_power
     else:
-        u, absorbed = _vacuum(fld.values.copy(), grid, k, steps[0])
+        u, absorbed = _vacuum(u, grid, k, steps[0])
         leaked = fld.leaked_power + absorbed
     n = grid.n
     rotation = np.empty_like(u)
@@ -756,42 +764,6 @@ def _screens(config: SimConfig, stream_index: int) -> list[SparseScreen]:
                           config.n_components, RngStream(config.seed, stream_index),
                           n_bands=config.n_bands, kappa_min=config.kappa_min,
                           kappa_max=config.kappa_max)
-
-
-# Prefixes and suffixes of openblas_{get,set}_num_threads in the OpenBLAS
-# builds that NumPy and SciPy wheels load (64-bit-integer and plain,
-# prefixed or not).
-_BLAS_SYMBOLS = (("scipy_openblas_", "64_"), ("scipy_openblas_", ""),
-                 ("openblas_", "64_"), ("openblas_", ""))
-
-
-def _blas_controls() -> list:
-    """``(get, set)`` thread-count functions of every loaded OpenBLAS.
-
-    The libraries are found in ``/proc/self/maps``; one that exports no
-    getter and setter pair is left out, and without the file the list is
-    empty.
-    """
-    try:
-        with open("/proc/self/maps") as fh:
-            libs = sorted({ln.split()[-1] for ln in fh if "openblas" in ln.lower()})
-    except OSError:
-        return []
-    controls = []
-    for path in libs:
-        try:
-            lib = ctypes.CDLL(path)
-        except OSError:
-            continue
-        for prefix, suffix in _BLAS_SYMBOLS:
-            get = getattr(lib, f"{prefix}get_num_threads{suffix}", None)
-            put = getattr(lib, f"{prefix}set_num_threads{suffix}", None)
-            if get is not None and put is not None:
-                get.argtypes, get.restype = [], ctypes.c_int
-                put.argtypes, put.restype = [ctypes.c_int], None
-                controls.append((get, put))
-                break
-    return controls
 
 
 def _one_blas_thread() -> None:

@@ -13,17 +13,23 @@ distributions, quadrature means and variances) follows from these
 mixtures.  Each input state gives its own law: its eta = 1 cutoff, its
 log-space pmf entries and its ratio P(n + 1) / P(n), if it steps.
 
-Accuracy.  A pmf entry after a fixed loss is the ``exp`` of its logarithm,
-good to about |ln P| ulp (2e-15 relative at |alpha|^2 = 4, 1e-12 at
-|alpha|^2 = 900).  A mixture seeds only every 32nd photon number n0 = 0,
-32, 64, ... that way and steps from each to the next 31 by the state's
-ratio, with no ``exp``; the steps add at most 62 roundings, 7e-15, to an
-entry.  An entry lost to a seed that underflows is below 1e-268 (scanned
-over |alpha|^2 eta up to 1e5).  On 50 nodes at |alpha|^2 = 900 the pmf is
-1.04e-12 off a 40-digit sum on entries >= 1e-250, where seeding every
-entry is 1.38e-12 off.  Fock states, which have no ratio, and mixtures of
-fewer than 2^15 pmf entries (nodes x photon numbers), where a step's
-Python overhead costs more than the ``exp``s it saves, seed every entry.
+Accuracy.  A pmf entry after a fixed loss is the ``exp`` of its logarithm.
+The Poisson logarithm at mean m = |alpha|^2 eta is taken in Loader's
+saddle-point form, whose terms do not cancel: it is good to about
+(|ln P| + ln n) ulp where n lies within 20 % of m, and to about n ulp
+beyond, where P < e^(-n/100).  Against 40 digits: 3e-15 relative at
+m = 4, 1.4e-13 at m = 900, 1.1e-12 at m = 1e4 on entries >= 1e-250, and
+1.2e-14 within 10 standard deviations of m = 4e6.  (The direct n ln m - m - ln n! would lose
+about n ln m ulp: at m = 4e6 its pmf sums to 1 - 2.3e-9.)  A mixture seeds
+only every 32nd photon number n0 = 0, 32, 64, ... that way and steps from
+each to the next 31 by the state's ratio, with no ``exp``; the steps add at
+most 62 roundings, 7e-15, to an entry.  An entry lost to a seed that
+underflows is below 1e-268 (scanned over |alpha|^2 eta up to 1e5).  On 50
+nodes at |alpha|^2 = 900 the pmf is 1.6e-13 off a 40-digit sum on entries
+>= 1e-250, where seeding every entry is 2.6e-13 off.  Fock states, which
+have no ratio, and mixtures of fewer than 2^15 pmf entries (nodes x photon
+numbers), where a step's Python overhead costs more than the ``exp``s it
+saves, seed every entry.
 """
 
 from __future__ import annotations
@@ -35,12 +41,16 @@ from functools import cached_property
 from typing import Optional, Union
 
 import numpy as np
-from scipy import special
 
 from .errors import DomainError
+from .numerics import _OnFirstUse
 from .pdt import PdtModel, _node_sum, _read_only, fractional_moment
 from .pdt import model_density  # noqa: F401  (benchmarks/workloads.py traces it here)
 from .stats import EmpiricalSample, integrated_autocorr_time
+
+# scipy.special, imported at its first use, not with this module (see
+# turbchan.numerics)
+special = _OnFirstUse(globals(), "scipy.special")
 
 __all__ = [
     "Coherent",
@@ -70,6 +80,58 @@ _SEED_SPACING = 32
 _MIN_STEPPED_ENTRIES = 1 << 15
 # most pmf entries (n_max + 1) a call may ask for: 512 MiB of float64
 MAX_PMF_ENTRIES = 1 << 26
+
+
+# stirlerr(n) = ln n! - (n + 1/2) ln n + n - ln(2 pi) / 2 at n = 0 .. 15 (the
+# n = 0 entry unused), rounded from 40 digits
+_STIRLERR = np.array([
+    0.0, 0.08106146679532726, 0.0413406959554093, 0.02767792568499834,
+    0.020790672103765093, 0.016644691189821193, 0.013876128823070748,
+    0.01189670994589177, 0.010411265261972096, 0.009255462182712733,
+    0.00833056343336287, 0.007573675487951841, 0.00694284010720953,
+    0.006408994188004207, 0.0059513701127588475, 0.005554733551962801])
+
+
+def _stirlerr(x: np.ndarray) -> np.ndarray:
+    """stirlerr(x) at integers x >= 1 (as floats): the table to 15, beyond
+    it Stirling's series to 1 / (1188 x^9), whose next term is below
+    1e-16 there (Loader, 2000)."""
+    xx = x * x
+    out = (1 / 12 - (1 / 360 - (1 / 1260 - (1 / 1680 - 1 / 1188 / xx) / xx) / xx) / xx) / x
+    small = x <= 15.0
+    out[small] = _STIRLERR[x[small].astype(int)]
+    return out
+
+
+# |v| < 0.1 for v = (x - mu) / (x + mu) = tanh(ln(x / mu) / 2)
+_BD0_NEAR = 2.0 * math.atanh(0.1)
+
+
+def _bd0(x: np.ndarray, mu: np.ndarray, out: np.ndarray) -> np.ndarray:
+    """x ln(x / mu) + mu - x >= 0 for x >= 1 and mu >= 0, into ``out``.
+
+    Where |v| < 0.1, v = (x - mu) / (x + mu), the terms cancel, and the
+    value is (x - mu) v + 2 x sum_j v^(2j+1) / (2j + 1), to j = 9 (Loader,
+    2000): the series' first left-out term is below 1e-18 of its first.
+    """
+    with np.errstate(divide="ignore", over="ignore"):  # x / mu = inf: P = 0
+        np.divide(x, mu, out=out)
+        np.log(out, out=out)
+    near = np.abs(out) < _BD0_NEAR
+    out *= x
+    out += mu
+    out -= x
+    if near.any():
+        x, mu = np.broadcast_to(x, near.shape)[near], np.broadcast_to(mu, near.shape)[near]
+        d = x - mu
+        v = d / (x + mu)
+        v2 = v * v
+        series = v2 / 19.0
+        for j in range(8, 0, -1):
+            series += 1.0 / (2 * j + 1)
+            series *= v2
+        out[near] = d * v + 2.0 * x * v * series
+    return out
 
 
 @dataclass(frozen=True)
@@ -105,14 +167,17 @@ class Coherent:
         return n
 
     def log_pmf(self, eta, n):
-        """Poisson: n ln mu - mu - ln n!, mu = |alpha|^2 eta."""
+        """Poisson in Loader's saddle-point form, mu = |alpha|^2 eta:
+        -bd0(n, mu) - ln(2 pi n) / 2 - stirlerr(n), and -mu at n = 0."""
         mu = eta * self.mean_n
-        with np.errstate(divide="ignore", invalid="ignore"):
-            out = n * np.log(mu)
-        if n[0, 0] == 0:
-            out[0] = 0.0  # 0 ln 0 = 0, where ln x = -inf gave NaN
-        out -= mu
-        out -= special.gammaln(n + 1.0)
+        out = np.empty((n.shape[0], mu.size))
+        first = int(n[0, 0] == 0)
+        np.negative(mu, out=out[:first])
+        if first < n.shape[0]:
+            x = n[first:].astype(float)
+            rows = _bd0(x, mu, out[first:])
+            rows += 0.5 * np.log(2.0 * math.pi * x) + _stirlerr(x)
+            np.negative(rows, out=rows)
         return out
 
     def ratio(self, eta, n0, spacing):
@@ -321,7 +386,9 @@ def channel_pmf(state: InputState, channel: ChannelSpec,
     when ``n_max`` leaves more than ``TAIL_BOUND`` of the mass out, and,
     before allocating anything, when ``n_max`` (given or default) asks for
     more than ``MAX_PMF_ENTRIES`` (2^26) entries: a thermal state's default
-    cutoff does from nbar of about 3e6 on.
+    cutoff does from nbar of about 3e6 on.  The mean and variance are those
+    of the pmf as computed, taken about its own total: a shortfall of that
+    total from 1 does not enter the variance times mean^2.
     """
     n_max = _cutoff(state, n_max)
     eta, weight = channel.nodes
@@ -334,13 +401,15 @@ def channel_pmf(state: InputState, channel: ChannelSpec,
         pmf += _weighted_columns(state, eta[i:i + rows], weight[i:i + rows],
                                  n_max, spacing)
     pmf = pmf.ravel()[: n_max + 1]
-    tail = max(1.0 - float(pmf.sum()), 0.0)
+    total = float(pmf.sum())
+    tail = max(1.0 - total, 0.0)
     if tail > TAIL_BOUND:
         raise DomainError(f"channel_pmf: tail {tail:.2e} exceeds {TAIL_BOUND} at "
                           f"n_max={n_max}; suggest n_max >= {state.cutoff()}")
     n = np.arange(n_max + 1)
-    mean = _node_sum(pmf, n)
-    var = _node_sum(pmf, n * n) - mean * mean
+    mean = _node_sum(pmf, n) / total
+    dev = n - mean
+    var = _node_sum(pmf, dev * dev) / total
     return PhotonStats(pmf=pmf, mean=mean, variance=var, tail_bound=tail,
                        mandel_q=(var - mean) / mean if mean > 0.0 else 0.0)
 

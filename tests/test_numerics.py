@@ -95,44 +95,63 @@ class TestAdaptiveQuad:
 
 # Run in a fresh interpreter: this test module imports scipy.integrate and
 # scipy.stats at its top, so only a new process sees what turbchan itself
-# loads, and exercises the first-use imports of adaptive_quad and marcum_q1.
+# loads, and exercises the first-use imports of scipy.special (pdt, quantum),
+# adaptive_quad and marcum_q1.
 _FRESH_IMPORTS = """\
 import importlib, json, math, pkgutil, sys
-sys.path.insert(0, sys.argv[1])
+sys.path[:0] = sys.argv[1:3]
 import turbchan
+def scipy_modules():
+    return sorted(m for m in sys.modules if m.split(".")[0] == "scipy")
 names = [m.name for m in pkgutil.iter_modules(turbchan.__path__, "turbchan.")]
 for name in names:
     importlib.import_module(name)
-loaded = sorted(m for m in sys.modules if m.startswith("scipy."))
+loaded = scipy_modules()
+from test_propagation import small_config
+from turbchan import pdt, propagation
+config = small_config(n_realizations=2)
+runs = [propagation.run_ensemble(config, workers=w) for w in (1, 2)]
+ran = scipy_modules()
+tln = pdt.TruncLogNormal(0.4, 0.3)
+cdf = pdt.model_cdf(tln, 0.5)
+import scipy.special, scipy.stats
+ref = scipy.stats.lognorm(s=math.sqrt(tln.sigma2), scale=math.exp(-tln.mu))
 from turbchan.numerics import adaptive_quad, marcum_q1
 print(json.dumps({
     "file": turbchan.__file__,
     "modules": names,
     "loaded": loaded,
+    "ran": ran,
+    "records": len(runs[0]),
+    "same_records": runs[0] == runs[1],
+    "cdf": [cdf, ref.cdf(0.5) / ref.cdf(1.0)],
+    "special_bound": pdt.special is scipy.special,
     "quad": adaptive_quad(lambda x: x * x, 0.0, 1.0, 1e-12),
     "q1": marcum_q1(0.0, 1.5),
     "after": sorted(m for m in sys.modules if m.startswith("scipy.")),
 }))
 """
 
-_DEFERRED = ("scipy.integrate", "scipy.optimize", "scipy.sparse", "scipy.linalg",
-             "scipy.spatial", "scipy.stats")
-
 
 class TestImportSet:
-    """Importing turbchan loads no slow scipy subpackage; adaptive_quad and
-    marcum_q1 import theirs on first use."""
+    """Importing turbchan, and running wave optics with it, loads no scipy
+    module; pdt's scipy.special, adaptive_quad's scipy.integrate and
+    marcum_q1's scipy.stats load on first use."""
 
     def test_fresh_interpreter(self):
-        src = Path(__file__).resolve().parents[1] / "src"
-        out = subprocess.run([sys.executable, "-c", _FRESH_IMPORTS, str(src)],
+        tests = Path(__file__).resolve().parent
+        src = tests.parent / "src"
+        out = subprocess.run([sys.executable, "-c", _FRESH_IMPORTS, str(src), str(tests)],
                              capture_output=True, text=True, check=True, timeout=120)
         got = json.loads(out.stdout)
         assert Path(got["file"]).resolve().parent == src / "turbchan"
         assert {"turbchan.numerics", "turbchan.pdt", "turbchan.propagation",
                 "turbchan.quantum"} <= set(got["modules"])
-        early = [m for m in got["loaded"] if m.startswith(_DEFERRED)]
-        assert early == []
+        assert got["loaded"] == []
+        assert got["ran"] == []
+        assert got["records"] == 2 and got["same_records"]
+        assert got["cdf"][0] == pytest.approx(got["cdf"][1], rel=1e-12, abs=0.0)
+        assert got["special_bound"]
         assert got["quad"] == pytest.approx(1.0 / 3.0, rel=1e-14)
         assert got["q1"] == pytest.approx(math.exp(-1.125), rel=1e-12)
         assert {"scipy.integrate", "scipy.stats"} <= set(got["after"])

@@ -303,8 +303,10 @@ class TestPmfMatrix:
         with np.errstate(divide="ignore", invalid="ignore"):
             if isinstance(state, Coherent):
                 mu = eta * state.mean_n
-                return np.exp(np.where(n == 0, 0.0, n * np.log(mu)) - mu
-                              - special.gammaln(n + 1.0))
+                x = np.maximum(n, 1).astype(float)
+                bd0 = quantum._bd0(x, mu, np.empty((x.size, mu.size)))
+                log_p = -(bd0 + (0.5 * np.log(2.0 * math.pi * x) + quantum._stirlerr(x)))
+                return np.exp(np.where(n == 0, -mu, log_p))
             m = eta * state.nbar
             return np.exp(np.where(n == 0, 0.0, n * -np.log1p(1.0 / m)) - np.log1p(m))
 
@@ -317,10 +319,15 @@ class TestPmfMatrix:
 
     @staticmethod
     def former(state, eta, n_max):
-        """The thermal and Fock pmf matrices as computed before their seeds
-        were made accurate: n ln m - (n + 1) ln(1 + m), and ln C(N, k) from
-        three gammaln."""
+        """The pmf matrices as computed before their seeds were made
+        accurate: n ln mu - mu - ln n! for coherent light, n ln m - (n + 1)
+        ln(1 + m) for thermal light, and ln C(N, k) from three gammaln."""
         n = np.arange(n_max + 1)[:, None]
+        if isinstance(state, Coherent):
+            mu = eta * state.mean_n
+            with np.errstate(divide="ignore", invalid="ignore"):
+                return np.exp(np.where(n == 0, 0.0, n * np.log(mu)) - mu
+                              - special.gammaln(n + 1.0))
         if isinstance(state, Fock):
             k = n[: state.n + 1]
             logc = (special.gammaln(state.n + 1.0) - special.gammaln(k + 1.0)
@@ -333,15 +340,58 @@ class TestPmfMatrix:
         with np.errstate(divide="ignore", invalid="ignore"):
             return np.exp(np.where(n == 0, 0.0, n * np.log(m)) - (n + 1) * np.log1p(m))
 
-    @pytest.mark.parametrize("state", [Thermal(1.7), Thermal(100.0), Fock(4), Fock(60)],
-                             ids=repr)
+    @pytest.mark.parametrize("state", [Coherent(2.0), Coherent(30.0), Thermal(1.7),
+                                       Thermal(100.0), Fock(4), Fock(60)], ids=repr)
     def test_within_former_formulas(self, state):
-        # the former formulas' own error: 2.2e-12 at nbar = 100 (n ln m
-        # cancels against (n + 1) ln(1 + m)), 1.1e-13 at N = 60
+        # the former formulas' own error: 1.7e-12 at |alpha|^2 = 900 (n ln mu
+        # cancels against mu + ln n!), 2.2e-12 at nbar = 100 (n ln m cancels
+        # against (n + 1) ln(1 + m)), 1.1e-13 at N = 60
         n_max = state.cutoff()
         got = _pmf_matrix(state, self.ETAS, np.arange(n_max + 1))
         np.testing.assert_allclose(got, self.former(state, self.ETAS, n_max),
                                    rtol=3e-12, atol=1e-250)
+
+
+class TestLargeCoherentMean:
+    """Coherent seeds in Loader's saddle-point form, and moments about the
+    pmf's own total, at mean photon numbers up to 4e6."""
+
+    @pytest.mark.parametrize("mu", [1e4, 1e6, 4e6])
+    def test_seeds_match_mpmath(self, mu):
+        # 401 photon numbers spread over +-10 sigma about the mean
+        sigma = math.sqrt(mu)
+        n = np.unique(np.rint(np.linspace(mu - 10 * sigma, mu + 10 * sigma, 401)).astype(int))
+        got = _pmf_matrix(Coherent(math.sqrt(mu)), np.array([1.0]), n)[:, 0]
+        with mpmath.workdps(40):
+            m = mpmath.mpf(mu)
+            want = np.array([float(mpmath.exp(int(k) * mpmath.log(m) - m
+                                              - mpmath.loggamma(int(k) + 1))) for k in n])
+        np.testing.assert_allclose(got, want, rtol=1e-12, atol=0.0)
+
+    @pytest.mark.parametrize("mean_n", [1e4, 1e5, 1e6])
+    def test_fixed_eta_keeps_q_zero(self, mean_n):
+        # Q was 2.6e-4 at mean 5e5: the pmf's shortfall from 1 entered the
+        # variance times mean^2; the cut itself accounts for Q = -4e-9
+        ps = loss_pmf(Coherent(math.sqrt(mean_n)), 1.0)
+        assert abs(ps.mandel_q) <= 1e-8
+
+    @pytest.mark.parametrize("mean_n", [1e2, 1e4])
+    def test_beta_q_is_excess_variance(self, mean_n):
+        eta, weight = BETA22.nodes
+        m1 = float(np.sum(weight * eta))
+        var_eta = float(np.sum(weight * (eta - m1) ** 2))
+        ps = channel_pmf(Coherent(math.sqrt(mean_n)), PdtChannel(BETA22))
+        assert ps.mandel_q == pytest.approx(mean_n * var_eta / m1, rel=1e-9, abs=0.0)
+
+    def test_large_mean_tail_is_the_cut(self):
+        # raised "tail 2.26e-09 exceeds 1e-09" at its own suggested cutoff:
+        # the seeds' rounding, not lost mass; what is left out is the
+        # Poisson tail beyond n_max
+        ps = loss_pmf(Coherent(2e3), 1.0)
+        n_max = ps.pmf.size - 1
+        assert n_max == Coherent(2e3).cutoff()
+        assert ps.tail_bound == pytest.approx(sps.poisson.sf(n_max, 4e6), rel=0.0, abs=1e-12)
+        assert ps.mean == pytest.approx(4e6, rel=1e-12)
 
 
 def oracle_pmf(state, eta, n):
