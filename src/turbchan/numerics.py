@@ -1,17 +1,17 @@
 """Numerical kernels used throughout the package.
 
 The first-order Marcum Q function, adaptive quadrature with an
-absolute-error contract, a damped-Newton solver for 2x2 moment-matching
-systems, counter-based random streams, the thread-count controls of the
-loaded OpenBLAS libraries, and the stand-in through which ``pdt`` and
-``quantum`` load ``scipy.special``.
+absolute-error contract, a solver for 2x2 moment-matching systems as two
+nested bracketed roots, counter-based random streams, the thread-count
+controls of the loaded OpenBLAS libraries, and the stand-in through which
+``pdt`` and ``quantum`` load ``scipy.special``.
 
 What loads when.  Importing turbchan, or any of its modules, loads no scipy
 module, and wave optics runs on numpy alone.  ``scipy.special`` loads at
 the first special function that ``pdt`` or ``quantum`` evaluates (through
 :class:`_OnFirstUse`), ``scipy.integrate`` at the first
 :func:`adaptive_quad`, ``scipy.stats`` at the first :func:`marcum_q1`, and
-``scipy.optimize`` at ``pdt``'s first beam-wandering fit.
+``scipy.optimize`` at the first :func:`solve2` or beam-wandering fit.
 ``scipy.special`` alone brings some 85 modules (its array-API layer pulls
 in ``numpy.f2py``, ``numpy.testing`` and ``charset_normalizer``), about
 25 MB resident and 0.3 s of a fresh process's start; ``stats`` and
@@ -25,6 +25,7 @@ results never depend on how work is scheduled across workers.
 
 from __future__ import annotations
 
+import contextlib
 import ctypes
 import importlib
 import warnings
@@ -34,12 +35,7 @@ import numpy as np
 
 from .errors import DomainError, NumericsError, SolverError
 
-__all__ = [
-    "RngStream",
-    "marcum_q1",
-    "adaptive_quad",
-    "solve2",
-]
+__all__ = ["RngStream", "marcum_q1", "adaptive_quad", "solve2"]
 
 _TWO64 = 2**64
 
@@ -201,82 +197,51 @@ def adaptive_quad(f, lo: float, hi: float, tol: float = 1e-10) -> float:
     return float(value)
 
 
-_SOLVE2_MAX_ITER = 80  # Newton steps per start
+def solve2(f, g, inner_bracket, lo: float, hi: float, *,
+           floor: float = 0.05) -> tuple[float, float]:
+    """Solve f(x, y) = 0 = g(x, y) as two nested ``brentq`` roots.
 
-
-def solve2(F, x0, tol: float = 1e-10, *, scan=None) -> np.ndarray:
-    """Solve the 2x2 system F(x) = 0 by damped Newton iteration.
-
-    The Jacobian comes from central finite differences; each start takes at
-    most ``_SOLVE2_MAX_ITER`` Newton steps.  If iteration from ``x0`` stalls
-    and ``scan=(lo, hi, n)`` is given, the box is scanned on an n x n grid
-    and Newton restarts from the best point.  Callers needing positive
-    parameters should solve in log space and exponentiate.
+    y(x) is the root of f(x, .) in ``inner_bracket(x)``; x is the root of
+    h(x) = g(x, y(x)), which must rise through zero in [lo, hi].  An x where
+    g raises :class:`NumericsError` lies outside the evaluable region: the
+    next trial halves the wider gap between the failed points and the
+    nearest evaluated ones around the root.  Raises :class:`SolverError`
+    when h(lo) > 0, h(hi) <= 0 or h(lo) cannot be evaluated, and when that
+    gap is narrower than ``floor``.  Imports ``scipy.optimize`` on first use.
     """
+    from scipy.optimize import brentq  # imported here: it is slow to import
 
-    def newton(x_start):
-        x = np.asarray(x_start, dtype=float).copy()
-        fx = np.asarray(F(x), dtype=float)
-        best = (float(np.max(np.abs(fx))), x.copy())
-        for _ in range(_SOLVE2_MAX_ITER):
-            nrm = float(np.max(np.abs(fx)))
-            if nrm <= tol:
-                return x, nrm
-            if nrm < best[0]:
-                best = (nrm, x.copy())
-            J = np.empty((2, 2))
-            for j in range(2):
-                h = 1e-7 * max(1.0, abs(x[j]))
-                xp, xm = x.copy(), x.copy()
-                xp[j] += h
-                xm[j] -= h
-                J[:, j] = (np.asarray(F(xp), float) - np.asarray(F(xm), float)) / (2 * h)
-            try:
-                step = np.linalg.solve(J, -fx)
-            except np.linalg.LinAlgError:
-                step, *_ = np.linalg.lstsq(J, -fx, rcond=None)
-            if not np.all(np.isfinite(step)):
-                break
-            lam, accepted = 1.0, False
-            for _ in range(14):
-                x_new = x + lam * step
-                f_new = np.asarray(F(x_new), dtype=float)
-                if np.all(np.isfinite(f_new)) and np.max(np.abs(f_new)) < nrm:
-                    x, fx, accepted = x_new, f_new, True
-                    break
-                lam *= 0.5
-            if not accepted:
-                break
-        nrm = float(np.max(np.abs(fx)))
-        if nrm < best[0]:
-            best = (nrm, x.copy())
-        return best[1], best[0]
+    values, tried = {}, []  # h where g could be evaluated; every x tried
 
-    x, resid = newton(x0)
-    if resid <= tol:
-        return x
-    if scan is not None:
-        lo, hi, n = scan
-        lo = np.asarray(lo, float)
-        hi = np.asarray(hi, float)
-        g0 = np.linspace(lo[0], hi[0], n)
-        g1 = np.linspace(lo[1], hi[1], n)
-        best_pt, best_nrm = None, np.inf
-        for u in g0:
-            for v in g1:
-                fv = np.asarray(F(np.array([u, v])), dtype=float)
-                if np.all(np.isfinite(fv)):
-                    nrm = float(np.max(np.abs(fv)))
-                    if nrm < best_nrm:
-                        best_nrm, best_pt = nrm, np.array([u, v])
-        if best_pt is not None:
-            x2, resid2 = newton(best_pt)
-            if resid2 <= tol:
-                return x2
-            if resid2 < resid:
-                x, resid = x2, resid2
-    raise SolverError(
-        f"solve2: no convergence (best residual {resid:.3e} > tol {tol:.3e})",
-        best_residual=resid,
-        best_x=x,
-    )
+    def y_of(x):
+        return brentq(lambda y: f(x, y), *inner_bracket(x), xtol=1e-15)
+
+    def h(x):
+        if x not in values:
+            tried.append(x)
+            values[x] = g(x, y_of(x))
+        return values[x]
+
+    with contextlib.suppress(NumericsError):
+        if h(lo) <= 0.0:
+            h(hi)
+    if values.get(lo, 1.0) > 0.0 or values.get(hi, 1.0) <= 0.0:
+        raise SolverError(f"solve2: no root in [lo, hi]: h = {values.get(lo)}, {values.get(hi)}")
+    x = hi
+    while True:
+        above = min((k for k, v in values.items() if v > 0.0), default=np.inf)
+        below = max(k for k, v in values.items() if v <= 0.0 and k < above)
+        if x in values and above < np.inf:
+            with contextlib.suppress(NumericsError):
+                x = brentq(h, below, above, xtol=1e-15)
+                return x, y_of(x)
+            x = tried[-1]  # where brentq met a point that failed
+            continue
+        # halve the wider gap between a failed point and an evaluated one
+        failed = [k for k in tried if below < k < above and k not in values] or [above]
+        gaps = [(below, min(failed))] + [(max(failed), above)] * (above < np.inf)
+        width, x = max((b - a, 0.5 * (a + b)) for a, b in gaps)
+        if width < floor:
+            raise SolverError(f"solve2: h cannot be evaluated within {floor:g} of a root")
+        with contextlib.suppress(NumericsError):
+            h(x)

@@ -605,41 +605,46 @@ def circular_moments(mu_S: float, sigma_S2: float, sigma_bw2: float, a: float):
 
 
 def match_circular(m: MomentPair, sigma_bw2: float, a: float) -> tuple[float, float]:
-    """Solve the S-averaged moment pair for (mu_S, sigma_S2).
+    """Solve the S-averaged moment pair for (mu_S, sigma_S2) at a given wander
+    variance (a sample estimate or the analytic formula).
 
-    The wander variance is fixed externally (sample estimate or the
-    analytic formula).  A trial point whose spot sizes leave (0, inf) in
-    floating point, or where :func:`marcum_q1` fails, gets non-finite
-    residuals, which the solver rejects.
+    At a fixed sigma_S2, m1 = sum_j w_j (1 - exp(-2 a^2 / (4 sigma_bw2 + S_j)))
+    falls monotonically in mu_S; along the curve mu_S(sigma_S2) that matches
+    m1, m2 rises with sigma_S2.  :func:`solve2` finds both roots, the outer
+    one in ln sigma_S2 on [ln 1e-15, ln 1e3].  Raises :class:`SolverError`
+    before any search for m1 at or above the wander-only limit
+    1 - exp(-a^2 / (2 sigma_bw2)) and for m2 below its sigma_S2 -> 0
+    (one-spot) value, and after it for m2 beyond where the spot sizes stay
+    in the float range and :func:`marcum_q1` converges.
     """
     if not _positive(a):
         raise DomainError(f"match_circular: a={a} must be finite and > 0")
     if not 0.0 <= sigma_bw2 < math.inf:
         raise DomainError(f"match_circular: sigma_bw2={sigma_bw2} must be finite and >= 0")
     t1, t2 = m.m1, m.m2
+    wander = 4.0 * sigma_bw2
+    spot0 = -2.0 * a * a / math.log1p(-t1) - wander if t1 < 1.0 else 0.0  # one spot's S
+    if not spot0 > 0.0:
+        raise SolverError(f"match_circular: m1={t1} reaches the wander-only limit")
 
-    def forward(u):
-        mu_s = min(max(u[0], -600.0), 600.0)
-        s_s2 = math.exp(min(max(u[1], -600.0), 60.0))
-        with np.errstate(over="ignore"):  # far trial points overflow exp()
-            s, _ = _lognormal_spots(mu_s, s_s2)
-            if not (s.min() > 0.0 and s.max() < math.inf):
-                return np.full(2, math.nan)
-            try:
-                m1v, m2v = circular_moments(mu_s, s_s2, sigma_bw2, a)
-            except NumericsError:  # marcum_q1 cannot be trusted here
-                return np.full(2, math.nan)
-        return np.array([(m1v - t1) / t1, (m2v - t2) / t2])
+    def m1_excess(x, mu_s):
+        with np.errstate(over="ignore", divide="ignore"):  # spots leave the float range
+            s, mass = _lognormal_spots(mu_s, math.exp(x))
+            return float(mass @ -np.expm1(-2.0 * a * a / (wander + s))) - t1
 
-    try:
-        s0, _ = match_bw(m, a)
-        mu0 = math.log(s0)
-    except SolverError:
-        mu0 = math.log(a * a)
-    u0 = np.array([mu0, math.log(0.05)])
-    sol = solve2(forward, u0, tol=1e-10,
-                 scan=(np.array([mu0 - 3.0, -10.0]), np.array([mu0 + 3.0, 1.5]), 15))
-    return float(sol[0]), float(math.exp(sol[1]))
+    def m2_excess(x, mu_s):
+        with np.errstate(over="ignore"):
+            s, mass = _lognormal_spots(mu_s, math.exp(x))
+        if not (s.min() > 0.0 and s.max() < math.inf):
+            raise NumericsError("match_circular: spot sizes leave the float range")
+        return float(mass @ bw_moments(s, sigma_bw2, a)[1]) - t2
+
+    def mu_bracket(x):  # all spots below (above) the one-spot S: m1 above (below) t1
+        half = math.sqrt(2.0 * math.exp(x)) * _GH_NODES[-1] + 1.0
+        return math.log(spot0) - half, math.log(spot0) + half
+
+    x, mu_s = solve2(m1_excess, m2_excess, mu_bracket, math.log(1e-15), math.log(1e3))
+    return float(mu_s), math.exp(x)
 
 
 # ---------------------------------------------------------------------------

@@ -150,9 +150,10 @@ class Coherent:
     def mean_n(self) -> float:
         return abs(self.alpha) ** 2
 
-    def cutoff(self) -> int:
-        """Smallest n_max leaving at most 0.1 ``TAIL_BOUND`` out at eta = 1."""
-        mu = self.mean_n
+    def cutoff(self, eta_max: float = 1.0) -> int:
+        """Smallest n_max leaving at most 0.1 ``TAIL_BOUND`` out at
+        transmittance ``eta_max``, and so at any lower one."""
+        mu = self.mean_n * eta_max
         if mu == 0.0:
             return 0
         # smallest n with P(N > n) <= 0.1 TAIL_BOUND, searched from the quantile
@@ -203,7 +204,7 @@ class Fock:
     def mean_n(self) -> float:
         return float(self.n)
 
-    def cutoff(self) -> int:
+    def cutoff(self, eta_max: float = 1.0) -> int:
         return self.n
 
     def log_pmf(self, eta, n):
@@ -230,12 +231,15 @@ class Thermal:
     def mean_n(self) -> float:
         return self.nbar
 
-    def cutoff(self) -> int:
-        # the eta = 1 tail is (nbar / (1 + nbar))^(n + 1)
-        r = self.nbar / (1.0 + self.nbar)
+    def cutoff(self, eta_max: float = 1.0) -> int:
+        # the tail at transmittance eta_max is (m / (1 + m))^(n + 1), m = nbar eta_max
+        m = self.nbar * eta_max
+        r = m / (1.0 + m)
         if r == 1.0:
             raise DomainError(f"Thermal: nbar={self.nbar} is too large for a cutoff: "
                               "nbar / (1 + nbar) rounds to 1")
+        if r == 0.0:
+            return 0  # vacuum
         return max(int(math.ceil(math.log(0.1 * TAIL_BOUND) / math.log(r))) + 1, 1)
 
     def log_pmf(self, eta, n):
@@ -340,13 +344,13 @@ def _weighted_columns(state: InputState, eta: np.ndarray, weight: np.ndarray,
     return (sums * scale).T
 
 
-def _cutoff(state: InputState, n_max) -> int:
-    """``n_max``, or ``state.cutoff()`` for None; raises
+def _cutoff(state: InputState, n_max, eta_max: float = 1.0) -> int:
+    """``n_max``, or ``state.cutoff(eta_max)`` for None; raises
     :class:`DomainError`, before anything is allocated, unless it is an
     integer >= 0 (numpy's too) with n_max + 1 at most ``MAX_PMF_ENTRIES``
     (2^26)."""
     if n_max is None:
-        n_max = state.cutoff()
+        n_max = state.cutoff(eta_max)
     elif not (isinstance(n_max, numbers.Integral) and n_max >= 0):
         raise DomainError(f"channel_pmf: n_max={n_max!r} must be an integer >= 0")
     if n_max + 1 > MAX_PMF_ENTRIES:
@@ -382,16 +386,19 @@ def channel_pmf(state: InputState, channel: ChannelSpec,
     pairwise sums in this thread, not BLAS products: OpenBLAS hands a large
     product to its other threads, at a flat cost of some 8 ms per call on a
     2-core host, and the last bits of the pmf would then depend on the
-    thread count.  Raises :class:`DomainError`, naming ``state.cutoff()``,
-    when ``n_max`` leaves more than ``TAIL_BOUND`` of the mass out, and,
-    before allocating anything, when ``n_max`` (given or default) asks for
-    more than ``MAX_PMF_ENTRIES`` (2^26) entries: a thermal state's default
-    cutoff does from nbar of about 3e6 on.  The mean and variance are those
-    of the pmf as computed, taken about its own total: a shortfall of that
-    total from 1 does not enter the variance times mean^2.
+    thread count.  The default ``n_max`` is ``state.cutoff(eta_max)`` at the
+    largest node eta_max: no node's pmf has a longer tail.  Raises
+    :class:`DomainError`, naming that cutoff, when ``n_max`` leaves more than
+    ``TAIL_BOUND`` of the mass out, and, before allocating anything, when
+    ``n_max`` (given or default) asks for more than ``MAX_PMF_ENTRIES``
+    (2^26) entries: a thermal state's default cutoff does from nbar eta_max
+    of about 3e6 on.  The mean and variance are those of the pmf as
+    computed, taken about its own total: a shortfall of that total from 1
+    does not enter the variance times mean^2.
     """
-    n_max = _cutoff(state, n_max)
     eta, weight = channel.nodes
+    eta_max = float(eta.max())
+    n_max = _cutoff(state, n_max, eta_max)
     stepped = state.ratio is not None and eta.size * (n_max + 1) >= _MIN_STEPPED_ENTRIES
     spacing = _SEED_SPACING if stepped else 1
     seeds = -(-(n_max + 1) // spacing)
@@ -405,7 +412,7 @@ def channel_pmf(state: InputState, channel: ChannelSpec,
     tail = max(1.0 - total, 0.0)
     if tail > TAIL_BOUND:
         raise DomainError(f"channel_pmf: tail {tail:.2e} exceeds {TAIL_BOUND} at "
-                          f"n_max={n_max}; suggest n_max >= {state.cutoff()}")
+                          f"n_max={n_max}; suggest n_max >= {state.cutoff(eta_max)}")
     n = np.arange(n_max + 1)
     mean = _node_sum(pmf, n) / total
     dev = n - mean
@@ -455,7 +462,10 @@ def ergodicity_report(state: InputState, pdt_model: PdtModel, eta_series,
     (so the caller can judge whether the record is long enough).
     """
     series = np.asarray(eta_series, dtype=float)
-    model_stats = channel_pmf(state, PdtChannel(pdt_model), n_max)
+    model = PdtChannel(pdt_model)
+    if n_max is None:  # one length for both pmfs
+        n_max = state.cutoff(max(float(model.nodes[0].max()), float(series.max())))
+    model_stats = channel_pmf(state, model, n_max)
     emp_stats = channel_pmf(state, EmpiricalChannel(EmpiricalSample(series)), n_max)
     tv = 0.5 * float(np.sum(np.abs(model_stats.pmf - emp_stats.pmf)))
     tau = integrated_autocorr_time(series) if series.size >= 10 else float("nan")

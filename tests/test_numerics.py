@@ -1,4 +1,4 @@
-"""Marcum Q, quadrature, solver, and random-stream contracts."""
+"""Marcum Q, quadrature, nested-root solver, and random-stream contracts."""
 
 import json
 import math
@@ -158,33 +158,58 @@ class TestImportSet:
 
 
 class TestSolve2:
-    def test_identity_linear(self):
-        b = np.array([2.0, -1.0])
-        sol = solve2(lambda x: x - b, np.zeros(2), tol=1e-12)
-        assert np.allclose(sol, b, atol=1e-12)
+    """Nested bracketed roots: y(x) solves f = y - x^2 = 0, and
+    h(x) = g(x, y(x)) = x^2 + x - 2 rises through zero at x = 1."""
 
-    def test_rosenbrock_like(self):
-        def F(x):
-            return np.array([x[0] ** 2 + x[1] ** 2 - 4.0, x[0] - x[1]])
+    @staticmethod
+    def f(x, y):
+        return y - x * x
 
-        sol = solve2(F, np.array([3.0, 0.5]), tol=1e-12)
-        assert np.allclose(np.abs(sol), math.sqrt(2.0), atol=1e-10)
+    @staticmethod
+    def bracket(x):
+        return x * x - 1.0, x * x + 1.0
 
-    def test_scan_fallback(self):
-        def F(x):
-            return np.array([math.tanh(x[0] - 5.0), math.tanh(x[1] + 3.0)])
+    @staticmethod
+    def evaluable_below(edge, calls):
+        """g, failing above x = edge; every x tried is appended to calls."""
+        def g(x, y):
+            calls.append(x)
+            if x > edge:
+                raise NumericsError("outside the evaluable region")
+            return x + y - 2.0
+        return g
 
-        sol = solve2(F, np.array([-50.0, 50.0]), tol=1e-10,
-                     scan=(np.array([-10.0, -10.0]), np.array([10.0, 10.0]), 11))
-        assert np.allclose(sol, [5.0, -3.0], atol=1e-8)
+    def test_root(self):
+        x, y = solve2(self.f, lambda x, y: x + y - 2.0, self.bracket, 0.0, 5.0)
+        assert x == pytest.approx(1.0, rel=1e-14)
+        assert y == pytest.approx(1.0, rel=1e-14)
 
-    def test_infeasible_raises(self):
-        def F(x):
-            return np.array([x[0] ** 2 + 1.0, x[1]])  # first component never 0
+    @pytest.mark.parametrize("lo,hi,refusal", [
+        (1.5, 5.0, r"h = 1\.75, None$"), (0.0, 0.5, r"h = -2\.0, -1\.25$")],
+        ids=["below", "above"])
+    def test_root_outside_bracket_refused(self, lo, hi, refusal):
+        with pytest.raises(SolverError, match=refusal):
+            solve2(self.f, lambda x, y: x + y - 2.0, self.bracket, lo, hi)
 
-        with pytest.raises(SolverError) as exc:
-            solve2(F, np.array([1.0, 1.0]), tol=1e-10)
-        assert exc.value.best_residual >= 1.0
+    def test_lower_end_that_cannot_be_evaluated_refused(self):
+        with pytest.raises(SolverError, match="h = None, None$"):
+            solve2(self.f, self.evaluable_below(-1.0, []), self.bracket, 0.0, 5.0)
+
+    def test_points_that_cannot_be_evaluated_pull_back(self):
+        # the upper end fails: each trial point halves the gap to the last
+        # point evaluated until one brackets the root
+        calls = []
+        x, _ = solve2(self.f, self.evaluable_below(1.2, calls), self.bracket, 0.0, 5.0)
+        assert x == pytest.approx(1.0, rel=1e-14)
+        assert calls[:2] == [0.0, 5.0] and len(calls) < 30
+
+    def test_root_that_cannot_be_evaluated_refused(self):
+        # each failed point at least halves the gap to the last point
+        # evaluated, so no more than log2(5 / 0.05) < 7 fail before the floor
+        calls = []
+        with pytest.raises(SolverError, match="within 0.05 of a root"):
+            solve2(self.f, self.evaluable_below(0.9, calls), self.bracket, 0.0, 5.0)
+        assert sum(x > 0.9 for x in calls) <= 7
 
 
 class TestRngStream:

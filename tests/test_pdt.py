@@ -457,8 +457,8 @@ class TestCircular:
         assert m2 == pytest.approx(target.m2, abs=1e-4)
 
     def test_match_where_trial_spots_underflow(self):
-        # the solver's trial points reach sigma_S2 = e^60, where every spot
-        # size underflows to 0; that once raised DomainError from bw_moments
+        # trial points far up the sigma_S2 bracket have spot sizes that
+        # leave the float range; that once raised DomainError from bw_moments
         target = pdt.MomentPair(0.4, 0.2)
         mu_r, s2_r = pdt.match_circular(target, 8.1e-5, 0.02)
         m1, m2 = pdt.circular_moments(mu_r, s2_r, 8.1e-5, 0.02)
@@ -485,6 +485,75 @@ class TestCircular:
     def test_bad_input_rejected(self, sigma_bw2, a, name):
         with pytest.raises(DomainError, match=name):
             pdt.match_circular(pdt.MomentPair(0.5, 0.3), sigma_bw2, a)
+
+    @pytest.mark.parametrize("m1,m2,sigma_bw2,mu_S,sigma_S2", [
+        (0.40361578159005407, 0.16856091326891226, 8.15325948936061e-05,
+         -6.7058810285164006, 0.019788661803280656),
+        (0.40028934047101566, 0.16560058429481814, 8.153857196127998e-05,
+         -6.692321481356009, 0.017673867477426154),
+        (0.4030485189305404, 0.16794086994725455, 8.12507694385808e-05,
+         -6.702743280707273, 0.018167017615252287),
+    ], ids=["seed1", "seed2", "seed3"])
+    def test_benchmark_fits(self, m1, m2, sigma_bw2, mu_S, sigma_S2):
+        # the circular-beam fits of the benchmark's pdt_photon records, as
+        # the two-parameter Newton search found them
+        got = pdt.match_circular(pdt.MomentPair(m1, m2), sigma_bw2, 0.02)
+        assert got == pytest.approx((mu_S, sigma_S2), rel=1e-9, abs=0.0)
+
+    @staticmethod
+    def count_marcum(monkeypatch):
+        calls = []
+        q1 = pdt.marcum_q1
+        monkeypatch.setattr(pdt, "marcum_q1", lambda a, b: calls.append(1) or q1(a, b))
+        return calls
+
+    def test_unfittable_target_refused_quickly(self, monkeypatch):
+        # 654 marcum_q1 calls (6.5 s) with the former Newton solver and rescan
+        calls = self.count_marcum(monkeypatch)
+        with pytest.raises(SolverError):
+            pdt.match_circular(pdt.MomentPair(0.1, 0.055), 1e-6, 0.02)
+        assert len(calls) <= 100
+
+    @pytest.mark.parametrize("m1,var_frac,sigma_bw2", [
+        (0.2, 0.3, 1e-6),  # 608 marcum_q1 calls (4.7 s) with the former solver
+        (0.1, 0.9, 8.1e-5), (0.2, 0.9, 8.1e-5)])  # which the former solver refused
+    def test_hard_targets_fit(self, monkeypatch, m1, var_frac, sigma_bw2):
+        calls = self.count_marcum(monkeypatch)
+        target = pdt.MomentPair(m1, m1 * m1 + var_frac * m1 * (1.0 - m1))
+        mu_r, s2_r = pdt.match_circular(target, sigma_bw2, 0.02)
+        assert len(calls) <= 100
+        m1_r, m2_r = pdt.circular_moments(mu_r, s2_r, sigma_bw2, 0.02)
+        assert m1_r == pytest.approx(target.m1, rel=1e-9)
+        assert m2_r == pytest.approx(target.m2, rel=1e-9)
+
+    @pytest.mark.parametrize("sigma_bw2", [1e-6, 8.1e-5, 3e-4])
+    def test_m1_above_wander_limit_refused_before_search(self, monkeypatch, sigma_bw2):
+        # with the spot shrunk to 0 the beam stays wider than the wander alone
+        calls = self.count_marcum(monkeypatch)
+        limit = -math.expm1(-0.02**2 / (2.0 * sigma_bw2))
+        for m1 in (limit, min(1.0, limit * 1.01)):
+            with pytest.raises(SolverError, match="wander-only limit"):
+                pdt.match_circular(pdt.MomentPair(m1, m1 * m1), sigma_bw2, 0.02)
+        assert calls == []
+
+    def test_m2_below_single_spot_refused_before_search(self, monkeypatch):
+        m1, m2 = pdt.bw_moments(4e-4, 8e-5, 0.02)
+        calls = self.count_marcum(monkeypatch)
+        with pytest.raises(SolverError, match=r"h = [-+.e\d]+, None$"):
+            pdt.match_circular(pdt.MomentPair(m1, m2 * (1.0 - 1e-6)), 8e-5, 0.02)
+        assert len(calls) == 2  # one bw_moments at sigma_S2 = 1e-15: one spot
+
+    @pytest.mark.parametrize("m1", [0.1, 0.5, 0.9, 0.999])
+    @pytest.mark.parametrize("var_frac", [0.0, 1e-12, 0.01, 0.3, 0.9, 1.0])
+    def test_no_wander_fits_or_raises_solver_error(self, m1, var_frac):
+        target = pdt.MomentPair(m1, m1 * m1 + var_frac * m1 * (1.0 - m1))
+        try:
+            mu_r, s2_r = pdt.match_circular(target, 0.0, 0.02)
+        except SolverError:
+            return
+        m1_r, m2_r = pdt.circular_moments(mu_r, s2_r, 0.0, 0.02)
+        assert m1_r == pytest.approx(target.m1, rel=1e-9)
+        assert m2_r == pytest.approx(target.m2, rel=1e-9)
 
     def test_vanishing_spread_consistent_with_match_bw(self):
         m1, m2 = pdt.bw_moments(3e-4, 8e-5, 0.02)

@@ -105,9 +105,9 @@ class TestChannelPmf:
     def test_narrow_beta_approaches_fixed_eta(self):
         # Beta with a, b -> inf at fixed mean 0.5 concentrates on eta = 0.5
         st = Coherent(2.0)
-        fixed = channel_pmf(st, FixedEta(0.5))
+        fixed = channel_pmf(st, FixedEta(0.5), st.cutoff())
         for scale in (10.0, 100.0, 1000.0):
-            mixed = channel_pmf(st, PdtChannel(pdt.BetaPdt(scale, scale)))
+            mixed = channel_pmf(st, PdtChannel(pdt.BetaPdt(scale, scale)), st.cutoff())
             tv = 0.5 * np.sum(np.abs(mixed.pmf - fixed.pmf))
             assert tv < 3.0 / math.sqrt(scale)
 
@@ -146,7 +146,7 @@ class TestChannelPmf:
     ], ids=["totalprob_lognormal", "totalprob_beta", "beam_wander", "beam_wander_fit"])
     def test_matches_quad_vec_reference(self, model):
         st = Coherent(2.0)
-        got = channel_pmf(st, PdtChannel(model)).pmf
+        got = channel_pmf(st, PdtChannel(model), st.cutoff()).pmf
         assert np.max(np.abs(got - quad_vec_pmf(st, model))) <= 1e-12
 
     def test_atoms_enter_as_fixed_loss_pmfs(self):
@@ -156,8 +156,8 @@ class TestChannelPmf:
             model = pdt.totalprob_model("beta", 4e-4, 4e-4, TARGET, 0.02)
         assert not model.node_models
         st = Coherent(2.0)
-        want = sum(w * loss_pmf(st, loc).pmf for w, loc in model.atoms)
-        got = channel_pmf(st, PdtChannel(model)).pmf
+        want = sum(w * loss_pmf(st, loc, st.cutoff()).pmf for w, loc in model.atoms)
+        got = channel_pmf(st, PdtChannel(model), st.cutoff()).pmf
         assert np.max(np.abs(got - want)) <= 1e-15
 
     def test_circular_beam(self):
@@ -185,7 +185,7 @@ class TestChannelPmf:
             seeded.append((np.array(n), np.array(eta))) or matrix(state, eta, n)))
         vals = np.random.default_rng(3).beta(2.0, 5.0, 20_000)
         channel = EmpiricalChannel(EmpiricalSample(vals))
-        ps = channel_pmf(Coherent(30.0), channel)  # n_max = 1097
+        ps = channel_pmf(Coherent(30.0), channel, 1097)
         # every node once, in blocks of at most _BLOCK_ELEMENTS seeds x nodes
         assert np.array_equal(np.concatenate([eta for _, eta in seeded]), channel.nodes[0])
         assert max(n.size * eta.size for n, eta in seeded) <= quantum._BLOCK_ELEMENTS
@@ -196,7 +196,8 @@ class TestChannelPmf:
         # 50 nodes of the record above, stepped (50 x 1098 pmf entries):
         # Poisson pmfs at |alpha|^2 = 900 in 40 digits, by the same ratio
         vals = np.sort(np.random.default_rng(3).beta(2.0, 5.0, 20_000))[::400]
-        got = channel_pmf(Coherent(30.0), EmpiricalChannel(EmpiricalSample(vals))).pmf
+        got = channel_pmf(Coherent(30.0), EmpiricalChannel(EmpiricalSample(vals)),
+                          Coherent(30.0).cutoff()).pmf
         want = []
         with mpmath.workdps(40):
             terms = [mpmath.exp(-900 * mpmath.mpf(e)) / vals.size for e in vals]
@@ -611,6 +612,22 @@ class TestNMaxSizing:
             tail = [mpmath.gammainc(k + 1, 0, mean_n, regularized=True) for k in (n, n - 1)]
         assert tail[0] <= 1e-10 < tail[1]
 
+    def test_cutoff_follows_largest_transmittance(self):
+        # at eta = 1 the cutoff is 1 006 368, where the mass above
+        # n = 504 505 is below 1e-10
+        ps = loss_pmf(Coherent(1e3), 0.5)
+        assert ps.pmf.size == 504_506
+        assert ps.tail_bound <= 1e-9
+
+    def test_mixture_cutoff_at_largest_node(self):
+        vals = np.array([0.1, 0.3, 0.45])
+        st = Coherent(30.0)
+        ps = channel_pmf(st, EmpiricalChannel(EmpiricalSample(vals)))
+        assert ps.pmf.size == st.cutoff(0.45) + 1 < st.cutoff() + 1
+        assert ps.tail_bound <= 1e-9
+        with pytest.raises(DomainError, match=f"suggest n_max >= {st.cutoff(0.45)}$"):
+            channel_pmf(st, EmpiricalChannel(EmpiricalSample(vals)), 300)
+
     def test_large_coherent_state(self):
         # the cutoff once stopped at n = 10 000 and left half the mass out
         ps = loss_pmf(Coherent(100.0), 1.0)
@@ -639,7 +656,7 @@ class TestNMaxSizing:
         # Thermal(1e7) once raised numpy's MemoryError for 1.72 GiB, and
         # Thermal(1e15) for 164 PiB
         assert quantum.MAX_PMF_ENTRIES == 2**26
-        named = f"n_max={state.cutoff() if n_max is None else n_max} "
+        named = f"n_max={state.cutoff(0.5) if n_max is None else n_max} "
         tracemalloc.start()
         try:
             with pytest.raises(DomainError, match=re.escape(named)) as err:
