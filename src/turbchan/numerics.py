@@ -38,6 +38,7 @@ from .errors import DomainError, NumericsError, SolverError
 __all__ = ["RngStream", "marcum_q1", "adaptive_quad", "solve2"]
 
 _TWO64 = 2**64
+_SOLVE2_FLOOR = 0.05  # narrowest gap in which solve2 seeks a point it can evaluate
 
 
 @dataclass
@@ -197,8 +198,7 @@ def adaptive_quad(f, lo: float, hi: float, tol: float = 1e-10) -> float:
     return float(value)
 
 
-def solve2(f, g, inner_bracket, lo: float, hi: float, *,
-           floor: float = 0.05) -> tuple[float, float]:
+def solve2(f, g, inner_bracket, lo: float, hi: float) -> tuple[float, float]:
     """Solve f(x, y) = 0 = g(x, y) as two nested ``brentq`` roots.
 
     y(x) is the root of f(x, .) in ``inner_bracket(x)``; x is the root of
@@ -207,7 +207,7 @@ def solve2(f, g, inner_bracket, lo: float, hi: float, *,
     next trial halves the wider gap between the failed points and the
     nearest evaluated ones around the root.  Raises :class:`SolverError`
     when h(lo) > 0, h(hi) <= 0 or h(lo) cannot be evaluated, and when that
-    gap is narrower than ``floor``.  Imports ``scipy.optimize`` on first use.
+    gap is under ``_SOLVE2_FLOOR``.  Imports ``scipy.optimize`` on first use.
     """
     from scipy.optimize import brentq  # imported here: it is slow to import
 
@@ -241,7 +241,7 @@ def solve2(f, g, inner_bracket, lo: float, hi: float, *,
         failed = [k for k in tried if below < k < above and k not in values] or [above]
         gaps = [(below, min(failed))] + [(max(failed), above)] * (above < np.inf)
         width, x = max((b - a, 0.5 * (a + b)) for a, b in gaps)
-        if width < floor:
-            raise SolverError(f"solve2: h cannot be evaluated within {floor:g} of a root")
+        if width < _SOLVE2_FLOOR:
+            raise SolverError(f"solve2: h cannot be evaluated within {_SOLVE2_FLOOR:g} of a root")
         with contextlib.suppress(NumericsError):
             h(x)

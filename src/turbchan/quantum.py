@@ -159,7 +159,8 @@ class Coherent:
         # smallest n with P(N > n) <= 0.1 TAIL_BOUND, searched from the quantile
         n = special.pdtrik(1.0 - 0.1 * TAIL_BOUND, mu)
         if math.isnan(n):  # scipy gives NaN from mu = 9.9e10 on, far beyond the cap
-            raise DomainError(f"Coherent: |alpha|^2={mu:g} is too large for a cutoff")
+            raise DomainError(f"Coherent: |alpha|^2={self.mean_n:g} at eta_max={eta_max:g} "
+                              "is too large for a cutoff")
         n = max(int(n), 0)
         while special.pdtrc(n, mu) > 0.1 * TAIL_BOUND:
             n += 1
@@ -236,8 +237,8 @@ class Thermal:
         m = self.nbar * eta_max
         r = m / (1.0 + m)
         if r == 1.0:
-            raise DomainError(f"Thermal: nbar={self.nbar} is too large for a cutoff: "
-                              "nbar / (1 + nbar) rounds to 1")
+            raise DomainError(f"Thermal: nbar={self.nbar} at eta_max={eta_max:g} is too "
+                              "large for a cutoff: m / (1 + m) rounds to 1, m = nbar eta_max")
         if r == 0.0:
             return 0  # vacuum
         return max(int(math.ceil(math.log(0.1 * TAIL_BOUND) / math.log(r))) + 1, 1)
@@ -344,14 +345,11 @@ def _weighted_columns(state: InputState, eta: np.ndarray, weight: np.ndarray,
     return (sums * scale).T
 
 
-def _cutoff(state: InputState, n_max, eta_max: float = 1.0) -> int:
-    """``n_max``, or ``state.cutoff(eta_max)`` for None; raises
-    :class:`DomainError`, before anything is allocated, unless it is an
-    integer >= 0 (numpy's too) with n_max + 1 at most ``MAX_PMF_ENTRIES``
-    (2^26)."""
-    if n_max is None:
-        n_max = state.cutoff(eta_max)
-    elif not (isinstance(n_max, numbers.Integral) and n_max >= 0):
+def _cutoff(state: InputState, n_max) -> int:
+    """``n_max`` as an int; raises :class:`DomainError`, before anything is
+    allocated, unless it is an integer >= 0 (numpy's too) with n_max + 1 at
+    most ``MAX_PMF_ENTRIES`` (2^26)."""
+    if not (isinstance(n_max, numbers.Integral) and n_max >= 0):
         raise DomainError(f"channel_pmf: n_max={n_max!r} must be an integer >= 0")
     if n_max + 1 > MAX_PMF_ENTRIES:
         raise DomainError(f"channel_pmf: n_max={n_max} for {state} (mean photon number "
@@ -398,7 +396,7 @@ def channel_pmf(state: InputState, channel: ChannelSpec,
     """
     eta, weight = channel.nodes
     eta_max = float(eta.max())
-    n_max = _cutoff(state, n_max, eta_max)
+    n_max = _cutoff(state, state.cutoff(eta_max) if n_max is None else n_max)
     stepped = state.ratio is not None and eta.size * (n_max + 1) >= _MIN_STEPPED_ENTRIES
     spacing = _SEED_SPACING if stepped else 1
     seeds = -(-(n_max + 1) // spacing)
@@ -463,10 +461,11 @@ def ergodicity_report(state: InputState, pdt_model: PdtModel, eta_series,
     """
     series = np.asarray(eta_series, dtype=float)
     model = PdtChannel(pdt_model)
+    emp = EmpiricalChannel(EmpiricalSample(series))  # validates, sorts and clips
     if n_max is None:  # one length for both pmfs
-        n_max = state.cutoff(max(float(model.nodes[0].max()), float(series.max())))
+        n_max = state.cutoff(max(float(model.nodes[0].max()), float(emp.nodes[0][-1])))
     model_stats = channel_pmf(state, model, n_max)
-    emp_stats = channel_pmf(state, EmpiricalChannel(EmpiricalSample(series)), n_max)
+    emp_stats = channel_pmf(state, emp, n_max)
     tv = 0.5 * float(np.sum(np.abs(model_stats.pmf - emp_stats.pmf)))
     tau = integrated_autocorr_time(series) if series.size >= 10 else float("nan")
     return ErgodicityReport(

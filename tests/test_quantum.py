@@ -619,6 +619,12 @@ class TestNMaxSizing:
         assert ps.pmf.size == 504_506
         assert ps.tail_bound <= 1e-9
 
+    def test_cutoff_error_names_the_transmittance(self):
+        with pytest.raises(DomainError, match=r"\|alpha\|\^2=1e\+12 at eta_max=0\.5 "):
+            Coherent(1e6).cutoff(0.5)
+        with pytest.raises(DomainError, match=re.escape("nbar=1e+17 at eta_max=0.5 ")):
+            Thermal(1e17).cutoff(0.5)
+
     def test_mixture_cutoff_at_largest_node(self):
         vals = np.array([0.1, 0.3, 0.45])
         st = Coherent(30.0)
@@ -704,3 +710,13 @@ class TestErgodicityReport:
         rep = ergodicity_report(Fock(1), BETA22, base)
         assert rep.tv_distance >= 0.0  # diagnostic only, no assertion on size
         assert rep.autocorr_time_steps >= 1.0
+
+    @pytest.mark.parametrize("state", [Coherent(1.0), Thermal(1.0)], ids=["coherent", "thermal"])
+    @pytest.mark.parametrize("series,match", [
+        ([], "empty sample"),
+        ([0.3, float("nan"), 0.5], "must be finite"),
+    ], ids=["empty", "nan"])
+    def test_bad_series_raises_before_cutoff(self, state, series, match):
+        # the series is checked before it sizes the pmfs' common cutoff
+        with pytest.raises(DomainError, match=match):
+            ergodicity_report(state, BETA22, series)
