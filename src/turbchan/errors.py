@@ -33,7 +33,7 @@ class NumericsError(RuntimeError):
 
 
 class SolverError(NumericsError):
-    """A nonlinear solve did not converge or the target is infeasible."""
+    """A nonlinear solve failed to converge or the target is infeasible."""
 
     def __init__(self, message, best_residual=None, best_x=None):
         super().__init__(message, best_estimate=best_x)

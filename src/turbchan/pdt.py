@@ -43,7 +43,7 @@ from typing import Sequence, Union
 
 import numpy as np
 
-from .errors import DomainError, NumericsError, SolverError
+from .errors import DomainError, SolverError
 from .numerics import RngStream, _OnFirstUse, adaptive_quad, marcum_q1, solve2
 
 # scipy.special, imported at its first use, not with this module (see
@@ -611,11 +611,12 @@ def match_circular(m: MomentPair, sigma_bw2: float, a: float) -> tuple[float, fl
     At a fixed sigma_S2, m1 = sum_j w_j (1 - exp(-2 a^2 / (4 sigma_bw2 + S_j)))
     falls monotonically in mu_S; along the curve mu_S(sigma_S2) that matches
     m1, m2 rises with sigma_S2.  :func:`solve2` finds both roots, the outer
-    one in ln sigma_S2 on [ln 1e-15, ln 1e3].  Raises :class:`SolverError`
-    before any search for m1 at or above the wander-only limit
-    1 - exp(-a^2 / (2 sigma_bw2)) and for m2 below its sigma_S2 -> 0
-    (one-spot) value, and after it for m2 beyond where the spot sizes stay
-    in the float range and :func:`marcum_q1` converges.
+    one in ln sigma_S2 from ln 1e-15 up to ln 1e3, or less where that keeps
+    every spot of the mu_S bracket in [e^-700, e^700].  Raises
+    :class:`SolverError` before any search for m1 at or above the
+    wander-only limit 1 - exp(-a^2 / (2 sigma_bw2)), for no such bracket
+    and for m2 below its sigma_S2 -> 0 (one-spot) value, and after it for
+    m2 above its value at the bracket's upper end.
     """
     if not _positive(a):
         raise DomainError(f"match_circular: a={a} must be finite and > 0")
@@ -626,24 +627,25 @@ def match_circular(m: MomentPair, sigma_bw2: float, a: float) -> tuple[float, fl
     spot0 = -2.0 * a * a / math.log1p(-t1) - wander if t1 < 1.0 else 0.0  # one spot's S
     if not spot0 > 0.0:
         raise SolverError(f"match_circular: m1={t1} reaches the wander-only limit")
+    # up to s2_max every spot of mu_bracket keeps |ln S| <= |ln spot0| + 2 half <= 700
+    spread = max(0.0, 349.0 - abs(math.log(spot0)) / 2.0)  # widest sqrt(2 sigma_S2) x_max
+    s2_max = min(1e3, 0.5 * (spread / _GH_NODES[-1]) ** 2)
+    if not s2_max > 1e-15:
+        raise SolverError(f"match_circular: one-spot S={spot0:g} is near the float range's end")
 
     def m1_excess(x, mu_s):
-        with np.errstate(over="ignore", divide="ignore"):  # spots leave the float range
-            s, mass = _lognormal_spots(mu_s, math.exp(x))
-            return float(mass @ -np.expm1(-2.0 * a * a / (wander + s))) - t1
+        s, mass = _lognormal_spots(mu_s, math.exp(x))
+        return float(mass @ -np.expm1(-2.0 * a * a / (wander + s))) - t1
 
     def m2_excess(x, mu_s):
-        with np.errstate(over="ignore"):
-            s, mass = _lognormal_spots(mu_s, math.exp(x))
-        if not (s.min() > 0.0 and s.max() < math.inf):
-            raise NumericsError("match_circular: spot sizes leave the float range")
+        s, mass = _lognormal_spots(mu_s, math.exp(x))
         return float(mass @ bw_moments(s, sigma_bw2, a)[1]) - t2
 
     def mu_bracket(x):  # all spots below (above) the one-spot S: m1 above (below) t1
         half = math.sqrt(2.0 * math.exp(x)) * _GH_NODES[-1] + 1.0
         return math.log(spot0) - half, math.log(spot0) + half
 
-    x, mu_s = solve2(m1_excess, m2_excess, mu_bracket, math.log(1e-15), math.log(1e3))
+    x, mu_s = solve2(m1_excess, m2_excess, mu_bracket, math.log(1e-15), math.log(s2_max))
     return float(mu_s), math.exp(x)
 
 

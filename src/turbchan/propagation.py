@@ -29,6 +29,7 @@ from __future__ import annotations
 import contextlib
 import functools
 import math
+import numbers
 import os
 from dataclasses import dataclass
 from typing import Optional, Sequence
@@ -84,8 +85,10 @@ class Grid:
     extent: float
 
     def __post_init__(self):
-        if self.n < 64 or (self.n & (self.n - 1)) != 0:
-            raise ConfigError("grid n must be a power of two >= 64", field="grid.n")
+        n = self.n
+        if not isinstance(n, numbers.Integral) or n < 64 or (n & (n - 1)) != 0:
+            raise ConfigError(f"grid n={n!r} must be an integral power of two >= 64",
+                              field="grid.n")
         if not (self.extent > 0.0 and math.isfinite(self.extent)):
             raise ConfigError("grid extent must be finite and > 0", field="grid.extent")
 

@@ -210,6 +210,8 @@ def integrated_autocorr_time(eta: np.ndarray) -> float:
     """
     x = np.asarray(eta, dtype=float)
     n = x.size
+    if x.ndim != 1:
+        raise DomainError(f"integrated_autocorr_time: series must be 1-D, not of shape {x.shape}")
     if n < 10:
         raise DomainError("integrated_autocorr_time: series too short")
     if not np.all(np.isfinite(x)):

@@ -4,12 +4,14 @@ import json
 import math
 import subprocess
 import sys
+import warnings
 from pathlib import Path
 
 import numpy as np
 import pytest
 from scipy import integrate, stats
 
+from turbchan import numerics
 from turbchan.errors import DomainError, NumericsError, SolverError
 from turbchan.numerics import (
     RngStream,
@@ -17,6 +19,104 @@ from turbchan.numerics import (
     marcum_q1,
     solve2,
 )
+
+
+# (a, b, Q1(a, b)): Q1 from the Rice integral in mpmath at 45 digits, rounded
+# to the nearest double.  Rows run over a from 0.5 to 2.9e7 at b - a in
+# {-9, -7.25, -3, -1, 0, 0.5, 1, 3, 9}; the last 33 are the (a, b) with a
+# from 2.2e5 to 2.9e7 and |a - b| < 0.82 where scipy's ncx2.sf warns and is
+# off by up to 0.11 (met in two circular-beam fits).
+MARCUM_TABLE = [
+    (0.5, 0.5, 0.8955085810698596), (0.5, 1.0, 0.6427142302725438),
+    (0.5, 1.5, 0.3690689840062107), (0.5, 3.5, 0.004082962188941547),
+    (0.5, 9.5, 5.096493894241863e-19), (1.0, 0.0, 1.0), (1.0, 1.0, 0.7328798037968203),
+    (1.0, 1.5, 0.48803999913530094), (1.0, 2.0, 0.26901206003591),
+    (1.0, 4.0, 0.002889532770647601), (1.0, 10.0, 3.6353194978517406e-19), (3.0, 0.0, 1.0),
+    (3.0, 2.0, 0.8867207544023923), (3.0, 3.0, 0.5674797622908615),
+    (3.0, 3.5, 0.3656802008863562), (3.0, 4.0, 0.19651218938840762),
+    (3.0, 6.0, 0.001966514578583554), (3.0, 12.0, 2.275265160944074e-19), (10.0, 1.0, 1.0),
+    (10.0, 2.75, 0.9999999999998929), (10.0, 7.0, 0.9988918146180643),
+    (10.0, 9.0, 0.8537790056770286), (10.0, 10.0, 0.5199721896495484),
+    (10.0, 10.5, 0.32594703743194997), (10.0, 11.0, 0.17047921351305234),
+    (10.0, 13.0, 0.0015571828884428012), (10.0, 19.0, 1.5611056366688246e-19), (30.0, 21.0, 1.0),
+    (30.0, 22.75, 0.999999999999819), (30.0, 27.0, 0.9987259227985712),
+    (30.0, 29.0, 0.8454123528095842), (30.0, 30.0, 0.506649962062034),
+    (30.0, 30.5, 0.3143818472633876), (30.0, 31.0, 0.16265558112746062),
+    (30.0, 33.0, 0.001422011718932621), (30.0, 39.0, 1.2887140024896324e-19), (100.0, 91.0, 1.0),
+    (100.0, 92.75, 0.9999999999997995), (100.0, 97.0, 0.9986724302320505),
+    (100.0, 99.0, 0.8425576548394447), (100.0, 100.0, 0.5019947363373024),
+    (100.0, 100.5, 0.310295692317557), (100.0, 101.0, 0.15986211290485636),
+    (100.0, 103.0, 0.0013718937944361743), (100.0, 109.0, 1.1788806689540486e-19),
+    (300.0, 291.0, 1.0), (300.0, 292.75, 0.9999999999997942), (300.0, 297.0, 0.9986575069517117),
+    (300.0, 299.0, 0.8417483678033744), (300.0, 300.0, 0.5006649047241524),
+    (300.0, 300.5, 0.30912407079775894), (300.0, 301.0, 0.15905820351885222),
+    (300.0, 303.0, 0.001357266081516764), (300.0, 309.0, 1.1455947798131603e-19),
+    (999.0, 990.0, 1.0), (999.0, 991.75, 0.9999999999997924), (999.0, 996.0, 0.9986523217787742),
+    (999.0, 998.0, 0.8414658828745593), (999.0, 999.0, 0.5001996708360206),
+    (999.0, 999.5, 0.30871372557765775), (999.0, 1000.0, 0.15877633012357198),
+    (999.0, 1002.0, 0.0013521145114789915), (999.0, 1008.0, 1.1337219024056633e-19),
+    (1000.0, 991.0, 1.0), (1000.0, 992.75, 0.9999999999997924),
+    (1000.0, 997.0, 0.9986523195572946), (1000.0, 999.0, 0.8414657617074159),
+    (1000.0, 1000.0, 0.5001994711651346), (1000.0, 1000.5, 0.3087135494127772),
+    (1000.0, 1001.0, 0.15877620907759596), (1000.0, 1003.0, 0.001352112296657218),
+    (1000.0, 1009.0, 1.133716780380899e-19), (3000.0, 2991.0, 1.0),
+    (3000.0, 2992.75, 0.9999999999997918), (3000.0, 2997.0, 0.9986508407945349),
+    (3000.0, 2999.0, 0.8413850778844545), (3000.0, 3000.0, 0.5000664903809904),
+    (3000.0, 3000.5, 0.30859621383656805), (3000.0, 3001.0, 0.158695579025959),
+    (3000.0, 3003.0, 0.0013506364884742536), (3000.0, 3009.0, 1.1303004185249892e-19),
+    (10000.0, 9991.0, 1.0), (10000.0, 9992.75, 0.9999999999997917),
+    (10000.0, 9997.0, 0.9986503235774127), (10000.0, 9999.0, 0.8413568449072626),
+    (10000.0, 10000.0, 0.500019947114045), (10000.0, 10000.5, 0.3085551417723118),
+    (10000.0, 10001.0, 0.15866735216524985), (10000.0, 10003.0, 0.0013501196074340292),
+    (10000.0, 10009.0, 1.1291022790376253e-19), (100000.0, 99991.0, 1.0),
+    (100000.0, 99992.75, 0.9999999999997916), (100000.0, 99997.0, 0.9986501241277782),
+    (100000.0, 99999.0, 0.8413459559251902), (100000.0, 100000.0, 0.500001994711402),
+    (100000.0, 100000.5, 0.3085392990504203), (100000.0, 100001.0, 0.15865646378205506),
+    (100000.0, 100003.0, 0.0013499201907059626), (100000.0, 100009.0, 1.1286398036652773e-19),
+    (230000.0, 229991.0, 1.0), (230000.0, 229992.75, 0.9999999999997916),
+    (230000.0, 229997.0, 0.9986501116028544), (230000.0, 229999.0, 0.8413452720924289),
+    (230000.0, 230000.0, 0.5000008672658269), (230000.0, 230000.5, 0.30853830408497696),
+    (230000.0, 230001.0, 0.15865577995419947), (230000.0, 230003.0, 0.0013499076660517474),
+    (230000.0, 230009.0, 1.1286107530690812e-19), (29000000.0, 28999991.0, 1.0),
+    (29000000.0, 28999992.75, 0.9999999999997916), (29000000.0, 28999997.0, 0.9986501020447811),
+    (29000000.0, 28999999.0, 0.8413447502404521), (29000000.0, 29000000.0, 0.5000000068783151),
+    (29000000.0, 29000000.5, 0.3085375447960787), (29000000.0, 29000001.0, 0.15865525810336606),
+    (29000000.0, 29000003.0, 0.001349898108041272),
+    (29000000.0, 29000009.0, 1.1285885831913024e-19),
+    (219963.26280447908, 219964.08204089635, 0.20632641888130773),
+    (235382.536805545, 235382.5376552257, 0.4996618739246722),
+    (278569.0068644659, 278569.0075824209, 0.4997142934755032),
+    (283060.09902294923, 283060.7356450474, 0.26218608920007536),
+    (307765.55746236746, 307765.55811221275, 0.49974139738479323),
+    (343961.8674851764, 343961.3435817968, 0.6998276335281002),
+    (354282.5423984681, 354282.03375699936, 0.6944987166061702),
+    (407223.6890925738, 407223.6886014433, 0.5001964225515615),
+    (475974.15331610816, 475973.77471813356, 0.6475071768831283),
+    (534728.16446411, 534728.1640900882, 0.5001495861484813),
+    (595758.0508704869, 595757.7483938757, 0.6188559396094633),
+    (608886.7049380279, 608886.4089833342, 0.6163679728647952),
+    (718657.8360333345, 718657.5852841161, 0.5989962663626306),
+    (889454.2187349971, 889454.2185101401, 0.5000899292295822),
+    (1208412.1210575167, 1208411.9719337965, 0.5592721586407206),
+    (1228486.9006501455, 1228486.753963265, 0.5583105733748485),
+    (1434998.8729473487, 1434998.7473703066, 0.5499667695074312),
+    (1527894.6973939736, 1527894.5794520006, 0.5469433118234354),
+    (2629525.027325371, 2629524.958794774, 0.527318443378966),
+    (3249806.910255703, 3249806.8548053564, 0.5221102180002457),
+    (3314846.4493629886, 3314846.395000615, 0.5216768320064632),
+    (4166520.61348419, 4166520.5702339727, 0.5172490103034245),
+    (5119384.729887158, 5119384.694687045, 0.514039952676441),
+    (6169694.156843033, 6169694.127635277, 0.5116505845015653),
+    (7365569.901423055, 7365569.876957477, 0.5097594068104775),
+    (11467054.82226356, 11467054.80654872, 0.5062690731086408),
+    (14541432.270103468, 14541432.25771109, 0.504943730512597),
+    (14921529.638463655, 14921529.626386948, 0.5048178055092375),
+    (14979658.642933827, 14979658.630903987, 0.5047991092377058),
+    (16841503.104935173, 16841503.09423524, 0.5042685854783051),
+    (17288796.70867048, 17288796.698247373, 0.5041581536073299),
+    (23259625.75758706, 23259625.749839604, 0.5030907655921543),
+    (29167999.619191956, 29167999.61301385, 0.5024646992994967),
+]
 
 
 class TestMarcumQ:
@@ -60,11 +160,40 @@ class TestMarcumQ:
         with pytest.raises(DomainError):
             marcum_q1(1.0, math.inf)
 
-    def test_nonconvergence_raises(self):
+    def test_value_where_ncx2_fails(self):
         # ncx2.sf gives 0.37498 here with a RuntimeWarning; the Rice integral
-        # (mpmath) gives 0.49997
-        with pytest.raises(NumericsError):
-            marcum_q1(234090.18828742488, 234090.18837286206)
+        # (mpmath) gives 0.49996676761072828
+        got = marcum_q1(234090.18828742488, 234090.18837286206)
+        assert got == pytest.approx(0.49996676761072828, abs=1e-15)
+
+    @pytest.mark.parametrize("a,b,q", MARCUM_TABLE)
+    def test_against_mpmath_table(self, a, b, q):
+        # ncx2's error grows with a, to 1.25e-13 at (999, 991.75); the
+        # expansion's error falls from 3e-14 at a = 1e3
+        assert marcum_q1(a, b) == pytest.approx(q, abs=2e-13)
+
+    def test_array_matches_scalar_calls(self):
+        a = np.array([[0.5, 30.0, 999.0], [1e3, 5e4, 2.9e7]])
+        b = a + np.array([[0.3, -2.0, 7.0], [0.0, 3.0, -0.5]])
+        got = marcum_q1(a, b)
+        assert got.shape == (2, 3)
+        assert np.array_equal(got, [[marcum_q1(x, y) for x, y in zip(*row)]
+                                    for row in zip(a, b)])
+        assert marcum_q1(np.array([999.9, 1e3, 1e5]), 0.0).tolist() == [1.0, 1.0, 1.0]
+
+    @pytest.mark.parametrize("d", [-3.0, 0.0, 3.0])
+    def test_continuous_across_regions(self, d):
+        a = numerics._MARCUM_LARGE_A
+        below = np.nextafter(a, 0.0)
+        assert abs(marcum_q1(a, a + d) - marcum_q1(below, below + d)) <= 4e-13
+
+    @pytest.mark.parametrize("a,b,q", [
+        (10.0, 1e200, 0.0), (1e200, 10.0, 1.0), (1e200, 1e200, 0.5),
+        (50.0, 1e-6, 1.0)])  # ncx2.sf raised OverflowError from tgamma here
+    def test_extreme_arguments_neither_raise_nor_warn(self, a, b, q):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert marcum_q1(a, b) == q
 
 
 class TestAdaptiveQuad:
@@ -169,16 +298,6 @@ class TestSolve2:
     def bracket(x):
         return x * x - 1.0, x * x + 1.0
 
-    @staticmethod
-    def evaluable_below(edge, calls):
-        """g, failing above x = edge; every x tried is appended to calls."""
-        def g(x, y):
-            calls.append(x)
-            if x > edge:
-                raise NumericsError("outside the evaluable region")
-            return x + y - 2.0
-        return g
-
     def test_root(self):
         x, y = solve2(self.f, lambda x, y: x + y - 2.0, self.bracket, 0.0, 5.0)
         assert x == pytest.approx(1.0, rel=1e-14)
@@ -190,26 +309,6 @@ class TestSolve2:
     def test_root_outside_bracket_refused(self, lo, hi, refusal):
         with pytest.raises(SolverError, match=refusal):
             solve2(self.f, lambda x, y: x + y - 2.0, self.bracket, lo, hi)
-
-    def test_lower_end_that_cannot_be_evaluated_refused(self):
-        with pytest.raises(SolverError, match="h = None, None$"):
-            solve2(self.f, self.evaluable_below(-1.0, []), self.bracket, 0.0, 5.0)
-
-    def test_points_that_cannot_be_evaluated_pull_back(self):
-        # the upper end fails: each trial point halves the gap to the last
-        # point evaluated until one brackets the root
-        calls = []
-        x, _ = solve2(self.f, self.evaluable_below(1.2, calls), self.bracket, 0.0, 5.0)
-        assert x == pytest.approx(1.0, rel=1e-14)
-        assert calls[:2] == [0.0, 5.0] and len(calls) < 30
-
-    def test_root_that_cannot_be_evaluated_refused(self):
-        # each failed point at least halves the gap to the last point
-        # evaluated, so no more than log2(5 / 0.05) < 7 fail before the floor
-        calls = []
-        with pytest.raises(SolverError, match="within 0.05 of a root"):
-            solve2(self.f, self.evaluable_below(0.9, calls), self.bracket, 0.0, 5.0)
-        assert sum(x > 0.9 for x in calls) <= 7
 
 
 class TestRngStream:

@@ -365,7 +365,8 @@ class TestMatchBw:
     ], ids=["seed1", "seed7", "seed21", "seed301", "seed421"])
     def test_benchmark_fits(self, m1, m2, S, sigma_bw2):
         # the beam-wandering fits of the benchmark's pdt_photon records, as
-        # the two-parameter Newton search found them
+        # the former two-parameter Newton search found them; match_bw's one
+        # brentq must agree
         got = pdt.match_bw(pdt.MomentPair(m1, m2), 0.02)
         assert got == pytest.approx((S, sigma_bw2), rel=1e-9, abs=0.0)
 
@@ -457,8 +458,8 @@ class TestCircular:
         assert m2 == pytest.approx(target.m2, abs=1e-4)
 
     def test_match_where_trial_spots_underflow(self):
-        # trial points far up the sigma_S2 bracket have spot sizes that
-        # leave the float range; that once raised DomainError from bw_moments
+        # trial points far up the sigma_S2 bracket have spot sizes near the
+        # ends of the float range; that once raised DomainError from bw_moments
         target = pdt.MomentPair(0.4, 0.2)
         mu_r, s2_r = pdt.match_circular(target, 8.1e-5, 0.02)
         m1, m2 = pdt.circular_moments(mu_r, s2_r, 8.1e-5, 0.02)
@@ -496,7 +497,8 @@ class TestCircular:
     ], ids=["seed1", "seed2", "seed3"])
     def test_benchmark_fits(self, m1, m2, sigma_bw2, mu_S, sigma_S2):
         # the circular-beam fits of the benchmark's pdt_photon records, as
-        # the two-parameter Newton search found them
+        # the former two-parameter Newton search found them; the nested roots
+        # must agree
         got = pdt.match_circular(pdt.MomentPair(m1, m2), sigma_bw2, 0.02)
         assert got == pytest.approx((mu_S, sigma_S2), rel=1e-9, abs=0.0)
 
@@ -507,24 +509,22 @@ class TestCircular:
         monkeypatch.setattr(pdt, "marcum_q1", lambda a, b: calls.append(1) or q1(a, b))
         return calls
 
-    def test_unfittable_target_refused_quickly(self, monkeypatch):
-        # 654 marcum_q1 calls (6.5 s) with the former Newton solver and rescan
+    @pytest.mark.parametrize("m1,m2,sigma_bw2,a", [
+        (0.2, 0.2 * 0.2 + 0.3 * 0.2 * 0.8, 1e-6, 0.02),  # 608 marcum_q1 calls with Newton
+        # two the Newton search refused
+        (0.1, 0.1 * 0.1 + 0.9 * 0.1 * 0.9, 8.1e-5, 0.02),
+        (0.2, 0.2 * 0.2 + 0.9 * 0.2 * 0.8, 8.1e-5, 0.02),
+        # two refused after 6 s where ncx2.sf, the former marcum_q1, failed
+        (0.1, 0.055, 1e-6, 0.02), (0.4201, 0.3780, 1.54e-8, 0.0745)],
+        ids=["0.2-0.3-1e-06", "0.1-0.9-8.1e-05", "0.2-0.9-8.1e-05", "0.1-0.5-1e-06",
+             "0.4201-0.378-1.54e-08-0.0745"])
+    def test_hard_targets_fit(self, monkeypatch, m1, m2, sigma_bw2, a):
         calls = self.count_marcum(monkeypatch)
-        with pytest.raises(SolverError):
-            pdt.match_circular(pdt.MomentPair(0.1, 0.055), 1e-6, 0.02)
+        mu_r, s2_r = pdt.match_circular(pdt.MomentPair(m1, m2), sigma_bw2, a)
         assert len(calls) <= 100
-
-    @pytest.mark.parametrize("m1,var_frac,sigma_bw2", [
-        (0.2, 0.3, 1e-6),  # 608 marcum_q1 calls (4.7 s) with the former solver
-        (0.1, 0.9, 8.1e-5), (0.2, 0.9, 8.1e-5)])  # which the former solver refused
-    def test_hard_targets_fit(self, monkeypatch, m1, var_frac, sigma_bw2):
-        calls = self.count_marcum(monkeypatch)
-        target = pdt.MomentPair(m1, m1 * m1 + var_frac * m1 * (1.0 - m1))
-        mu_r, s2_r = pdt.match_circular(target, sigma_bw2, 0.02)
-        assert len(calls) <= 100
-        m1_r, m2_r = pdt.circular_moments(mu_r, s2_r, sigma_bw2, 0.02)
-        assert m1_r == pytest.approx(target.m1, rel=1e-9)
-        assert m2_r == pytest.approx(target.m2, rel=1e-9)
+        m1_r, m2_r = pdt.circular_moments(mu_r, s2_r, sigma_bw2, a)
+        assert m1_r == pytest.approx(m1, rel=1e-9)
+        assert m2_r == pytest.approx(m2, rel=1e-9)
 
     @pytest.mark.parametrize("sigma_bw2", [1e-6, 8.1e-5, 3e-4])
     def test_m1_above_wander_limit_refused_before_search(self, monkeypatch, sigma_bw2):

@@ -110,6 +110,17 @@ class TestGrid:
         with pytest.raises(ConfigError):
             Grid(n=32, extent=1.0)
 
+    @pytest.mark.parametrize("n", [256.0, 256.5, "256", None])
+    def test_non_integral_n_rejected(self, n):
+        with pytest.raises(ConfigError) as exc:
+            Grid(n=n, extent=0.5)
+        assert exc.value.field == "grid.n"
+
+    def test_numpy_integer_n_accepted(self):
+        g = Grid(n=np.int64(256), extent=0.5)
+        assert g.axis().size == 256
+        assert g.spacing == pytest.approx(0.5 / 256)
+
     def test_axis_contains_origin(self):
         g = Grid(n=64, extent=1.0)
         assert 0.0 in g.axis()

@@ -272,6 +272,12 @@ class TestAutocorrTime:
         with pytest.raises(DomainError):
             integrated_autocorr_time(series)
 
+    @pytest.mark.parametrize("shape", [(40, 3), (3, 40), ()])
+    def test_series_must_be_one_dimensional(self, shape):
+        # a (40, 3) array once returned 1.0: its lags sliced rows
+        with pytest.raises(DomainError, match="1-D"):
+            integrated_autocorr_time(np.random.default_rng(4).random(shape))
+
 
 class TestConditionalPdt:
     def pairs(self):
