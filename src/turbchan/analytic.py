@@ -3,15 +3,15 @@
 Evaluates the wander variance, the first two moments of the squared spot
 radius, and the first two transmittance moments as explicit functions of
 the Rytov variance and the Fresnel number.  The formulas assume a beam
-focused on the receiver (F0 = L) and weak fluctuations (sigma_R^2 << 1);
-outside that domain the result only carries warning flags.
+focused on the receiver (F0 = L) and weak fluctuations (sigma_R^2 < 0.5);
+outside that domain the values come back with ``validity`` False.
 
 The printed mean-transmittance expression adds a dimensionless term to a
 squared length inside the exponent; both the literal form and a
 dimensionally repaired variant
 ``1 - exp(-2 a^2 / (W0^2 (Omega^-2 + 1.05 sigma_R^2 Omega^-7/6)))`` are
-provided, selected by ``eta_convention`` (repaired "consistent" form is the
-default).
+provided, selected by ``eta_convention``, a :class:`~turbchan.pdt.EtaConvention`
+(the repaired ``consistent`` form is the default).
 """
 
 from __future__ import annotations
@@ -20,6 +20,7 @@ import math
 from dataclasses import dataclass
 
 from .errors import DomainError
+from .pdt import EtaConvention
 from .turbulence import (
     WEAK_TURBULENCE_RYTOV_LIMIT,
     ChannelGeometry,
@@ -36,7 +37,8 @@ class WeakTurbulenceParams:
 
     ``aux_v`` is the dimensionless Omega^-2 + 3.17 sigma_R^2 Omega^-7/6
     auxiliary entering the second transmittance moment (distinct from any
-    wind speed).  ``moment_consistent`` is False when the set violates basic
+    wind speed).  ``validity`` is True inside the formulas' domain (see the
+    module).  ``moment_consistent`` is False when the set violates basic
     moment inequalities (negative variances), which can happen outside the
     validity domain.
     """
@@ -49,33 +51,24 @@ class WeakTurbulenceParams:
     aux_v: float
     rytov2: float
     fresnel: float
-    eta_convention: str
+    eta_convention: EtaConvention
     validity: bool
     moment_consistent: bool
-    warnings: tuple = ()
 
 
 def weak_turb_params(geom: ChannelGeometry, cn2: float,
-                     eta_convention: str = "consistent") -> WeakTurbulenceParams:
+                     eta_convention=EtaConvention.consistent) -> WeakTurbulenceParams:
     """Weak-turbulence parameter set for the given geometry and Cn2."""
     if not (cn2 >= 0.0 and math.isfinite(cn2)):
         raise DomainError("weak_turb_params: cn2 must be finite and >= 0")
-    if eta_convention not in ("literal", "consistent"):
-        raise DomainError(f"unknown eta_convention {eta_convention!r}")
-    warnings = []
+    try:
+        eta_convention = EtaConvention(eta_convention)
+    except ValueError:
+        raise DomainError(f"unknown eta_convention {eta_convention!r}") from None
     s2 = rytov_variance(geom, cn2)
     om = fresnel_number(geom)
     w0sq = geom.beam_radius**2
     a2 = geom.aperture_radius**2
-
-    validity = s2 < WEAK_TURBULENCE_RYTOV_LIMIT
-    if not validity:
-        warnings.append(
-            f"sigma_R^2 = {s2:.3g} >= {WEAK_TURBULENCE_RYTOV_LIMIT}: outside the "
-            "weak-turbulence validity domain"
-        )
-    if not geom.focused:
-        warnings.append("formulas assume a focused beam (F0 = L)")
 
     om_m76 = om ** (-7.0 / 6.0)
     sigma_bw2 = 0.31 * w0sq * s2 * om_m76 - 0.06 * w0sq * s2**2 * om ** (-1.0 / 3.0)
@@ -93,7 +86,7 @@ def weak_turb_params(geom: ChannelGeometry, cn2: float,
     )
     aux_v = om**-2 + 3.17 * s2 * om_m76
 
-    if eta_convention == "literal":
+    if eta_convention is EtaConvention.paper_literal:
         # As printed: the 1.05 term is dimensionless next to a squared length.
         mean_eta = 1.0 - math.exp(-a2 / (2.0 * (w0sq * om**-2 + 1.05 * s2 * om_m76)))
     else:
@@ -112,13 +105,11 @@ def weak_turb_params(geom: ChannelGeometry, cn2: float,
         and mean_eta2 >= mean_eta**2
         and sigma_bw2 > 0.0
     ) if cn2 > 0.0 else True
-    if not moment_consistent:
-        warnings.append("parameter set violates moment inequalities; flagged invalid")
 
     return WeakTurbulenceParams(
         sigma_bw2=sigma_bw2, mean_S=mean_S, mean_S2=mean_S2,
         mean_eta=mean_eta, mean_eta2=mean_eta2, aux_v=aux_v,
         rytov2=s2, fresnel=om, eta_convention=eta_convention,
-        validity=validity, moment_consistent=moment_consistent,
-        warnings=tuple(warnings),
+        validity=s2 < WEAK_TURBULENCE_RYTOV_LIMIT and geom.focused,
+        moment_consistent=moment_consistent,
     )

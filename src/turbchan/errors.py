@@ -35,10 +35,6 @@ class NumericsError(RuntimeError):
 class SolverError(NumericsError):
     """A nonlinear solve failed to converge or the target is infeasible."""
 
-    def __init__(self, message, best_residual=None, best_x=None):
-        super().__init__(message, best_estimate=best_x)
-        self.best_residual = best_residual
-
 
 class EmptySelectionError(ValueError):
     """A postselection rule removed every sample."""

@@ -35,7 +35,6 @@ a^2/S < 0.3 and the model breaks down.
 from __future__ import annotations
 
 import math
-import warnings as _warnings
 from dataclasses import dataclass, field
 from enum import Enum
 from functools import cached_property
@@ -716,8 +715,9 @@ def elliptic_params_from_samples(records: Sequence) -> tuple[float, np.ndarray]:
 
     Eigenvalue labels are symmetrized (each record contributes both
     orderings with weight 1/2) so the two squared semi-axes share the mean
-    required by the model; a non-PSD covariance estimate is projected with
-    a warning.
+    required by the model.  Sigma is returned as estimated: it is not PSD
+    when |Sigma_12| > Sigma_11, and :func:`elliptic_sample` then draws from
+    its nearest PSD matrix.
     """
     if len(records) < 1000:
         raise DomainError("elliptic_params_from_samples: need >= 1000 records")
@@ -734,11 +734,7 @@ def elliptic_params_from_samples(records: Sequence) -> tuple[float, np.ndarray]:
     mu_s = math.log(mean_w2**2 / math.sqrt(mean_w4))
     sig_diag = math.log(mean_w4 / mean_w2**2)
     sig_off = math.log(mean_cross / mean_w2**2)
-    sigma = np.array([[sig_diag, sig_off], [sig_off, sig_diag]])
-    if abs(sig_off) > sig_diag:
-        _warnings.warn("elliptic covariance estimate not PSD; projecting")
-        sigma = _psd_2x2(sigma)
-    return mu_s, sigma
+    return mu_s, np.array([[sig_diag, sig_off], [sig_off, sig_diag]])
 
 
 def _elliptic_eta0(w1sq, w2sq, a):
@@ -803,8 +799,9 @@ def elliptic_sample(model: EllipticBeam, a: float, n: int,
     then runs over blocks of ``_ELLIPTIC_BLOCK`` (8192) samples into one
     output array, so that beyond the draws and the output (40 bytes a
     sample) memory stays near 2 MiB, and the samples do not depend on the
-    block size.  Theta = mu_S + L g is written out for the lower-triangular
-    Cholesky factor L of Sigma: no BLAS call, whose threads would make the
+    block size.  Theta = mu_S + L g is written out for the closed-form
+    lower-triangular factor L of Sigma's nearest PSD matrix P (L L^T = P,
+    also where P is singular): no BLAS call, whose threads would make the
     last bits depend on the thread count.
     """
     if n < 1:
@@ -812,12 +809,10 @@ def elliptic_sample(model: EllipticBeam, a: float, n: int,
     if not _positive(a):
         raise DomainError(f"elliptic_sample: aperture radius a={a} must be finite and > 0")
     gen = stream.generator()
-    sigma = _psd_2x2(model.Sigma)
-    try:
-        chol = np.linalg.cholesky(sigma + 1e-15 * np.eye(2))
-    except np.linalg.LinAlgError:
-        chol = np.zeros((2, 2))
-    (l11, _), (l21, l22) = chol
+    (s11, _), (s21, s22) = _psd_2x2(model.Sigma)
+    l11 = math.sqrt(s11)
+    l21 = s21 / l11 if l11 > 0.0 else 0.0
+    l22 = math.sqrt(max(s22 - l21 * l21, 0.0))
     g = gen.standard_normal((n, 2))
     phi = gen.random(n)
     phi *= 0.5 * math.pi
@@ -915,10 +910,6 @@ def totalprob_model(sub: str, sigma_bw2: float, mean_S: float, m: MomentPair,
             except DomainError:
                 pass
         atoms.append((float(w), float(min(max(m1r, 0.0), 1.0))))
-    if atoms:
-        _warnings.warn(
-            f"totalprob_model: {len(atoms)} radial nodes degenerate to point masses"
-        )
     return TotalProb(sub=sub, sigma_bw2=sigma_bw2, mean_S=mean_S, moments=m,
                      aperture=aperture, eta0=eta0, zeta02=zeta02,
                      node_models=tuple(node_models), atoms=tuple(atoms))

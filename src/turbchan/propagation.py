@@ -69,7 +69,7 @@ __all__ = [
     "screen_structure_function",
 ]
 
-LEAK_WARN_FRACTION = 0.01  # warn when more than 1% of power hits the boundary
+LEAK_WARN_FRACTION = 0.01  # a realization counts in n_leak_warnings above 1% leaked power
 
 
 # ---------------------------------------------------------------------------
@@ -697,15 +697,14 @@ class SampleRecord:
 class EnsembleReport:
     """Boundary leakage over the realizations (or time steps) of one run.
 
-    Built by :func:`_collect`; ``warnings`` states ``n_leak_warnings`` (the
-    realizations whose leaked power is above the warning fraction) and
-    ``max_leaked_power``.
+    Built by :func:`_collect`: ``n_leak_warnings`` counts the realizations
+    whose leaked power is above ``LEAK_WARN_FRACTION``, and
+    ``max_leaked_power`` is the largest leaked fraction of any.
     """
 
     n_realizations: int = 0
     n_leak_warnings: int = 0
     max_leaked_power: float = 0.0
-    warnings: tuple = ()
 
 
 def _collect(results, apertures: Sequence[float]):
@@ -721,10 +720,7 @@ def _collect(results, apertures: Sequence[float]):
             by_aperture[a].append(rec)
         leaks.append(leaked)
     n_leaky = sum(leak > LEAK_WARN_FRACTION for leak in leaks)
-    worst = max([0.0, *leaks])
-    warnings = (f"{n_leaky} realizations leaked more than {LEAK_WARN_FRACTION:.0%} "
-                f"of power (max {worst:.3%})",) if n_leaky else ()
-    return by_aperture, EnsembleReport(len(leaks), n_leaky, worst, warnings)
+    return by_aperture, EnsembleReport(len(leaks), n_leaky, max([0.0, *leaks]))
 
 
 @functools.lru_cache(maxsize=4)

@@ -425,13 +425,11 @@ def quadrature_moments(state: Coherent, channel: ChannelSpec) -> tuple[float, fl
     mean_x = 2 Re(alpha) <sqrt(eta)>;
     var_x = 1 + 4 Re(alpha)^2 (<eta> - <sqrt(eta)>^2) >= 1, with equality
     iff the channel transmittance is deterministic.  The two moments of eta
-    are sums over ``channel.nodes``, taken without BLAS as in
-    :func:`~turbchan.pdt.fractional_moment`.
+    are ``fractional_moment(channel, p)`` at p = 1/2 and p = 1.
     """
     if not isinstance(state, Coherent):
         raise DomainError("quadrature_moments: coherent input only")
-    eta, weight = channel.nodes
-    m_half, m_one = _node_sum(weight, eta**0.5), _node_sum(weight, eta)
+    m_half, m_one = fractional_moment(channel, 0.5), fractional_moment(channel, 1.0)
     re = state.alpha.real
     mean_x = 2.0 * re * m_half
     var_x = 1.0 + 4.0 * re * re * (m_one - m_half * m_half)

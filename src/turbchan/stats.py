@@ -51,9 +51,6 @@ class EmpiricalSample:
     def count(self) -> int:
         return self.values.size
 
-    def mean(self) -> float:
-        return float(np.mean(self.values))
-
 
 @dataclass(frozen=True)
 class PairSample:

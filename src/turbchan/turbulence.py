@@ -29,7 +29,7 @@ __all__ = [
     "fresnel_number",
 ]
 
-WEAK_TURBULENCE_RYTOV_LIMIT = 0.5  # validity warning threshold on sigma_R^2
+WEAK_TURBULENCE_RYTOV_LIMIT = 0.5  # upper end of the weak-turbulence domain in sigma_R^2
 
 
 @dataclass(frozen=True)

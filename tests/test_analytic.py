@@ -7,6 +7,7 @@ import pytest
 
 from turbchan.analytic import weak_turb_params
 from turbchan.errors import DomainError
+from turbchan.pdt import EtaConvention
 from turbchan.turbulence import ChannelGeometry
 
 FIG2 = ChannelGeometry(wavelength=809e-9, path_length=3000.0, beam_radius=0.0278,
@@ -37,7 +38,7 @@ def independent_fig2_values(a, convention):
             - mpmath.mpf("0.05") * s2**4 * om ** (-mpmath.mpf(2) / 3)
         )
         a = mpmath.mpf(repr(a))
-        if convention == "literal":
+        if convention is EtaConvention.paper_literal:
             meta = 1 - mpmath.exp(
                 -(a**2) / (2 * (w0sq * om**-2 + mpmath.mpf("1.05") * s2 * om ** (-mpmath.mpf(7) / 6)))
             )
@@ -67,16 +68,20 @@ class TestZeroTurbulenceLimit:
 
 
 class TestFig2PlugIn:
-    @pytest.mark.parametrize("convention", ["literal", "consistent"])
+    @pytest.mark.parametrize("convention", [EtaConvention.paper_literal,
+                                            EtaConvention.consistent],
+                             ids=["literal", "consistent"])
     def test_duplicate_arithmetic(self, convention):
         p = weak_turb_params(FIG2, CN2, eta_convention=convention)
         oracle = independent_fig2_values(0.02, convention)
         for name, val in oracle.items():
             assert getattr(p, name) == pytest.approx(val, rel=1e-12), name
+        assert p.eta_convention is convention
 
     def test_conventions_differ_only_in_mean_eta(self):
-        lit = weak_turb_params(FIG2, CN2, "literal")
-        con = weak_turb_params(FIG2, CN2, "consistent")
+        lit = weak_turb_params(FIG2, CN2, EtaConvention.paper_literal)
+        con = weak_turb_params(FIG2, CN2, EtaConvention.consistent)
+        assert weak_turb_params(FIG2, CN2, "paper_literal") == lit
         assert lit.mean_eta != con.mean_eta
         assert lit.mean_eta2 == con.mean_eta2
         assert lit.sigma_bw2 == con.sigma_bw2
@@ -105,16 +110,18 @@ class TestFlagsAndErrors:
     def test_fig2_pair_inconsistency_reported(self):
         # at a = 2 cm the printed eta/eta^2 pair violates variance >= 0;
         # the record carries the flag instead of raising
-        p = weak_turb_params(FIG2, CN2, "consistent")
+        p = weak_turb_params(FIG2, CN2, EtaConvention.consistent)
         assert p.mean_eta2 < p.mean_eta**2
         assert not p.moment_consistent
-        assert p.warnings
+        assert p.validity
 
-    def test_unfocused_warns(self):
+    def test_unfocused_is_invalid(self):
+        # weak turbulence, but the formulas assume F0 = L
         g = ChannelGeometry(wavelength=809e-9, path_length=3000.0,
                             beam_radius=0.0278, aperture_radius=0.02)
         p = weak_turb_params(g, CN2)
-        assert any("focused" in w for w in p.warnings)
+        assert p.rytov2 < 0.5
+        assert not p.validity
 
     def test_strong_turbulence_flag(self):
         p = weak_turb_params(FIG2, 5e-15)

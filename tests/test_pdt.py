@@ -666,6 +666,39 @@ class TestElliptic:
         got = pdt.elliptic_sample(model, a, n, RngStream(5, 0))
         assert np.max(np.abs(got - want)) <= 1e-10
 
+    def test_singular_sigma_keeps_its_variance(self):
+        # Sigma is not PSD: it is sampled as its singular projection
+        # 5.25 [[1, 1], [1, 1]], so Theta1 = Theta2 = mu_S + sqrt(5.25) g1
+        # (numpy's Cholesky factor of that projection plus 1e-15 I fails)
+        a, n = 0.02, 20_000
+        model = pdt.EllipticBeam(self.FIT.sigma_bw2, self.FIT.mu_S,
+                                 np.array([[4.2, 6.3], [6.3, 4.2]]), a)
+        gen = RngStream(5, 0).generator()
+        theta = model.mu_S + math.sqrt(5.25) * gen.standard_normal((n, 2))[:, 0]
+        phi = gen.random(n) * (0.5 * math.pi)
+        r0xy = gen.normal(0.0, math.sqrt(model.sigma_bw2), (n, 2))
+        want = pdt._elliptic_eta(theta, theta, phi, r0xy[:, 0], r0xy[:, 1], a)
+        got = pdt.elliptic_sample(model, a, n, RngStream(5, 0))
+        assert np.max(np.abs(got - want)) <= 1e-12
+        assert np.std(got) > 0.3
+
+    def test_non_psd_estimate_is_returned_unprojected(self):
+        # a fixed axis ratio e^2 with a narrowly spread size: the two squared
+        # semi-axes are anti-correlated beyond what a covariance allows
+        size = 4e-4 * np.exp(RngStream(6, 0).generator().normal(0.0, math.sqrt(0.05), 1500))
+        recs = [SampleRecord(eta=0.5, x0=0.0, y0=0.0, sxx=c * math.e, syy=c / math.e,
+                             sxy=0.0, realization_index=i) for i, c in enumerate(size)]
+        mu_s, sigma = pdt.elliptic_params_from_samples(recs)
+        mean_w2 = np.mean(size) * math.cosh(1.0)
+        assert sigma[0, 1] == pytest.approx(math.log(np.mean(size**2) / mean_w2**2),
+                                            rel=1e-12)
+        assert abs(sigma[0, 1]) > sigma[0, 0] > 0.0
+        model = pdt.EllipticBeam(8.1e-5, mu_s, sigma, 0.02)
+        projected = pdt.EllipticBeam(8.1e-5, mu_s, pdt._psd_2x2(sigma), 0.02)
+        got = pdt.elliptic_sample(model, 0.02, 2000, RngStream(7, 0))
+        want = pdt.elliptic_sample(projected, 0.02, 2000, RngStream(7, 0))
+        assert got.tobytes() == want.tobytes()
+
     def test_nodes_memory_bounded(self):
         # every draw as one array held 58 MiB of temporaries at 200k samples
         model = pdt.EllipticBeam(self.FIT.sigma_bw2, self.FIT.mu_S, self.FIT.Sigma,

@@ -298,7 +298,7 @@ class TestConditionalPdt:
     def test_positive_correlation_raises_mean(self):
         p = self.pairs()
         sel = conditional_pdt(p, 0.8)
-        assert sel.mean() >= float(np.mean(p.eta2))
+        assert np.mean(sel.values) >= np.mean(p.eta2)
 
     def test_count_matches_threshold(self):
         p = self.pairs()
