@@ -201,7 +201,7 @@ class TestClosedFormCdf:
     pdt.beta_from_moments(pdt.MomentPair(0.5, 0.28)),
     pdt.BeamWander(1e-4, 4e-4, 0.02),
     pdt.CircularBeam(1e-4, math.log(4e-4), 0.1, 0.02),
-    pdt.EllipticBeam(1e-4, math.log(4e-4), 0.05 * np.eye(2), 0.02, cache_size=2000),
+    pdt.EllipticBeam(1e-4, math.log(4e-4), 0.05 * np.eye(2), 0.02),
     pdt.totalprob_model("lognormal", 1e-4, 4e-4, pdt.MomentPair(0.5, 0.28), 0.02),
 ], ids=["lognormal", "beta", "beam_wander", "circular", "elliptic", "totalprob"])
 def test_nan_eta_rejected(model):
@@ -565,6 +565,13 @@ class TestCircular:
         assert math.exp(mu_r) == pytest.approx(S_bw, rel=1e-4)
 
 
+# The elliptic-beam fit (sigma_bw2, mu_S, Sigma) of the benchmark's pdt_photon
+# records at seed 1.
+SEED1_ELLIPTIC = (8.15325948936061e-05, -6.712304664236537,
+                  np.array([[0.03440210673642848, -0.00048629074947144905],
+                            [-0.00048629074947144905, 0.03440210673642848]]))
+
+
 class TestElliptic:
     def synthetic_records(self, n=4000, mu=math.log(4e-4), sig2=0.09, seed=5):
         gen = RngStream(seed, 0).generator()
@@ -624,10 +631,9 @@ class TestElliptic:
         with pytest.raises(DomainError, match="aperture"):
             pdt.elliptic_sample(model, a, 100, RngStream(4, 0))
 
-    def test_ecdf_available_through_model_cdf(self):
+    def test_cdf_available_through_model_cdf(self):
         model = pdt.EllipticBeam(sigma_bw2=1e-4, mu_S=math.log(4e-4),
-                                 Sigma=0.05 * np.eye(2), aperture=0.02,
-                                 cache_size=20000)
+                                 Sigma=0.05 * np.eye(2), aperture=0.02)
         assert pdt.model_cdf(model, 1.0) == 1.0
         assert pdt.model_cdf(model, 0.0) == 0.0
         mid = pdt.model_cdf(model, 0.5)
@@ -700,18 +706,72 @@ class TestElliptic:
         assert got.tobytes() == want.tobytes()
 
     def test_nodes_memory_bounded(self):
-        # every draw as one array held 58 MiB of temporaries at 200k samples
-        model = pdt.EllipticBeam(self.FIT.sigma_bw2, self.FIT.mu_S, self.FIT.Sigma,
-                                 0.02, cache_size=200_000)
+        # the 200k-sample point set this rule replaced peaked near 11 MiB
+        model = pdt.EllipticBeam(self.FIT.sigma_bw2, self.FIT.mu_S, self.FIT.Sigma, 0.02)
         tracemalloc.start()
         try:
             eta, weight = model.nodes
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert eta.size == weight.size == 200_000
-        assert np.all(np.diff(eta) >= 0.0)
-        assert peak <= 16 * 2**20
+        assert 10_000 < eta.size == weight.size <= 50_000
+        assert peak <= 8 * 2**20
+
+    @pytest.mark.parametrize("sigma", [np.diag([-0.01, 0.05]), -0.01 * np.eye(2)])
+    def test_negative_variance_rejected(self, sigma):
+        # -0.01 I was once accepted and modelled as Sigma = 0
+        with pytest.raises(DomainError, match="Sigma"):
+            pdt.EllipticBeam(1e-4, math.log(4e-4), sigma, 0.02)
+
+    def test_non_psd_sigma_is_projected(self):
+        # the singular projection 5.25 [[1, 1], [1, 1]], as elliptic_sample draws it
+        sigma = np.array([[4.2, 6.3], [6.3, 4.2]])
+        got = pdt.EllipticBeam(8.1e-5, self.FIT.mu_S, sigma, 0.02)
+        want = pdt.EllipticBeam(8.1e-5, self.FIT.mu_S, pdt._psd_2x2(sigma), 0.02)
+        es = np.linspace(0.0, 1.0, 41)
+        assert np.array_equal(pdt.model_cdf(got, es), pdt.model_cdf(want, es))
+
+    def test_cdf_against_sampler(self):
+        # the seed-1 fit of the benchmark's pdt_photon records, against a
+        # seeded 1M-draw ECDF of the model's own sampler (whose sup error is
+        # about 1e-3 alone)
+        model = pdt.EllipticBeam(*SEED1_ELLIPTIC, aperture=0.02)
+        es = np.linspace(0.0, 1.0, 2001)
+        draws = np.sort(pdt.elliptic_sample(model, 0.02, 1_000_000, RngStream(2026, 0)))
+        ecdf = np.searchsorted(draws, es, side="right") / draws.size
+        assert np.max(np.abs(pdt.model_cdf(model, es) - ecdf)) <= 2e-3
+        assert model.nodes[0].size <= 50_000
+
+
+@pytest.mark.slow
+@pytest.mark.parametrize("sigma_bw2,mu_S,sigma,tol", [
+    (*SEED1_ELLIPTIC, 1e-3),
+    (8.1e-5, math.log(1.2e-3), np.array([[0.05, 0.049], [0.049, 0.05]]), 1.5e-3),
+    (8.1e-5, math.log(1.2e-3), np.array([[0.4, -0.3], [-0.3, 0.4]]), 1.5e-3),
+], ids=["seed1-fit", "near-circular", "strongly-elliptic"])
+def test_elliptic_rule_against_3m_draws(sigma_bw2, mu_S, sigma, tol):
+    """The rule's CDF and moments against 3M seeded draws of the sampler.
+
+    The CDF must beat the 200k-draw ECDF that the model once used (sample
+    seed 0), and <eta>, <eta^2> must lie within 2 standard errors.
+    """
+    model = pdt.EllipticBeam(sigma_bw2, mu_S, sigma, 0.02)
+    es = np.linspace(0.0, 1.0, 2001)
+    counts, sums, n = np.zeros(es.size), np.zeros(3), 0
+    for k in range(3):
+        draws = np.sort(pdt.elliptic_sample(model, 0.02, 1_000_000, RngStream(20260, k)))
+        counts += np.searchsorted(draws, es, side="right")
+        sums += [draws.sum(), (draws**2).sum(), (draws**4).sum()]
+        n += draws.size
+    ecdf = counts / n
+    former = np.sort(pdt.elliptic_sample(model, 0.02, 200_000, RngStream(0, 0)))
+    former_err = np.max(np.abs(np.searchsorted(former, es, side="right") / former.size - ecdf))
+    err = np.max(np.abs(pdt.model_cdf(model, es) - ecdf))
+    assert err <= tol and err < former_err
+    m1, m2, m4 = sums / n
+    got = pdt.model_moments(model)
+    assert abs(got.m1 - m1) <= 2.0 * math.sqrt((m2 - m1 * m1) / n)
+    assert abs(got.m2 - m2) <= 2.0 * math.sqrt((m4 - m2 * m2) / n)
 
 
 class TestTotalProb:
@@ -755,6 +815,7 @@ class TestGenericOps:
         yield pdt.beta_from_moments(m)
         yield pdt.BeamWander(1e-4, 4e-4, 0.02)
         yield pdt.CircularBeam(1e-4, math.log(4e-4), 0.1, 0.02)
+        yield pdt.EllipticBeam(1e-4, math.log(4e-4), 0.05 * np.eye(2), 0.02)
         yield pdt.totalprob_model("beta", 1e-4, 4e-4, m, 0.02)
         yield pdt.totalprob_model("lognormal", 1e-4, 4e-4, m, 0.02)
 
@@ -781,6 +842,21 @@ class TestGenericOps:
         es = np.linspace(0.0, 1.0, 101)
         for model in self.models():
             assert np.all(pdt.model_density(model, es) >= 0.0), model
+
+    def test_density_integrates_to_cdf(self):
+        for model in self.models():
+            if isinstance(model, pdt.TotalProb):
+                continue  # its CDF is this quadrature
+            # a spot mixture's component densities are singular at their own
+            # eta0: quad takes the pieces between them one by one
+            peaks = np.ravel(model._spots[0]) if isinstance(model, pdt._SpotMixture) else []
+            for lo, hi in ((0.0, 0.3), (0.3, 0.6), (0.6, 1.0)):
+                edges = np.unique(np.clip([lo, hi, *peaks], lo, hi))
+                got = sum(integrate.quad(lambda e: pdt.model_density(model, e), x0, x1,
+                                         epsabs=1e-10, limit=200)[0]
+                          for x0, x1 in zip(edges[:-1], edges[1:]))
+                want = pdt.model_cdf(model, hi) - pdt.model_cdf(model, lo)
+                assert got == pytest.approx(want, abs=1e-6), (model, lo, hi)
 
     def test_half_moment_jensen(self):
         # <sqrt(eta)>^2 <= <eta> with equality only for a point mass
@@ -860,18 +936,13 @@ class TestFixedNodeRule:
                 bw_quad_moment(BENCH_BW, p), rel=1e-12)
 
     def test_weights_carry_all_mass(self):
-        m = pdt.MomentPair(0.5, 0.3)
-        for model in (pdt.CircularBeam(1e-4, math.log(4e-4), 0.1, 0.02),
-                      pdt.totalprob_model("beta", 1e-4, 4e-4, m, 0.02),
-                      pdt.totalprob_model("lognormal", 1e-4, 4e-4, m, 0.02)):
+        for model in TestGenericOps().models():
             eta, weight = model.nodes
             assert np.all(weight >= 0.0) and np.all((eta >= 0.0) & (eta <= 1.0))
             assert weight.sum() == pytest.approx(1.0, abs=1e-12), model
 
     def test_cached_nodes_are_read_only(self):
-        for model in (*TestGenericOps().models(),
-                      pdt.EllipticBeam(1e-4, math.log(4e-4), 0.05 * np.eye(2), 0.02,
-                                       cache_size=1000)):
+        for model in TestGenericOps().models():
             assert model.nodes is model.nodes, model
             for a in model.nodes:
                 with pytest.raises(ValueError):

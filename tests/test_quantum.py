@@ -4,6 +4,7 @@ import concurrent.futures as cf
 import math
 import multiprocessing
 import re
+import time
 import tracemalloc
 
 import mpmath
@@ -210,12 +211,24 @@ class TestChannelPmf:
         assert big.sum() > 900
         np.testing.assert_allclose(got[big], want[big], rtol=1.5e-12, atol=0.0)
 
-    def test_elliptic_channel_uses_samples(self):
+    def test_elliptic_channel_uses_nodes(self):
         model = pdt.EllipticBeam(sigma_bw2=1e-4, mu_S=math.log(4e-4),
-                                 Sigma=0.05 * np.eye(2), aperture=0.02,
-                                 cache_size=5000)
+                                 Sigma=0.05 * np.eye(2), aperture=0.02)
+        eta, weight = model.nodes
         ps = channel_pmf(Fock(1), PdtChannel(model))
-        assert ps.pmf[1] == pytest.approx(model.nodes[0].mean(), rel=1e-12)
+        assert ps.pmf[1] == pytest.approx(float(weight @ eta), rel=1e-12)
+        ps = channel_pmf(Coherent(2.0), PdtChannel(model))
+        assert ps.mean == pytest.approx(4.0 * pdt.fractional_moment(model, 1.0), rel=1e-9)
+
+    def test_circular_benchmark_fit(self):
+        # the seed-1 CircularBeam fit of the benchmark's pdt_photon records,
+        # whose photon statistics once took 52 s and then raised DomainError
+        model = pdt.CircularBeam(sigma_bw2=8.15325948936061e-05, mu_S=-6.7058810285164006,
+                                 sigma_S2=0.019788661803269235, aperture=0.02)
+        t0 = time.perf_counter()
+        ps = channel_pmf(Coherent(2.0), PdtChannel(model))
+        assert time.perf_counter() - t0 < 0.1
+        assert ps.mean == pytest.approx(4.0 * pdt.fractional_moment(model, 1.0), rel=1e-9)
 
 
 class TestChannelNodes:
@@ -534,7 +547,7 @@ def node_sums() -> dict:
            for p in (0.5, 1.0, 2.0)}
     elliptic = pdt.EllipticBeam(8.1e-5, math.log(1.2e-3),
                                 np.array([[0.04, 0.015], [0.015, 0.04]]), 0.02)
-    out["elliptic nodes"] = elliptic.nodes[0]  # 200 000 samples
+    out["elliptic nodes"] = elliptic.nodes[0]  # 36 864 nodes
     out["quadrature_moments"] = quadrature_moments(Coherent(2.0), channel)
     for state in (Coherent(2.0), Coherent(6.0), Coherent(30.0), Thermal(100.0)):
         # n_max 22, 80, 1097 and 2316
