@@ -9,8 +9,6 @@ __version__ = "0.1.0"
 
 from .turbulence import (  # noqa: F401
     ChannelGeometry,
-    Kolmogorov,
-    SpectrumModel,
     VonKarmanTatarskii,
     fresnel_number,
     rytov_variance,

@@ -29,6 +29,7 @@ from __future__ import annotations
 import ctypes
 import importlib
 import math
+import numbers
 from dataclasses import dataclass
 
 import numpy as np
@@ -53,10 +54,16 @@ class RngStream:
     master_seed: int
     stream_index: int = 0
 
+    def __post_init__(self):
+        for name in ("master_seed", "stream_index"):
+            value = getattr(self, name)
+            if not isinstance(value, numbers.Integral):
+                raise DomainError(f"RngStream: {name} = {value!r} must be an integer")
+
     def generator(self) -> np.random.Generator:
         """Fresh generator positioned at the start of this stream."""
         key = np.array(
-            [self.master_seed % _TWO64, self.stream_index % _TWO64],
+            [int(self.master_seed) % _TWO64, int(self.stream_index) % _TWO64],
             dtype=np.uint64,
         )
         return np.random.Generator(np.random.Philox(key=key))

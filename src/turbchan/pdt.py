@@ -445,9 +445,6 @@ class BeamWander(_SpotMixture):
         if not _positive(self.sigma_bw2, self.S, self.aperture):
             raise DomainError("BeamWander: parameters must be finite and > 0")
 
-    def geometry(self):
-        return bw_geometry(self.S, self.aperture, self.convention)
-
     def spot_nodes(self):
         """The one spot size, with mass 1."""
         return np.array([float(self.S)]), np.ones(1)

@@ -40,8 +40,6 @@ from .errors import ConfigError, DomainError
 from .numerics import RngStream, _blas_controls
 from .turbulence import (
     ChannelGeometry,
-    Kolmogorov,
-    SpectrumModel,
     VonKarmanTatarskii,
     fresnel_number,
     rytov_variance,
@@ -119,7 +117,7 @@ class Field:
         return np.abs(self.values) ** 2
 
 
-def long_term_spot_radius(geom: ChannelGeometry, spectrum: SpectrumModel) -> float:
+def long_term_spot_radius(geom: ChannelGeometry, spectrum: VonKarmanTatarskii) -> float:
     """Rough wander-broadened spot radius at the receiver, for grid sizing.
 
     Vacuum diffraction plus the weak-turbulence spread and wander terms
@@ -136,7 +134,7 @@ def long_term_spot_radius(geom: ChannelGeometry, spectrum: SpectrumModel) -> flo
     return math.sqrt(vac + turb)
 
 
-def default_grid(geom: ChannelGeometry, spectrum: SpectrumModel, n: int = 512) -> Grid:
+def default_grid(geom: ChannelGeometry, spectrum: VonKarmanTatarskii, n: int = 512) -> Grid:
     """Grid sized to 10 long-term spot diameters."""
     w_lt = long_term_spot_radius(geom, spectrum)
     extent = max(10.0 * 2.0 * w_lt, 8.0 * max(geom.beam_radius, w_lt))
@@ -187,12 +185,18 @@ class SparseScreen:
     ky: np.ndarray
     amp_cos: np.ndarray
     amp_sin: np.ndarray
-    z_index: int
     slab_thickness: float
 
     @property
     def n_components(self) -> int:
         return self.kx.size
+
+
+def _require_integers(**values) -> None:
+    """Raise ``ConfigError`` naming ``sim.<name>`` for a value that is not an integer."""
+    for name, value in values.items():
+        if not isinstance(value, numbers.Integral):
+            raise ConfigError(f"{name} = {value!r} must be an integer", field=f"sim.{name}")
 
 
 def _band_counts(n_components: int, n_bands: int) -> np.ndarray:
@@ -201,36 +205,29 @@ def _band_counts(n_components: int, n_bands: int) -> np.ndarray:
     return counts
 
 
-def _band_limits(spectrum: SpectrumModel, kappa_min: Optional[float],
+def _band_limits(spectrum: VonKarmanTatarskii, kappa_min: Optional[float],
                  kappa_max: Optional[float]) -> tuple[float, float]:
     """The screens' wavenumber band ``(kappa_min, kappa_max)``, checked.
 
-    A bound left as None of a von Karman-Tatarskii spectrum defaults to
-    2 pi / 4 L0 or 4 pi / l0; a Kolmogorov spectrum needs both.  Raises
-    ``ConfigError`` unless 0 < kappa_min < kappa_max < inf.
+    A bound left as None defaults to 2 pi / 4 L0 (needs a finite L0) or to
+    4 pi / l0 (needs l0 > 0).  Raises ``ConfigError``, naming the bound,
+    unless 0 < kappa_min < kappa_max < inf.
     """
-    if kappa_min is None or kappa_max is None:
-        if not isinstance(spectrum, VonKarmanTatarskii):
-            raise ConfigError(
-                "Kolmogorov screens need explicit kappa_min/kappa_max "
-                "(the power law has no intrinsic scales)",
-                field="spectrum",
-            )
-        if kappa_min is None:
-            kappa_min = 2.0 * math.pi / (4.0 * spectrum.outer_scale)
-        if kappa_max is None:
-            kappa_max = 2.0 * math.pi / (spectrum.inner_scale / 2.0)
+    if kappa_min is None:
+        kappa_min = 2.0 * math.pi / (4.0 * spectrum.outer_scale)  # 0 at L0 = inf
+    if kappa_max is None:
+        kappa_max = 4.0 * math.pi / spectrum.inner_scale if spectrum.inner_scale else math.inf
     if not 0.0 < kappa_min < math.inf:
-        raise ConfigError(f"kappa_min = {kappa_min} must be finite and > 0",
-                          field="sim.kappa_min")
+        raise ConfigError(f"kappa_min = {kappa_min} must be finite and > 0 (give it when "
+                          "L0 = inf)", field="sim.kappa_min")
     if not kappa_min < kappa_max < math.inf:
         raise ConfigError(f"kappa_max = {kappa_max} must be finite and > kappa_min "
-                          f"= {kappa_min}", field="sim.kappa_max")
+                          f"= {kappa_min} (give it when l0 = 0)", field="sim.kappa_max")
     return kappa_min, kappa_max
 
 
 @functools.lru_cache(maxsize=64)
-def _band_tables(spectrum: SpectrumModel, kappa_min: Optional[float],
+def _band_tables(spectrum: VonKarmanTatarskii, kappa_min: Optional[float],
                  kappa_max: Optional[float], n_bands: int):
     """Per-band variance integrals and inverse-CDF tables for |kappa| draws.
 
@@ -260,7 +257,7 @@ def _band_tables(spectrum: SpectrumModel, kappa_min: Optional[float],
     return integrals, tuple(tables)
 
 
-def sample_screens(spectrum: SpectrumModel, geom: ChannelGeometry, n_screens: int,
+def sample_screens(spectrum: VonKarmanTatarskii, geom: ChannelGeometry, n_screens: int,
                    n_components: int, stream: RngStream, *, n_bands: int = 16,
                    kappa_min: Optional[float] = None,
                    kappa_max: Optional[float] = None) -> list[SparseScreen]:
@@ -271,6 +268,9 @@ def sample_screens(spectrum: SpectrumModel, geom: ChannelGeometry, n_screens: in
     log-spaced band, directions uniform on the circle, cos/sin amplitudes
     Gaussian with variance = band variance / components in band.
     """
+    _require_integers(n_screens=n_screens, n_components=n_components, n_bands=n_bands)
+    if n_screens < 1:
+        raise ConfigError("need n_screens >= 1", field="sim.n_screens")
     if n_components < 64:
         raise ConfigError("need n_components >= 64", field="sim.n_components")
     if n_bands < 1:
@@ -282,7 +282,7 @@ def sample_screens(spectrum: SpectrumModel, geom: ChannelGeometry, n_screens: in
     counts = _band_counts(n_components, n_bands)
     gen = stream.generator()
     screens = []
-    for zi in range(n_screens):
+    for _ in range(n_screens):
         kx = np.empty(n_components)
         ky = np.empty(n_components)
         a = np.empty(n_components)
@@ -301,7 +301,7 @@ def sample_screens(spectrum: SpectrumModel, geom: ChannelGeometry, n_screens: in
             b[pos:pos + m] = gen.normal(0.0, sd, m)
             pos += m
         screens.append(SparseScreen(kx=kx, ky=ky, amp_cos=a, amp_sin=b,
-                                    z_index=zi, slab_thickness=dz))
+                                    slab_thickness=dz))
     return screens
 
 
@@ -631,7 +631,7 @@ class SimConfig:
     """Everything needed to reproduce a Monte Carlo run."""
 
     geometry: ChannelGeometry
-    spectrum: SpectrumModel
+    spectrum: VonKarmanTatarskii
     grid: Grid
     n_screens: int = 10
     n_components: int = 256
@@ -645,6 +645,9 @@ class SimConfig:
     kappa_max: Optional[float] = None
 
     def __post_init__(self):
+        _require_integers(seed=self.seed, n_screens=self.n_screens,
+                          n_components=self.n_components, n_bands=self.n_bands,
+                          n_realizations=self.n_realizations)
         if self.n_screens < 5:
             raise ConfigError("need n_screens >= 5", field="sim.n_screens")
         if self.n_components < 64:
@@ -680,6 +683,9 @@ class SampleRecord:
     time: Optional[float] = None
 
     def __post_init__(self):
+        for name in ("x0", "y0", "sxx", "syy", "sxy"):
+            if not math.isfinite(getattr(self, name)):
+                raise DomainError(f"{name}={getattr(self, name)} must be finite")
         if not (-1e-9 <= self.eta <= 1.0 + 1e-9):
             raise DomainError(f"eta={self.eta} outside [0, 1]")
         if not (self.sxx > 0.0 and self.syy > 0.0):

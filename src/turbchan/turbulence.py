@@ -1,28 +1,25 @@
 """Turbulence power spectra and dimensionless channel parameters.
 
-Two refractive-index spectrum models are supported: the pure Kolmogorov
-power law and the modified von Karman-Tatarskii spectrum with outer scale
-``L0`` and inner scale ``l0``,
+One refractive-index spectrum model, the modified von Karman-Tatarskii
+spectrum with outer scale ``L0`` and inner scale ``l0``,
 
-    Phi_n(kappa) = 0.033 Cn2 exp[-(kappa l0 / 2 pi)^2] / (kappa^2 + L0^-2)^(11/6),
+    Phi_n(kappa) = 0.033 Cn2 exp[-(kappa l0 / 2 pi)^2] / (kappa^2 + L0^-2)^(11/6).
 
-which reduces to Kolmogorov for L0 -> inf, l0 -> 0.
+At its defaults L0 = inf, l0 = 0 it is the Kolmogorov power law
+0.033 Cn2 kappa^(-11/3).
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Union
 
 import numpy as np
 
 from .errors import DomainError
 
 __all__ = [
-    "Kolmogorov",
     "VonKarmanTatarskii",
-    "SpectrumModel",
     "ChannelGeometry",
     "spectral_density",
     "rytov_variance",
@@ -33,36 +30,23 @@ WEAK_TURBULENCE_RYTOV_LIMIT = 0.5  # upper end of the weak-turbulence domain in 
 
 
 @dataclass(frozen=True)
-class Kolmogorov:
-    """Pure power-law spectrum; cn2 in m^(-2/3)."""
-
-    cn2: float
-
-    def __post_init__(self):
-        if not (self.cn2 >= 0.0 and math.isfinite(self.cn2)):
-            raise DomainError("Kolmogorov: cn2 must be finite and >= 0")
-
-
-@dataclass(frozen=True)
 class VonKarmanTatarskii:
     """Modified von Karman-Tatarskii spectrum.
 
     cn2 in m^(-2/3); outer_scale (L0) and inner_scale (l0) in meters with
-    L0 > l0 > 0.
+    L0 > l0 >= 0.  ``VonKarmanTatarskii(cn2)`` (L0 = inf, l0 = 0) is the
+    Kolmogorov spectrum.
     """
 
     cn2: float
-    outer_scale: float
-    inner_scale: float
+    outer_scale: float = math.inf
+    inner_scale: float = 0.0
 
     def __post_init__(self):
         if not (self.cn2 >= 0.0 and math.isfinite(self.cn2)):
             raise DomainError("VonKarmanTatarskii: cn2 must be finite and >= 0")
-        if not (self.outer_scale > self.inner_scale > 0.0):
-            raise DomainError("VonKarmanTatarskii: require L0 > l0 > 0")
-
-
-SpectrumModel = Union[Kolmogorov, VonKarmanTatarskii]
+        if not (self.outer_scale > self.inner_scale >= 0.0):
+            raise DomainError("VonKarmanTatarskii: require L0 > l0 >= 0")
 
 
 @dataclass(frozen=True)
@@ -100,27 +84,22 @@ class ChannelGeometry:
         )
 
 
-def spectral_density(model: SpectrumModel, kappa_perp, kappa_z=0.0):
+def spectral_density(model: VonKarmanTatarskii, kappa_perp, kappa_z=0.0):
     """Refractive-index power spectral density Phi_n(kappa).
 
     Accepts scalars or arrays; kappa = sqrt(kappa_perp^2 + kappa_z^2).
-    The Kolmogorov origin is non-integrable, so kappa == 0 raises there;
-    the von Karman value at the origin is 0.033 cn2 L0^(11/3).
+    With L0 = inf the origin is non-integrable and kappa == 0 raises; with
+    a finite L0 the value there is 0.033 cn2 L0^(11/3).
     """
     kp = np.asarray(kappa_perp, dtype=float)
     kz = np.asarray(kappa_z, dtype=float)
     if np.any(~np.isfinite(kp)) or np.any(~np.isfinite(kz)):
         raise DomainError("spectral_density: kappa components must be finite")
     kappa2 = kp * kp + kz * kz
-    if isinstance(model, Kolmogorov):
-        if np.any(kappa2 == 0.0):
-            raise DomainError("spectral_density: Kolmogorov spectrum diverges at kappa=0")
-        out = 0.033 * model.cn2 * kappa2 ** (-11.0 / 6.0)
-    elif isinstance(model, VonKarmanTatarskii):
-        inner = np.exp(-kappa2 * (model.inner_scale / (2.0 * math.pi)) ** 2)
-        out = 0.033 * model.cn2 * inner / (kappa2 + model.outer_scale ** -2.0) ** (11.0 / 6.0)
-    else:
-        raise TypeError(f"unknown spectrum model: {model!r}")
+    if model.outer_scale == math.inf and np.any(kappa2 == 0.0):
+        raise DomainError("spectral_density: with L0 = inf the spectrum diverges at kappa=0")
+    inner = np.exp(-kappa2 * (model.inner_scale / (2.0 * math.pi)) ** 2)
+    out = 0.033 * model.cn2 * inner / (kappa2 + model.outer_scale ** -2.0) ** (11.0 / 6.0)
     return float(out) if np.isscalar(kappa_perp) and np.isscalar(kappa_z) else out
 
 

@@ -312,6 +312,18 @@ class TestSolve2:
 
 
 class TestRngStream:
+    @pytest.mark.parametrize("seed,index", [(1.5, 0), (1, 0.7), (1.0, 0), ("1", 0),
+                                            (None, 0), (1, np.float64(2.0))])
+    def test_non_integers_rejected(self, seed, index):
+        with pytest.raises(DomainError):
+            RngStream(seed, index)
+
+    def test_numpy_integers_accepted(self):
+        want = RngStream(7, 3).generator().random(4).tolist()
+        assert RngStream(np.int64(7), np.uint64(3)).generator().random(4).tolist() == want
+        assert (RngStream(np.int32(-1)).generator().random(4).tolist()
+                == RngStream(-1).generator().random(4).tolist())
+
     def test_same_seed_identical(self):
         seq1 = RngStream(123, 5).generator().standard_normal(20)
         seq2 = RngStream(123, 5).generator().standard_normal(20)

@@ -248,17 +248,17 @@ class TestBwDensity:
     BW = pdt.BeamWander(sigma_bw2=1e-4, S=4e-4, aperture=0.02)
 
     def test_zero_outside_support(self):
-        eta0 = self.BW.geometry()[0]
+        eta0 = pdt.bw_geometry(self.BW.S, self.BW.aperture, self.BW.convention)[0]
         assert pdt.model_density(self.BW, eta0 + 1e-6) == 0.0
         assert pdt.model_density(self.BW, -0.1) == 0.0
 
     def test_unit_integral(self):
-        eta0 = self.BW.geometry()[0]
+        eta0 = pdt.bw_geometry(self.BW.S, self.BW.aperture, self.BW.convention)[0]
         total = adaptive_quad(lambda e: pdt.model_density(self.BW, e), 0.0, eta0, 1e-9)
         assert total == pytest.approx(1.0, abs=1e-6)
 
     def test_cdf_step_limit_small_wander(self):
-        eta0 = self.BW.geometry()[0]
+        eta0 = pdt.bw_geometry(self.BW.S, self.BW.aperture, self.BW.convention)[0]
         narrow = pdt.BeamWander(sigma_bw2=1e-12, S=4e-4, aperture=0.02)
         assert pdt.model_cdf(narrow, eta0 * 0.99) < 1e-12
         assert pdt.model_cdf(narrow, eta0 * (1 + 1e-12)) == 1.0
@@ -270,7 +270,7 @@ class TestBwDensity:
 
     def test_sampling_oracle_ks(self):
         # draws via eta = eta0 exp(-(r0/R)^lambda), r0 Rayleigh
-        eta0, lam, R = self.BW.geometry()
+        eta0, lam, R = pdt.bw_geometry(self.BW.S, self.BW.aperture, self.BW.convention)
         gen = RngStream(7, 0).generator()
         r0 = math.sqrt(self.BW.sigma_bw2) * np.hypot(
             gen.standard_normal(20000), gen.standard_normal(20000)
@@ -878,7 +878,7 @@ def bw_quad_moment(model, p):
     (the BeamWander CDF), and eta = eta0 exp(-u^(lambda/2)); the range is
     cut at 50/rate, with breakpoints at the mean 1/rate and at the knee u = 1.
     """
-    eta0, lam, R = model.geometry()
+    eta0, lam, R = pdt.bw_geometry(model.S, model.aperture, model.convention)
     rate = 0.5 * R * R / model.sigma_bw2
     pts = [u for u in (1.0 / rate, 1.0) if u < 50.0 / rate]
     val, _ = integrate.quad(lambda u: rate * math.exp(-rate * u - p * u ** (lam / 2.0)),

@@ -31,6 +31,7 @@ from turbchan.propagation import (
     split_step,
     transmittance,
     _aperture_weights,
+    _band_limits,
     _cis,
     _collect,
     _grid_tables,
@@ -44,7 +45,7 @@ from turbchan.propagation import (
     _vacuum,
     _window,
 )
-from turbchan.turbulence import ChannelGeometry, Kolmogorov, VonKarmanTatarskii
+from turbchan.turbulence import ChannelGeometry, VonKarmanTatarskii
 
 FIG2_GEOM = ChannelGeometry(wavelength=809e-9, path_length=3000.0,
                             beam_radius=0.0278, aperture_radius=0.02,
@@ -215,8 +216,47 @@ class TestScreens:
         assert err.value.field == field
 
     def test_kolmogorov_needs_explicit_bands(self):
-        with pytest.raises(ConfigError):
-            sample_screens(Kolmogorov(1e-15), FIG2_GEOM, 5, 96, RngStream(0, 0))
+        with pytest.raises(ConfigError) as err:
+            sample_screens(VonKarmanTatarskii(1e-15), FIG2_GEOM, 5, 96, RngStream(0, 0))
+        assert err.value.field == "sim.kappa_min"
+
+    def test_band_defaults_per_bound(self):
+        cn2 = 1e-15
+        assert _band_limits(VonKarmanTatarskii(cn2, 80.0), None, 1e4) == (
+            2.0 * math.pi / 320.0, 1e4)
+        assert _band_limits(VonKarmanTatarskii(cn2, math.inf, 1e-3), 0.1, None) == (
+            0.1, 4.0 * math.pi / 1e-3)
+        assert _band_limits(FIG2_SPEC, None, None) == (2.0 * math.pi / 320.0,
+                                                       4.0 * math.pi / 1e-3)
+        for spectrum, kappa_min, field in (
+                (VonKarmanTatarskii(cn2), None, "sim.kappa_min"),
+                (VonKarmanTatarskii(cn2, 80.0), None, "sim.kappa_max"),
+                (VonKarmanTatarskii(cn2, math.inf, 1e-3), None, "sim.kappa_min"),
+                (VonKarmanTatarskii(cn2), 0.1, "sim.kappa_max")):
+            with pytest.raises(ConfigError) as err:
+                _band_limits(spectrum, kappa_min, None)
+            assert err.value.field == field
+            with pytest.raises(ConfigError) as err:
+                small_config(spectrum=spectrum, kappa_min=kappa_min)
+            assert err.value.field == field
+
+    def test_band_default_reaches_the_screens(self):
+        # l0 = 0 with kappa_max given: the wavenumbers start at 2 pi / 4 L0
+        s = sample_screens(VonKarmanTatarskii(1e-15, 80.0), FIG2_GEOM, 5, 96,
+                           RngStream(5, 0), kappa_max=1e3)[0]
+        kmag = np.hypot(s.kx, s.ky)
+        assert np.all(kmag >= 2.0 * math.pi / 320.0 * (1 - 1e-9))
+        assert np.all(kmag <= 1e3 * (1 + 1e-9))
+
+    @pytest.mark.parametrize("name,value", [("n_components", 96.5), ("n_components", 128.0),
+                                            ("n_bands", 2.5), ("n_bands", "16"),
+                                            ("n_screens", 2.5), ("n_screens", 0),
+                                            ("n_screens", -1)])
+    def test_screen_counts_must_be_integers(self, name, value):
+        counts = {"n_screens": 5, "n_components": 96, name: value}
+        with pytest.raises(ConfigError) as err:
+            sample_screens(FIG2_SPEC, FIG2_GEOM, stream=RngStream(0, 0), **counts)
+        assert err.value.field == f"sim.{name}"
 
     def test_shift_identity(self):
         s = self.screens()[0]
@@ -276,7 +316,7 @@ class TestScreens:
         cn2 = 1e-15
         screens = []
         for i in range(250):
-            screens += sample_screens(Kolmogorov(cn2), FIG2_GEOM, 1, 256,
+            screens += sample_screens(VonKarmanTatarskii(cn2), FIG2_GEOM, 1, 256,
                                       RngStream(123, i), n_bands=24,
                                       kappa_min=1e-3, kappa_max=1.26e4)
         seps = np.logspace(math.log10(0.01), math.log10(0.5), 6)
@@ -543,7 +583,33 @@ class TestTransmittanceAndStats:
         assert np.allclose(s_moved, s_base, rtol=1e-6)
 
 
+class TestSimConfigIntegers:
+    @pytest.mark.parametrize("name,value", [
+        ("seed", 1.5), ("seed", 1.0), ("seed", "1"), ("n_screens", 5.5),
+        ("n_screens", 6.0), ("n_components", 128.5), ("n_bands", 16.0),
+        ("n_bands", 2.5), ("n_realizations", 4.5), ("n_realizations", None)])
+    def test_non_integer_rejected(self, name, value):
+        with pytest.raises(ConfigError) as err:
+            small_config(**{name: value})
+        assert err.value.field == f"sim.{name}"
+
+    def test_numpy_integers_give_the_same_records(self):
+        plain = run_ensemble(small_config(seed=1, n_realizations=2))
+        numpy_ints = run_ensemble(small_config(seed=np.int64(1), n_screens=np.int32(5),
+                                               n_realizations=np.int64(2)))
+        assert numpy_ints == plain
+
+
 class TestSampleRecord:
+    @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
+    @pytest.mark.parametrize("name", ["x0", "y0", "sxx", "syy", "sxy"])
+    def test_non_finite_rejected(self, name, value):
+        args = dict(eta=0.5, x0=0.0, y0=0.0, sxx=1.0, syy=1.0, sxy=0.0,
+                    realization_index=0)
+        args[name] = value
+        with pytest.raises(DomainError, match=name):
+            SampleRecord(**args)
+
     def test_invariants_enforced(self):
         with pytest.raises(DomainError):
             SampleRecord(eta=1.5, x0=0, y0=0, sxx=1, syy=1, sxy=0, realization_index=0)
