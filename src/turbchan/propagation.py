@@ -22,6 +22,13 @@ This module needs numpy only: the vacuum steps are numpy's FFTs, one axis at
 a time and in place, so a wave-optics process loads no module beyond numpy
 and the standard library (see :mod:`turbchan.numerics` for what loads
 when).
+
+Memory: a propagation holds two n x n complex arrays, the field and one
+screen's rotation exp(i phi), plus n x K phasor tables and a phase block of
+n / 4 rows.  What is cached per process is small beside them: the vacuum
+kernels as their 1-D factors, the absorbing window on its frame and the
+aperture weights on the disc's bounding box.  The one n x n constant is
+the launched source of :func:`_launch`.
 """
 
 from __future__ import annotations
@@ -110,8 +117,15 @@ class Field:
     values: np.ndarray
     leaked_power: float = 0.0
 
+    def __post_init__(self):
+        # complex128 rows, which power() and transmittance() view as float
+        # pairs; an array that has them already is kept, not copied
+        self.values = np.ascontiguousarray(self.values, dtype=complex)
+
     def power(self) -> float:
-        return float(np.sum(np.abs(self.values) ** 2)) * self.grid.spacing**2
+        """sum |u|^2 dA, summed over the interleaved float view without BLAS."""
+        v = self.values.view(float)
+        return float(np.einsum("ij,ij->", v, v)) * self.grid.spacing**2
 
     def intensity(self) -> np.ndarray:
         return np.abs(self.values) ** 2
@@ -165,8 +179,6 @@ def gaussian_source(geom: ChannelGeometry, grid: Grid) -> Field:
     amp = math.sqrt(2.0 / (math.pi * w0 * w0)) * np.exp(-r2 / (w0 * w0))
     if math.isfinite(geom.focal_length):
         amp = amp * np.exp(-0.5j * geom.k * r2 / geom.focal_length)
-    else:
-        amp = amp.astype(complex)
     f = Field(grid=grid, values=amp)
     f.values /= math.sqrt(f.power())
     return f
@@ -382,7 +394,7 @@ def _grid_tables(screen: SparseScreen, xs: np.ndarray, ys: np.ndarray,
 
 def _phase_on_grid(screen: SparseScreen, xs: np.ndarray, ys: np.ndarray,
                    shift_x: float = 0.0, cache=None, out=(None, None)) -> np.ndarray:
-    """Screen phase on the full grid via a rank-2K real factorization.
+    """Screen phase on the grid (rows ``ys``) via a rank-2K real factorization.
 
     With c = a + i b, the screen is phi = Re sum_j c_j exp(-i (kx_j x + ky_j y)).
     Writing W = c exp(-i ky y) (n x K) and E = exp(i kx x) (n x K),
@@ -397,9 +409,11 @@ def _phase_on_grid(screen: SparseScreen, xs: np.ndarray, ys: np.ndarray,
     step); without it they are computed here.  A shift s along x multiplies
     c by exp(-i kx s), which keeps the shift exact.  ``out``, if given, is
     the pair of C-contiguous arrays ``(phase, left)``, (ys, xs) real and
-    (ys, K) complex, that phi and W are written into.  In ensemble and
-    series runs this matmul runs on one OpenBLAS thread (see
-    :func:`run_ensemble_multi`).
+    (ys, K) complex, that phi and W are written into; ``left`` may be the
+    table exp(-i ky y) itself, which is then overwritten.  :func:`split_step`
+    passes row blocks: ``ys`` a slice of the axis and the matching rows of
+    that table.  In ensemble and series runs this matmul runs on one
+    OpenBLAS thread (see :func:`run_ensemble_multi`).
     """
     ex, ey = cache if cache is not None else _grid_tables(screen, xs, ys)
     c = screen.amp_cos + 1j * screen.amp_sin
@@ -445,17 +459,19 @@ def _window(grid: Grid) -> tuple:
 
 
 @functools.lru_cache(maxsize=4)
-def _kernel(grid: Grid, k: float, dz: float) -> np.ndarray:
-    """Vacuum kernel exp(-i kk dz / 2k), through :func:`_cis`; read-only.
+def _kernel(grid: Grid, k: float, dz: float) -> tuple[np.ndarray, np.ndarray]:
+    """Vacuum kernel exp(-i (kx^2 + ky^2) dz / 2k) as ``(row, col)`` factors.
 
-    Cached per (grid, k, dz): a split step uses two step lengths, and one
-    kernel at n = 1024 takes 16 MB, so only a few are kept.
+    The kernel is the outer product of the 1-D factor exp(-i k^2 dz / 2k)
+    along x (``row``, 1 x n) and along y (``col``, n x 1); on the square
+    grid both are views of one read-only array of n complex values, built
+    through :func:`_cis`.  Cached per (grid, k, dz): a split step uses two
+    step lengths, 16 KB each at n = 1024.
     """
     kax = grid.kaxis()
-    kk = kax[None, :] ** 2 + kax[:, None] ** 2
-    p = _cis(kk * (-0.5 * dz / k), np.empty(kk.shape, complex))
+    p = _cis(kax * kax * (-0.5 * dz / k), np.empty(kax.shape, complex))
     p.flags.writeable = False
-    return p
+    return p[None, :], p[:, None]
 
 
 def _vacuum(u: np.ndarray, grid: Grid, k: float, dz: float) -> tuple[np.ndarray, float]:
@@ -469,11 +485,15 @@ def _vacuum(u: np.ndarray, grid: Grid, k: float, dz: float) -> tuple[np.ndarray,
     workers, and in a serial run the second core builds the next screen's
     rotation (see :func:`split_step`).  They are numpy's, one axis at a
     time and in place (``out=u``), so no spectrum array is allocated; they
-    release the GIL, which lets that helper thread run meanwhile.
+    release the GIL, which lets that helper thread run meanwhile.  The
+    kernel is applied as its two 1-D factors of :func:`_kernel`, one
+    broadcast multiply each.
     """
     np.fft.fft(u, axis=1, out=u)
     np.fft.fft(u, axis=0, out=u)
-    u *= _kernel(grid, k, dz)
+    row, col = _kernel(grid, k, dz)
+    u *= row
+    u *= col
     np.fft.ifft(u, axis=0, out=u)
     np.fft.ifft(u, axis=1, out=u)
     absorbed = 0.0
@@ -496,9 +516,12 @@ def split_step(fld: Field, screens: Sequence[SparseScreen], geom: ChannelGeometr
     carries the absorbed-power fraction in ``leaked_power``.
 
     Each screen's factor exp(i phi) is computed by :func:`_cis` into one
-    ``rotation`` buffer per call, from a phase, a left-factor and two table
-    buffers (:func:`_phase_on_grid`), all allocated once per call; both
-    vacuum kernels are built before them, which keeps the peak memory low.
+    n x n ``rotation`` buffer per call, in four blocks of n / 4 rows: each
+    block's phase is one :func:`_phase_on_grid` call into an (n / 4) x n
+    ``phase`` buffer.  The left factor W = c exp(-i ky y) is one n x K
+    buffer; an uncached screen's table exp(-i ky y) is written straight into
+    it and multiplied by c in place, so that screen needs one more n x K
+    buffer only, for exp(i kx x).  All are allocated once per call.
     ``_caches`` holds each screen's :func:`_grid_tables`.  With
     ``_launched``, ``fld`` has already taken the first half-slab step (the
     cached :func:`_launch` of :func:`_realization`), its ``leaked_power``
@@ -527,18 +550,23 @@ def split_step(fld: Field, screens: Sequence[SparseScreen], geom: ChannelGeometr
         u, absorbed = _vacuum(u, grid, k, steps[0])
         leaked = fld.leaked_power + absorbed
     n = grid.n
+    rows = n // 4  # a phase block; smaller blocks slow the matmul down
     rotation = np.empty_like(u)
-    phase = np.empty((n, n))
-    # the left factor, then the two tables unless cached; flat, so that
-    # screens of any component count take contiguous (n, K) views
+    phase = np.empty((rows, n))
+    # the left factor, then the x table unless cached; flat, so that screens
+    # of any component count take contiguous (n, K) views
     width = n * max((s.n_components for s in screens), default=0)
-    flat = np.empty((1 if _caches is not None else 3, width), complex)
+    flat = np.empty((1 if _caches is not None else 2, width), complex)
 
     def rotate(i: int) -> None:
         screen = screens[i]
-        left, *tables = (b[: n * screen.n_components].reshape(n, -1) for b in flat)
-        cache = _caches[i] if _caches is not None else _grid_tables(screen, xs, xs, tables)
-        _cis(_phase_on_grid(screen, xs, xs, shift_x, cache, (phase, left)), rotation)
+        left, *table = (b[: n * screen.n_components].reshape(n, -1) for b in flat)
+        ex, ey = (_caches[i] if _caches is not None
+                  else _grid_tables(screen, xs, xs, (*table, left)))
+        for start in range(0, n, rows):
+            block = slice(start, start + rows)
+            _cis(_phase_on_grid(screen, xs, xs[block], shift_x, (ex, ey[block]),
+                                (phase, left[block])), rotation[block])
 
     ahead = _helper.submit(rotate, 0) if _helper is not None and screens else None
     for i, step in enumerate(steps[1:]):
@@ -560,64 +588,79 @@ def split_step(fld: Field, screens: Sequence[SparseScreen], geom: ChannelGeometr
 
 
 @functools.lru_cache(maxsize=64)
-def _aperture_weights(grid: Grid, radius: float) -> np.ndarray:
-    """Coverage weights of a centered disc; edge cells 4x4 supersampled.
+def _aperture_weights(grid: Grid, radius: float) -> tuple:
+    """Coverage weights of a centered disc on its bounding box: ``(index, w)``.
 
-    Cached per (grid, radius): the array is shared, hence read-only.
+    Edge cells are 4x4 supersampled, and every cell outside the box has
+    weight 0.  ``index`` is the (rows, columns) slices of the box, which
+    are the same on the square grid; ``w`` holds the weights there,
+    repeated along the last axis to match a complex field viewed as
+    interleaved real and imaginary parts.  Cached per (grid, radius): the
+    array is shared, hence read-only.
     """
     xs = grid.axis()
-    rr = np.hypot(xs[None, :], xs[:, None])
     half_diag = grid.spacing * math.sqrt(2.0) / 2.0
-    w = np.zeros((grid.n, grid.n))
+    near = np.flatnonzero(np.abs(xs) < radius + half_diag)
+    box = slice(int(near[0]), int(near[-1]) + 1)
+    xb = xs[box]
+    rr = np.hypot(xb[None, :], xb[:, None])
+    w = np.zeros(rr.shape)
     w[rr <= radius - half_diag] = 1.0
     edge = (rr > radius - half_diag) & (rr < radius + half_diag)
     if np.any(edge):
         iy, ix = np.nonzero(edge)
         sub = (np.arange(4) + 0.5) / 4.0 - 0.5
         ox, oy = np.meshgrid(sub * grid.spacing, sub * grid.spacing)
-        px = xs[ix][:, None] + ox.ravel()[None, :]
-        py = xs[iy][:, None] + oy.ravel()[None, :]
+        px = xb[ix][:, None] + ox.ravel()[None, :]
+        py = xb[iy][:, None] + oy.ravel()[None, :]
         inside = (px * px + py * py) <= radius * radius
         w[iy, ix] = inside.mean(axis=1)
+    w = np.repeat(w, 2, axis=1)
     w.flags.writeable = False
-    return w
+    return (box, box), w
 
 
 def transmittance(fld: Field, aperture_radius: float) -> float:
     """Fraction of (unit-normalized) intensity inside the centered disc.
 
-    A radius of +inf takes the whole grid; a negative or NaN radius raises.
+    sum w |u|^2 dA over the bounding box of :func:`_aperture_weights`, the
+    only cells where the weight w is not 0.  A radius of +inf takes the
+    power on the whole grid, :meth:`Field.power`; a negative or NaN radius
+    raises.
     """
     if not aperture_radius >= 0.0:
         raise DomainError(f"aperture radius {aperture_radius} must be >= 0")
     if aperture_radius == 0.0:
         return 0.0
-    w = _aperture_weights(fld.grid, aperture_radius)
-    eta = float(np.sum(w * fld.intensity())) * fld.grid.spacing**2
+    if aperture_radius == math.inf:
+        return min(fld.power(), 1.0)
+    index, w = _aperture_weights(fld.grid, aperture_radius)
+    v = fld.values[index].view(float)
+    eta = float(np.einsum("ij,ij,ij->", v, v, w)) * fld.grid.spacing**2
     return min(max(eta, 0.0), 1.0)
 
 
 def beam_stats(fld: Field) -> tuple[np.ndarray, np.ndarray]:
     """Centroid r0 and spot-shape matrix S = 4 <(r - r0)(r - r0)^T>.
 
-    The intensity is renormalized to unit power first, so boundary losses do
-    not bias the moments.
+    The moments are those of the intensity renormalized to unit power, so
+    boundary losses do not bias them: the marginals and the cross term are
+    taken from the raw intensity and divided by its total.
     """
     inten = fld.intensity()
     total = inten.sum()
     if total <= 0.0:
         raise DomainError("beam_stats: field carries no power")
-    inten = inten / total
     xs = fld.grid.axis()
-    px = inten.sum(axis=0)  # marginal over y -> function of x
-    py = inten.sum(axis=1)
+    px = inten.sum(axis=0) / total  # marginal over y -> function of x
+    py = inten.sum(axis=1) / total
     x0 = float(px @ xs)
     y0 = float(py @ xs)
     dx = xs - x0
     dy = xs - y0
     sxx = 4.0 * float(px @ dx**2)
     syy = 4.0 * float(py @ dy**2)
-    sxy = 4.0 * float(dy @ inten @ dx)
+    sxy = 4.0 * float(dy @ inten @ dx) / total
     return np.array([x0, y0]), np.array([[sxx, sxy], [sxy, syy]])
 
 
@@ -648,6 +691,9 @@ class SimConfig:
         _require_integers(seed=self.seed, n_screens=self.n_screens,
                           n_components=self.n_components, n_bands=self.n_bands,
                           n_realizations=self.n_realizations)
+        if not self.duration < math.inf:
+            raise ConfigError(f"duration = {self.duration} must be finite",
+                              field="sim.duration")
         if self.n_screens < 5:
             raise ConfigError("need n_screens >= 5", field="sim.n_screens")
         if self.n_components < 64:

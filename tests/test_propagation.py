@@ -2,9 +2,11 @@
 
 import concurrent.futures as cf
 import ctypes
+import dataclasses
 import math
 import os
 import threading
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -53,6 +55,10 @@ FIG2_GEOM = ChannelGeometry(wavelength=809e-9, path_length=3000.0,
 FIG2_SPEC = VonKarmanTatarskii(cn2=1e-15, outer_scale=80.0, inner_scale=1e-3)
 VACUUM = VonKarmanTatarskii(cn2=0.0, outer_scale=80.0, inner_scale=1e-3)
 
+# bound on a warm serial run's traced peak at small_config, in units of one
+# n x n complex array
+WORKING_SET = 4.0
+
 # scaled-down channel for cheap ensemble tests
 SMALL_GEOM = ChannelGeometry(wavelength=808e-9, path_length=1000.0,
                              beam_radius=0.0508, aperture_radius=0.04)
@@ -91,9 +97,45 @@ def _full_window(grid):
 
 def _unwindowed_step(u, kernel):
     """The FFT pair of :func:`_vacuum`, without the window: numpy's
-    transforms one axis at a time, each into a new array."""
-    spec = np.fft.fft(np.fft.fft(u, axis=1), axis=0) * kernel
+    transforms one axis at a time, each into a new array, and the kernel's
+    ``(row, col)`` factors multiplied in that order."""
+    row, col = kernel
+    spec = np.fft.fft(np.fft.fft(u, axis=1), axis=0) * row * col
     return np.fft.ifft(np.fft.ifft(spec, axis=0), axis=1)
+
+
+def _full_kernel(grid, k, dz):
+    """The vacuum kernel as one n x n array: the outer product of its factors."""
+    row, col = _kernel(grid, k, dz)
+    return row * col
+
+
+def _disc_weights(grid, radius):
+    """Coverage weights of a centered disc on the whole grid, edge cells 4x4
+    supersampled: the full-grid form of :func:`_aperture_weights`."""
+    xs = grid.axis()
+    rr = np.hypot(xs[None, :], xs[:, None])
+    half_diag = grid.spacing * math.sqrt(2.0) / 2.0
+    w = np.zeros((grid.n, grid.n))
+    w[rr <= radius - half_diag] = 1.0
+    edge = (rr > radius - half_diag) & (rr < radius + half_diag)
+    if np.any(edge):
+        iy, ix = np.nonzero(edge)
+        sub = (np.arange(4) + 0.5) / 4.0 - 0.5
+        ox, oy = np.meshgrid(sub * grid.spacing, sub * grid.spacing)
+        px = xs[ix][:, None] + ox.ravel()[None, :]
+        py = xs[iy][:, None] + oy.ravel()[None, :]
+        w[iy, ix] = ((px * px + py * py) <= radius * radius).mean(axis=1)
+    return w
+
+
+def _box_weights(grid, radius):
+    """The cached box weights of :func:`_aperture_weights` placed on the grid."""
+    index, w = _aperture_weights(grid, radius)
+    assert np.array_equal(w[:, ::2], w[:, 1::2])
+    full = np.zeros((grid.n, grid.n))
+    full[index] = w[:, ::2]
+    return full
 
 
 def small_config(**kw):
@@ -480,7 +522,7 @@ class TestSplitStepVacuum:
         grid = Grid(n=128, extent=0.3)
         u0 = gaussian_source(geom, grid).values
         got, absorbed = _vacuum(u0.copy(), grid, geom.k, geom.path_length)
-        ref = np.fft.ifft2(np.fft.fft2(u0) * _kernel(grid, geom.k, geom.path_length))
+        ref = np.fft.ifft2(np.fft.fft2(u0) * _full_kernel(grid, geom.k, geom.path_length))
         cell = grid.spacing**2
         before = float(np.sum(np.abs(ref) ** 2)) * cell
         ref *= _full_window(grid)
@@ -512,13 +554,31 @@ class TestSplitStepVacuum:
 
     @pytest.mark.parametrize("steps", [10, 20])
     def test_kernel_matches_exp(self, steps):
-        # slab and half-slab steps of the 10-screen FIG2 ensemble at n=512
+        # slab and half-slab steps of the 10-screen FIG2 ensemble at n=512:
+        # the outer product of the 1-D factors is the 2-D Fresnel kernel
         grid = default_grid(FIG2_GEOM, FIG2_SPEC, n=512)
         kax = grid.kaxis()
         kk = kax[None, :] ** 2 + kax[:, None] ** 2
         dz = FIG2_GEOM.path_length / steps
         ref = np.exp(-0.5j * kk * dz / FIG2_GEOM.k)
-        assert np.max(np.abs(_kernel(grid, FIG2_GEOM.k, dz) - ref)) <= 1e-13
+        assert np.max(np.abs(_full_kernel(grid, FIG2_GEOM.k, dz) - ref)) <= 1e-13
+
+    def test_cache_entries_are_small_and_read_only(self):
+        # a kernel holds n values, an aperture the disc's bounding box only
+        grid = default_grid(FIG2_GEOM, FIG2_SPEC, n=512)
+        n, h = grid.n, grid.spacing
+        row, col = _kernel(grid, FIG2_GEOM.k, 300.0)
+        assert row.shape == (1, n) and col.shape == (n, 1)
+        for factor in (row, col):
+            assert factor.base is not None and factor.base.size == n
+            assert not factor.flags.writeable
+        for radius in (h, 0.02, 0.05):
+            (rows, cols), w = _aperture_weights(grid, radius)
+            m = rows.stop - rows.start
+            assert cols == rows and w.shape == (m, 2 * m)
+            assert m <= 2.0 * (radius / h + 1.0) + 1.0
+            assert not w.flags.writeable
+        assert _aperture_weights(grid, 0.02)[1].shape == (25, 50)  # FIG2: 25 x 25 of 512^2
 
     def test_focused_transmittance_closed_form(self):
         geom = FIG2_GEOM
@@ -565,13 +625,66 @@ class TestTransmittanceAndStats:
 
     def test_aperture_weights_cached_read_only(self):
         grid = Grid(n=128, extent=0.3)
-        w = _aperture_weights(grid, 0.05)
-        assert _aperture_weights(Grid(n=128, extent=0.3), 0.05) is w
-        assert _aperture_weights(grid, 0.06) is not w
-        assert _aperture_weights(Grid(n=256, extent=0.3), 0.05) is not w
+        entry = _aperture_weights(grid, 0.05)
+        assert _aperture_weights(Grid(n=128, extent=0.3), 0.05) is entry
+        assert _aperture_weights(grid, 0.06) is not entry
+        assert _aperture_weights(Grid(n=256, extent=0.3), 0.05) is not entry
+        _, w = entry
         assert not w.flags.writeable
         with pytest.raises(ValueError):
             w[0, 0] = 1.0
+        assert np.array_equal(_box_weights(grid, 0.05), _disc_weights(grid, 0.05))
+
+    @pytest.mark.parametrize("radius", ["zero", "cell", 0.02, "half", "corner", "beyond",
+                                        math.inf])
+    def test_box_matches_full_grid_disc(self, radius):
+        # the box sum against the full-grid weighted sum, on an off-centre
+        # turbulent spot; "corner" cuts the grid's corners, "beyond" takes it all
+        config = small_config(seed=12)
+        grid = config.grid
+        radius = {"zero": 0.0, "cell": grid.spacing, "half": grid.extent / 2,
+                  "corner": 0.6 * grid.extent, "beyond": grid.extent}.get(radius, radius)
+        fld = split_step(gaussian_source(config.geometry, grid), _screens(config, 0),
+                         config.geometry, 0.01)
+        w = _disc_weights(grid, radius) if radius < math.inf else np.ones((grid.n, grid.n))
+        if radius < math.inf:
+            assert np.array_equal(_box_weights(grid, radius), w)
+        want = min(float(np.sum(w * np.abs(fld.values) ** 2)) * grid.spacing**2, 1.0)
+        assert transmittance(fld, radius) == pytest.approx(want, rel=1e-14, abs=0.0)
+
+    @pytest.mark.parametrize("case", ["vacuum", "turbulent", "real"])
+    def test_power_matches_abs_square_sum(self, case, vacuum_field):
+        if case == "vacuum":
+            fld = vacuum_field
+        else:
+            config = small_config(seed=13)
+            fld = split_step(gaussian_source(config.geometry, config.grid),
+                             _screens(config, 0), config.geometry)
+            if case == "real":  # a real field is taken as complex
+                fld = Field(grid=fld.grid, values=fld.values.real.copy())
+                assert fld.values.dtype == complex
+        want = float(np.sum(np.abs(fld.values) ** 2)) * fld.grid.spacing**2
+        assert fld.power() == pytest.approx(want, rel=1e-14, abs=0.0)
+
+    def test_beam_stats_matches_normalized_formulas(self):
+        # a sheared, off-centre Gaussian spot: the moments of the raw
+        # intensity divided by its total are those of the normalized one
+        grid = Grid(n=256, extent=0.3)
+        xs = grid.axis()
+        x, y = xs[None, :] - 0.021, xs[:, None] + 0.013
+        u = np.exp(-(x * x / 0.02**2 + 0.8 * x * y / 0.02**2 + y * y / 0.025**2))
+        fld = Field(grid=grid, values=u * np.exp(1j * 40.0 * x))
+        inten = np.abs(fld.values) ** 2
+        inten = inten / inten.sum()
+        px, py = inten.sum(axis=0), inten.sum(axis=1)
+        x0, y0 = px @ xs, py @ xs
+        dx, dy = xs - x0, xs - y0
+        want = [x0, y0, 4.0 * (px @ dx**2), 4.0 * (py @ dy**2), 4.0 * (dy @ inten @ dx)]
+        r0, smat = beam_stats(fld)
+        got = [r0[0], r0[1], smat[0, 0], smat[1, 1], smat[0, 1]]
+        assert got == pytest.approx(want, rel=1e-13, abs=0.0)
+        assert abs(x0 - 0.021) < 1e-3 and abs(smat[0, 1]) > 0.1 * smat[0, 0]
+        assert smat[1, 0] == smat[0, 1]
 
     def test_translation_shifts_centroid_only(self, vacuum_field):
         grid = vacuum_field.grid
@@ -681,7 +794,7 @@ class TestEnsemble:
     def test_second_call_builds_no_constants(self):
         cfg = small_config(n_realizations=2)
         run_ensemble(cfg)
-        caches = (_launch, _window, _kernel)
+        caches = (_launch, _window, _kernel, _aperture_weights)
         misses = [f.cache_info().misses for f in caches]
         run_ensemble(small_config(n_realizations=2, seed=9))
         assert [f.cache_info().misses for f in caches] == misses
@@ -689,9 +802,29 @@ class TestEnsemble:
         k = cfg.geometry.k
         frame = [a for _, w, absorption in _window(cfg.grid) for a in (w, absorption)]
         cached = [_launch(cfg.geometry, cfg.grid, dz)[0], *frame,
-                  _kernel(cfg.grid, k, dz), _kernel(cfg.grid, k, dz / 2.0)]
+                  *_kernel(cfg.grid, k, dz), *_kernel(cfg.grid, k, dz / 2.0),
+                  _aperture_weights(cfg.grid, cfg.geometry.aperture_radius)[1]]
         assert [f.cache_info().misses for f in caches] == misses  # the runs' own arrays
         assert not any(c.flags.writeable for c in cached)
+
+    def test_working_set(self):
+        # the traced peak of a warm serial run, above what the caches held
+        # before it: the field and one rotation (n^2 complex each), the phasor
+        # tables and one phase block, not n^2 kernels, masks or a full phase
+        cfg = small_config(n_realizations=2)
+        run_ensemble(cfg)
+        tracing = tracemalloc.is_tracing()
+        if not tracing:
+            tracemalloc.start()
+        try:
+            held = tracemalloc.get_traced_memory()[0]
+            tracemalloc.reset_peak()
+            run_ensemble(small_config(n_realizations=2, seed=9))
+            peak = tracemalloc.get_traced_memory()[1] - held
+        finally:
+            if not tracing:
+                tracemalloc.stop()
+        assert peak < WORKING_SET * cfg.grid.n**2 * 16
 
     def test_pool_workers_use_one_blas_thread(self):
         before = _blas_thread_counts()
@@ -899,6 +1032,12 @@ class TestTimeSeries:
     def test_non_finite_dt_or_wind_raises(self, kw):
         with pytest.raises(ConfigError):
             small_config(**kw)
+
+    def test_infinite_duration_rejected(self):
+        cfg = small_config(dt=1e-3, duration=0.002)
+        with pytest.raises(ConfigError) as err:
+            dataclasses.replace(cfg, duration=math.inf, dt=0.1)
+        assert err.value.field == "sim.duration"
 
     @pytest.mark.parametrize("duration", [0.0, -1.0, math.nan])
     def test_requires_duration(self, duration):
