@@ -28,7 +28,8 @@ screen's rotation exp(i phi), plus n x K phasor tables and a phase block of
 n / 4 rows.  What is cached per process is small beside them: the vacuum
 kernels as their 1-D factors, the absorbing window on its frame and the
 aperture weights on the disc's bounding box.  The one n x n constant is
-the launched source of :func:`_launch`.
+the launched source of :func:`_launch`.  A time-series step is a job of
+:func:`_run_jobs`, as a realization is, and holds the same arrays.
 """
 
 from __future__ import annotations
@@ -71,6 +72,7 @@ __all__ = [
     "run_ensemble",
     "run_ensemble_multi",
     "run_timeseries",
+    "ensemble_summary",
     "screen_structure_function",
 ]
 
@@ -392,9 +394,9 @@ def _grid_tables(screen: SparseScreen, xs: np.ndarray, ys: np.ndarray,
     return _axis_cis(screen.kx, xs, out[0]), _axis_cis(-screen.ky, ys, out[1])
 
 
-def _phase_on_grid(screen: SparseScreen, xs: np.ndarray, ys: np.ndarray,
-                   shift_x: float = 0.0, cache=None, out=(None, None)) -> np.ndarray:
-    """Screen phase on the grid (rows ``ys``) via a rank-2K real factorization.
+def _phase_on_grid(screen: SparseScreen, tables, shift_x: float = 0.0,
+                   out=(None, None)) -> np.ndarray:
+    """Screen phase on the grid via a rank-2K real factorization.
 
     With c = a + i b, the screen is phi = Re sum_j c_j exp(-i (kx_j x + ky_j y)).
     Writing W = c exp(-i ky y) (n x K) and E = exp(i kx x) (n x K),
@@ -404,18 +406,17 @@ def _phase_on_grid(screen: SparseScreen, xs: np.ndarray, ys: np.ndarray,
 
     which is one real matmul ``W.view(float) @ E.view(float).T`` of n x 2K
     factors with the (re, im) index interleaved: half the flops of the
-    equivalent complex product.  ``cache`` holds the tables of
-    :func:`_grid_tables` (frozen-turbulence series reuse them at every
-    step); without it they are computed here.  A shift s along x multiplies
-    c by exp(-i kx s), which keeps the shift exact.  ``out``, if given, is
-    the pair of C-contiguous arrays ``(phase, left)``, (ys, xs) real and
-    (ys, K) complex, that phi and W are written into; ``left`` may be the
-    table exp(-i ky y) itself, which is then overwritten.  :func:`split_step`
-    passes row blocks: ``ys`` a slice of the axis and the matching rows of
-    that table.  In ensemble and series runs this matmul runs on one
-    OpenBLAS thread (see :func:`run_ensemble_multi`).
+    equivalent complex product.  ``tables`` is the pair ``(ex, ey)`` of
+    :func:`_grid_tables`; the phase has a row per row of ``ey`` and a
+    column per row of ``ex``.  A shift s along x multiplies c by
+    exp(-i kx s), which keeps the shift exact.  ``out``, if given, is the
+    pair of C-contiguous arrays ``(phase, left)``, (ey rows, ex rows) real
+    and (ey rows, K) complex, that phi and W are written into; ``left`` may
+    be ``ey`` itself, which is then overwritten.  :func:`split_step` passes
+    row blocks of ``ey``.  In ensemble and series runs this matmul runs on
+    one OpenBLAS thread (see :func:`_run_jobs`).
     """
-    ex, ey = cache if cache is not None else _grid_tables(screen, xs, ys)
+    ex, ey = tables
     c = screen.amp_cos + 1j * screen.amp_sin
     if shift_x != 0.0:
         c *= np.exp(-1j * screen.kx * shift_x)
@@ -506,8 +507,7 @@ def _vacuum(u: np.ndarray, grid: Grid, k: float, dz: float) -> tuple[np.ndarray,
 
 
 def split_step(fld: Field, screens: Sequence[SparseScreen], geom: ChannelGeometry,
-               shift_x: float = 0.0, *, _caches=None, _launched: bool = False,
-               _helper=None) -> Field:
+               shift_x: float = 0.0, *, _launched: bool = False, _helper=None) -> Field:
     """Propagate the field to z = L through the given screens.
 
     Symmetric split-step: half-slab vacuum step, screen phase, half-slab
@@ -516,16 +516,15 @@ def split_step(fld: Field, screens: Sequence[SparseScreen], geom: ChannelGeometr
     carries the absorbed-power fraction in ``leaked_power``.
 
     Each screen's factor exp(i phi) is computed by :func:`_cis` into one
-    n x n ``rotation`` buffer per call, in four blocks of n / 4 rows: each
-    block's phase is one :func:`_phase_on_grid` call into an (n / 4) x n
-    ``phase`` buffer.  The left factor W = c exp(-i ky y) is one n x K
-    buffer; an uncached screen's table exp(-i ky y) is written straight into
-    it and multiplied by c in place, so that screen needs one more n x K
-    buffer only, for exp(i kx x).  All are allocated once per call.
-    ``_caches`` holds each screen's :func:`_grid_tables`.  With
-    ``_launched``, ``fld`` has already taken the first half-slab step (the
-    cached :func:`_launch` of :func:`_realization`), its ``leaked_power``
-    included, and only a copy of its values is made.
+    n x n ``rotation`` buffer, in four blocks of n / 4 rows, each block's
+    phase one :func:`_phase_on_grid` call into an (n / 4) x n ``phase``
+    buffer.  The screen's :func:`_grid_tables` are built with its rotation,
+    into two n x K buffers: exp(-i ky y) goes straight into the one for the
+    left factor W = c exp(-i ky y) and is multiplied by c in place.  All
+    are allocated once per call.  With ``_launched``, ``fld`` has already
+    taken the first half-slab step (the cached :func:`_launch` of
+    :func:`_realization`), its ``leaked_power`` included, and only a copy
+    of its values is made.
 
     ``_helper`` is a one-thread executor (see :func:`_serial_helper`), or
     None.  With it, screen i + 1's rotation is built on the helper thread
@@ -553,20 +552,18 @@ def split_step(fld: Field, screens: Sequence[SparseScreen], geom: ChannelGeometr
     rows = n // 4  # a phase block; smaller blocks slow the matmul down
     rotation = np.empty_like(u)
     phase = np.empty((rows, n))
-    # the left factor, then the x table unless cached; flat, so that screens
-    # of any component count take contiguous (n, K) views
+    # the left factor and the x table, flat: any K takes contiguous (n, K) views
     width = n * max((s.n_components for s in screens), default=0)
-    flat = np.empty((1 if _caches is not None else 2, width), complex)
+    flat = np.empty((2, width), complex)
 
     def rotate(i: int) -> None:
         screen = screens[i]
-        left, *table = (b[: n * screen.n_components].reshape(n, -1) for b in flat)
-        ex, ey = (_caches[i] if _caches is not None
-                  else _grid_tables(screen, xs, xs, (*table, left)))
+        left, table = (b[: n * screen.n_components].reshape(n, -1) for b in flat)
+        ex, ey = _grid_tables(screen, xs, xs, (table, left))
         for start in range(0, n, rows):
             block = slice(start, start + rows)
-            _cis(_phase_on_grid(screen, xs, xs[block], shift_x, (ex, ey[block]),
-                                (phase, left[block])), rotation[block])
+            _cis(_phase_on_grid(screen, (ex, ey[block]), shift_x, (phase, left[block])),
+                 rotation[block])
 
     ahead = _helper.submit(rotate, 0) if _helper is not None and screens else None
     for i, step in enumerate(steps[1:]):
@@ -702,6 +699,9 @@ class SimConfig:
             raise ConfigError("need n_bands >= 1", field="sim.n_bands")
         if self.duration > 0.0 and not 0.0 < self.dt < math.inf:
             raise ConfigError("time series needs a finite dt > 0", field="sim.dt")
+        if self.duration > 0.0 and not 0.5 < self.duration / self.dt < math.inf:
+            # round(duration / dt) steps: none at or below 0.5, no count at inf
+            raise ConfigError("duration / dt must be finite and > 0.5", field="sim.duration")
         if not 0.0 <= self.wind_speed < math.inf:
             raise ConfigError("wind speed must be finite and >= 0", field="sim.wind_speed")
         _band_limits(self.spectrum, self.kappa_min, self.kappa_max)
@@ -788,21 +788,20 @@ def _launch(geom: ChannelGeometry, grid: Grid, dz: float) -> tuple[np.ndarray, f
     return u, absorbed
 
 
-def _realization(config: SimConfig, apertures: Sequence[float], index: int,
-                 screens=None, shift_x=0.0, caches=None, time=None, helper=None):
-    """Propagate through ``screens`` and observe every aperture.
+def _realization(config: SimConfig, apertures: Sequence[float], job, helper=None):
+    """Run one job ``(index, stream, shift_x, time)`` and observe every aperture.
 
-    Without ``screens`` the set of realization ``index`` is drawn from
-    stream ``index`` of the master seed.  The first half-slab step is the
-    cached :func:`_launch`; ``helper`` goes to :func:`split_step`.  Returns
-    ``(records, leaked_power)``, the pair :func:`_collect` takes.
+    Draws the screen set of ``stream`` of the master seed and propagates it
+    at transverse shift ``shift_x`` from the cached :func:`_launch`;
+    ``helper`` goes to :func:`split_step`.  Returns ``(records, leaked_power)``,
+    the records carrying ``index`` and ``time``.
     """
+    index, stream, shift_x, time = job
     geom, grid = config.geometry, config.grid
-    if screens is None:
-        screens = _screens(config, index)
+    screens = _screens(config, stream)
     u, absorbed = _launch(geom, grid, screens[0].slab_thickness)
     fld = split_step(Field(grid=grid, values=u, leaked_power=absorbed), screens, geom,
-                     shift_x, _caches=caches, _launched=True, _helper=helper)
+                     shift_x, _launched=True, _helper=helper)
     r0, smat = beam_stats(fld)
     records = [SampleRecord(eta=transmittance(fld, a), x0=r0[0], y0=r0[1], sxx=smat[0, 0],
                             syy=smat[1, 1], sxy=smat[0, 1], realization_index=index, time=time)
@@ -852,6 +851,42 @@ def _serial_helper():
             put(count)
 
 
+def _run_jobs(config: SimConfig, apertures: Sequence[float], jobs, workers: int = 1):
+    """Map :func:`_realization` over ``jobs``, in order, into :func:`_collect`.
+
+    An empty aperture list, or a NaN or negative radius, raises before any
+    propagation; +inf takes all the power on the grid.
+
+    With ``workers > 1`` the jobs go to a process pool in chunks of 8.  Each
+    pool worker sets its OpenBLAS to one thread before it starts: it
+    inherits the parent's count (one per core), so every worker would
+    otherwise run that many busy-waiting BLAS threads for the n x 2K by
+    2K x n product of each screen's phase (:func:`_phase_on_grid`).  Pool
+    workers run :func:`split_step` without a helper thread.
+
+    With ``workers <= 1`` the run holds one :func:`_serial_helper` context,
+    inline on one CPU: each screen's rotation is built on the helper thread
+    one screen ahead of the FFTs, with OpenBLAS on one thread until the run
+    ends.  The records do not depend on any of this: OpenBLAS splits a
+    matmul over blocks of the output, not over the summed index, and the
+    helper computes the same values the calling thread would.
+    """
+    if not apertures:
+        raise ConfigError("need at least one aperture", field="apertures")
+    apertures = tuple(apertures)
+    if not all(a >= 0.0 for a in apertures):
+        raise ConfigError(f"aperture radii {apertures} must be >= 0 (not NaN)",
+                          field="apertures")
+    run = functools.partial(_realization, config, apertures)
+    if workers <= 1:
+        with _serial_helper() as helper:
+            return _collect(map(functools.partial(run, helper=helper), jobs), apertures)
+    import concurrent.futures as cf
+
+    with cf.ProcessPoolExecutor(max_workers=workers, initializer=_one_blas_thread) as pool:
+        return _collect(pool.map(run, jobs, chunksize=8), apertures)
+
+
 def run_ensemble(config: SimConfig, workers: int = 1) -> list[SampleRecord]:
     """Independent realizations at the geometry's aperture radius.
 
@@ -864,72 +899,36 @@ def run_ensemble(config: SimConfig, workers: int = 1) -> list[SampleRecord]:
     return by_aperture[a]
 
 
-def run_ensemble_multi(config: SimConfig, apertures: Sequence[float],
-                       workers: int = 1):
+def run_ensemble_multi(config: SimConfig, apertures: Sequence[float], workers: int = 1):
     """Realizations ``0 .. n_realizations - 1``, each recorded at every aperture.
 
-    Returns ``(records_by_aperture, report)``; the field is propagated once
-    per realization and clipped by each aperture.  A NaN or negative radius
-    raises before any propagation; +inf takes all the power on the grid.
-
-    With ``workers > 1`` the realizations go to a process pool in chunks of
-    8, and ``pool.map`` hands them back in index order.  Each pool worker
-    sets its OpenBLAS to one thread before it starts.  A worker inherits the
-    parent's BLAS thread count (one per core), so without this every worker
-    would run that many busy-waiting BLAS threads for the real n x 2K by
-    2K x n product of each screen's phase (:func:`_phase_on_grid`), and two
-    workers on two cores would share them with four.  Pool workers run
-    :func:`split_step` without a helper thread.
-
-    With ``workers <= 1`` the run holds one :func:`_serial_helper` context:
-    each screen's phase and rotation are built on a helper thread, one
-    screen ahead of the FFTs, and OpenBLAS runs on one thread until the run
-    ends, when each library gets its previous count back.  On one CPU the
-    run is inline.  The records do not depend on any of this: OpenBLAS
-    splits a matmul over blocks of the output, not over the summed index,
-    and the helper computes the same values the calling thread would.
+    Returns ``(records_by_aperture, report)``; realization i is the job
+    ``(i, i, 0.0, None)`` of :func:`_run_jobs`, propagated once and clipped
+    by each aperture.
     """
     if config.n_realizations <= 0:
         raise ConfigError("n_realizations must be > 0", field="sim.n_realizations")
-    if not apertures:
-        raise ConfigError("need at least one aperture", field="apertures")
-    apertures = tuple(apertures)
-    if not all(a >= 0.0 for a in apertures):
-        raise ConfigError(f"aperture radii {apertures} must be >= 0 (not NaN)",
-                          field="apertures")
-    indices = range(config.n_realizations)
-    run = functools.partial(_realization, config, apertures)
-    if workers <= 1:
-        with _serial_helper() as helper:
-            return _collect(map(functools.partial(run, helper=helper), indices), apertures)
-    import concurrent.futures as cf
-
-    with cf.ProcessPoolExecutor(max_workers=workers, initializer=_one_blas_thread) as pool:
-        return _collect(pool.map(run, indices, chunksize=8), apertures)
+    jobs = [(i, i, 0.0, None) for i in range(config.n_realizations)]
+    return _run_jobs(config, apertures, jobs, workers)
 
 
 def run_timeseries(config: SimConfig, apertures: Optional[Sequence[float]] = None):
     """Frozen-turbulence time series from a single screen set.
 
-    One screen set is drawn (stream index 0) and reused; step m, at time
-    t = m dt, evaluates every screen with transverse shift wind_speed * t.
-    The series covers ``config.duration`` in round(duration / dt) steps.
-    Returns ``(records_by_aperture, report)`` as :func:`run_ensemble_multi`
-    does, with one report entry per step; use a single-entry aperture list
-    (the default) for the plain series.  The steps share one
-    :func:`_serial_helper`, as a serial :func:`run_ensemble_multi` does.
+    The series covers ``config.duration`` in round(duration / dt) steps;
+    step m, at time t = m dt, is the job ``(m, 0, wind_speed * t, t)`` of
+    :func:`_run_jobs`: stream 0's screens shifted by wind_speed * t, so
+    step 0 is realization 0 of :func:`run_ensemble_multi`.  Returns what
+    that does, one report entry per step; the apertures default to the
+    geometry's.  The series runs serially.
     """
     if not config.duration > 0.0:
         raise ConfigError("time series needs duration > 0", field="sim.duration")
-    apertures = tuple(apertures) if apertures else (config.geometry.aperture_radius,)
-    screens = _screens(config, 0)
-    xs = config.grid.axis()
-    caches = [_grid_tables(s, xs, xs) for s in screens]
+    if apertures is None:
+        apertures = (config.geometry.aperture_radius,)
     times = [m * config.dt for m in range(round(config.duration / config.dt))]
-    with _serial_helper() as helper:
-        return _collect((_realization(config, apertures, m, screens, config.wind_speed * t,
-                                      caches, time=t, helper=helper)
-                         for m, t in enumerate(times)), apertures)
+    jobs = [(m, 0, config.wind_speed * t, t) for m, t in enumerate(times)]
+    return _run_jobs(config, apertures, jobs)
 
 
 def ensemble_summary(records: Sequence[SampleRecord]) -> dict:

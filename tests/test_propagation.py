@@ -308,14 +308,16 @@ class TestScreens:
         moved = evaluate_phase(s, pts + np.array([shift, 0.0]), shift_x=0.0)
         assert np.allclose(shifted, moved, rtol=1e-12, atol=1e-12)
 
-    @pytest.mark.parametrize("cached,shift", [(False, 0.0), (True, 0.0123),
-                                              (False, -0.0071)])
-    def test_phase_on_grid_matches_pointwise(self, cached, shift):
+    @pytest.mark.parametrize("in_place,shift", [(False, 0.0), (True, 0.0123),
+                                                (False, -0.0071)])
+    def test_phase_on_grid_matches_pointwise(self, in_place, shift):
         s = self.screens()[0]
         xs = Grid(n=64, extent=0.2).axis()
         ys = xs + 0.0017  # distinct y axis, so a swap of x and y would show
-        cache = _grid_tables(s, xs, ys) if cached else None
-        got = _phase_on_grid(s, xs, ys, shift_x=shift, cache=cache)
+        ex, ey = _grid_tables(s, xs, ys)
+        # in place, as split_step does it: W = c exp(-i ky y) over that table
+        out = (np.empty((ys.size, xs.size)), ey) if in_place else (None, None)
+        got = _phase_on_grid(s, (ex, ey), shift_x=shift, out=out)
         gx, gy = np.meshgrid(xs, ys)  # [iy, ix], the layout of the grid phase
         want = evaluate_phase(s, np.column_stack([gx.ravel(), gy.ravel()]),
                               shift_x=shift).reshape(gx.shape)
@@ -442,7 +444,7 @@ class TestSplitStepScreens:
         dz = screens[0][0].slab_thickness
         u, _ = _vacuum(src.values.copy(), grid, geom.k, dz / 2.0)
         for i, screen in enumerate(screens[0]):
-            u = u * np.exp(1j * _phase_on_grid(screen, xs, xs, 0.013))
+            u = u * np.exp(1j * _phase_on_grid(screen, _grid_tables(screen, xs, xs), 0.013))
             u, _ = _vacuum(u, grid, geom.k, dz if i + 1 < len(screens[0]) else dz / 2.0)
         assert np.max(np.abs(got.values - u)) <= 1e-13
 
@@ -451,10 +453,8 @@ class TestSplitStepScreens:
         # the cached launch step changes no bit of the records or the leak
         config = small_config(seed=77)
         apertures = (0.02, 0.04, math.inf)
-        screens = _screens(config, 3)
-        caches = [_grid_tables(s, config.grid.axis(), config.grid.axis()) for s in screens]
-        got, leaked = _realization(config, apertures, 3, screens, shift, caches)
-        fld = split_step(gaussian_source(config.geometry, config.grid), screens,
+        got, leaked = _realization(config, apertures, (3, 3, shift, None))
+        fld = split_step(gaussian_source(config.geometry, config.grid), _screens(config, 3),
                          config.geometry, shift)
         r0, smat = beam_stats(fld)
         want = [SampleRecord(eta=transmittance(fld, a), x0=r0[0], y0=r0[1], sxx=smat[0, 0],
@@ -782,12 +782,15 @@ class TestEnsemble:
         assert one == two
         assert one[1].max_leaked_power.hex() == two[1].max_leaked_power.hex()
 
-    @pytest.mark.parametrize("bad", [math.nan, -0.01])
-    def test_bad_aperture_raises_before_propagation(self, bad, monkeypatch):
+    @pytest.mark.parametrize("apertures", [[0.02, math.nan], [0.02, -0.01], []],
+                             ids=["nan", "-0.01", "empty"])
+    @pytest.mark.parametrize("run", [run_ensemble_multi, run_timeseries],
+                             ids=["ensemble", "series"])
+    def test_bad_aperture_raises_before_propagation(self, run, apertures, monkeypatch):
         calls = []
         monkeypatch.setattr(propagation, "split_step", lambda *a, **k: calls.append(a))
         with pytest.raises(ConfigError) as err:
-            run_ensemble_multi(small_config(), [0.02, bad])
+            run(small_config(wind_speed=10.0, dt=1e-3, duration=0.002), apertures)
         assert err.value.field == "apertures"
         assert calls == []
 
@@ -807,19 +810,21 @@ class TestEnsemble:
         assert [f.cache_info().misses for f in caches] == misses  # the runs' own arrays
         assert not any(c.flags.writeable for c in cached)
 
-    def test_working_set(self):
-        # the traced peak of a warm serial run, above what the caches held
-        # before it: the field and one rotation (n^2 complex each), the phasor
-        # tables and one phase block, not n^2 kernels, masks or a full phase
-        cfg = small_config(n_realizations=2)
-        run_ensemble(cfg)
+    @pytest.mark.parametrize("run", [run_ensemble, run_timeseries], ids=["ensemble", "series"])
+    def test_working_set(self, run):
+        # the traced peak of a warm serial run (2 realizations or 2 steps),
+        # above what the caches held before it: the field and one rotation
+        # (n^2 complex each), the phasor tables and one phase block, not n^2
+        # kernels, masks, a full phase or every screen's tables
+        cfg = small_config(n_realizations=2, wind_speed=10.0, dt=1e-3, duration=0.002)
+        run(cfg)
         tracing = tracemalloc.is_tracing()
         if not tracing:
             tracemalloc.start()
         try:
             held = tracemalloc.get_traced_memory()[0]
             tracemalloc.reset_peak()
-            run_ensemble(small_config(n_realizations=2, seed=9))
+            run(dataclasses.replace(cfg, seed=9))
             peak = tracemalloc.get_traced_memory()[1] - held
         finally:
             if not tracing:
@@ -1013,12 +1018,29 @@ class TestTimeSeries:
         assert recs[3].time == pytest.approx(6e-3)
 
     def test_matches_unshifted_ensemble_member(self):
-        # step 0 of the series equals realization 0 of the ensemble path
-        cfg = small_config(wind_speed=10.0, dt=1e-3, duration=0.002, seed=31)
-        by_ap, _ = run_timeseries(cfg)
-        first = by_ap[SMALL_GEOM.aperture_radius][0]
+        # step 0 of the series is realization 0 of the ensemble, bit for bit,
+        # and step m a plain split step through stream 0's screens at v m dt
+        cfg = small_config(wind_speed=10.0, dt=1e-3, duration=0.003, seed=31)
+        a = SMALL_GEOM.aperture_radius
+        steps = run_timeseries(cfg)[0][a]
         ens = run_ensemble(small_config(n_realizations=1, seed=31))[0]
-        assert first.eta == pytest.approx(ens.eta, rel=1e-12)
+        assert repr(dataclasses.replace(steps[0], time=None)) == repr(ens)
+        m = 2
+        t = m * cfg.dt
+        fld = split_step(gaussian_source(cfg.geometry, cfg.grid), _screens(cfg, 0),
+                         cfg.geometry, cfg.wind_speed * t)
+        r0, smat = beam_stats(fld)
+        want = SampleRecord(eta=transmittance(fld, a), x0=r0[0], y0=r0[1], sxx=smat[0, 0],
+                            syy=smat[1, 1], sxy=smat[0, 1], realization_index=m, time=t)
+        assert repr(steps[m]) == repr(want)
+
+    @pytest.mark.parametrize("dt,duration", [(1e-3, 4e-4), (1e-3, 5e-4), (5e-324, 1.0)])
+    def test_no_step_rejected(self, dt, duration):
+        # 0 < duration <= dt / 2 rounds to a series of no steps; a duration
+        # / dt that overflows to inf has no step count at all
+        with pytest.raises(ConfigError) as err:
+            small_config(dt=dt, duration=duration)
+        assert err.value.field == "sim.duration"
 
     def test_requires_dt(self):
         with pytest.raises(ConfigError):
