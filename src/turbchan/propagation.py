@@ -24,12 +24,14 @@ and the standard library (see :mod:`turbchan.numerics` for what loads
 when).
 
 Memory: a propagation holds two n x n complex arrays, the field and one
-screen's rotation exp(i phi), plus n x K phasor tables and a phase block of
-n / 4 rows.  What is cached per process is small beside them: the vacuum
-kernels as their 1-D factors, the absorbing window on its frame and the
-aperture weights on the disc's bounding box.  The one n x n constant is
-the launched source of :func:`_launch`.  A time-series step is a job of
-:func:`_run_jobs`, as a realization is, and holds the same arrays.
+screen's rotation exp(i phi), plus the screen's phasor factors, c exp(-i ky y)
+as n x K complex and exp(i kx x) on the x < 0 half only as n/2 x K cosines
+and sines, and blocks of n / 4 rows for the phase and its parts.  What is
+cached per process is small beside them: the vacuum kernels as their 1-D
+factors, the absorbing window on its frame and the aperture weights on the
+disc's bounding box.  The one n x n constant is the launched source of
+:func:`_launch`.  A time-series step is a job of :func:`_run_jobs`, as a
+realization is, and holds the same arrays.
 """
 
 from __future__ import annotations
@@ -306,13 +308,16 @@ def sample_screens(spectrum: VonKarmanTatarskii, geom: ChannelGeometry, n_screen
             m = counts[band]
             if m == 0:
                 continue
-            mag = np.interp(gen.random(m), cdf, kap)
-            theta = gen.random(m) * 2.0 * math.pi
-            sd = math.sqrt(band_var[band] / m)
+            # one call per distribution: the same draws, in the same order,
+            # as one call per half
+            uniform = gen.random(2 * m)
+            mag = np.interp(uniform[:m], cdf, kap)
+            theta = uniform[m:] * 2.0 * math.pi
             kx[pos:pos + m] = mag * np.cos(theta)
             ky[pos:pos + m] = mag * np.sin(theta)
-            a[pos:pos + m] = gen.normal(0.0, sd, m)
-            b[pos:pos + m] = gen.normal(0.0, sd, m)
+            normal = gen.normal(0.0, math.sqrt(band_var[band] / m), 2 * m)
+            a[pos:pos + m] = normal[:m]
+            b[pos:pos + m] = normal[m:]
             pos += m
         screens.append(SparseScreen(kx=kx, ky=ky, amp_cos=a, amp_sin=b,
                                     slab_thickness=dz))
@@ -323,9 +328,12 @@ def evaluate_phase(screen: SparseScreen, points, shift_x: float = 0.0) -> np.nda
     """Screen phase at arbitrary continuous points, shifted by ``shift_x``.
 
     phi(r) = sum_j a_j cos(kappa_j . (r + s)) + b_j sin(kappa_j . (r + s))
-    with s = (shift_x, 0); exact, no interpolation.
+    with s = (shift_x, 0); exact, no interpolation.  Raises ``DomainError``
+    for a point or a shift that is not finite.
     """
     pts = np.atleast_2d(np.asarray(points, dtype=float))
+    if not (math.isfinite(shift_x) and np.all(np.isfinite(pts))):
+        raise DomainError(f"evaluate_phase: points and shift_x = {shift_x} must be finite")
     theta = np.outer(pts[:, 0] + shift_x, screen.kx) + np.outer(pts[:, 1], screen.ky)
     return np.cos(theta) @ screen.amp_cos + np.sin(theta) @ screen.amp_sin
 
@@ -357,7 +365,7 @@ def _cis(theta: np.ndarray, out: np.ndarray) -> np.ndarray:
     return out
 
 
-def _axis_cis(k: np.ndarray, axis: np.ndarray, out=None) -> np.ndarray:
+def _axis_cis(k: np.ndarray, axis: np.ndarray, out=None, scale=None) -> np.ndarray:
     """exp(i k x) on a uniform ``axis`` of power-of-two length, as (axis, K).
 
     Angle addition: with x = x[q m] + r h for a fine block of m points,
@@ -371,58 +379,96 @@ def _axis_cis(k: np.ndarray, axis: np.ndarray, out=None) -> np.ndarray:
     exp(i k x) within (16 + 2 max |k x|) 2^-52, about twice the error of
     cos and sin at the rounded product k x.  ``out``, if given, is a
     C-contiguous complex (axis, K) array the table is written into.
+    ``scale``, if given, is a complex K-vector each column is multiplied
+    by; it goes into the n / m coarse factors, so it costs no pass over
+    the table.
     """
     n = axis.size
     m = 1 << ((n.bit_length() - 1) // 2)
     h = (axis[-1] - axis[0]) / (n - 1)
     coarse = _cis(np.multiply.outer(axis[::m], k), np.empty((n // m, k.size), complex))
+    if scale is not None:
+        coarse *= scale
     fine = _cis(np.multiply.outer(np.arange(m) * h, k), np.empty((m, k.size), complex))
     out = np.empty((n, k.size), complex) if out is None else out
     np.multiply(coarse[:, None, :], fine[None, :, :], out=out.reshape(n // m, m, k.size))
     return out
 
 
-def _grid_tables(screen: SparseScreen, xs: np.ndarray, ys: np.ndarray,
-                 out=(None, None)):
-    """Phasor tables of one screen on the grid axes: ``(ex, ey)``.
-
-    ``ex = exp(i kx x)`` and ``ey = exp(-i ky y)`` are complex (axis, K)
-    arrays built by :func:`_axis_cis`, into the two arrays of ``out`` if
-    given; ``xs`` and ``ys`` are uniform axes whose length is a power of
-    two, as :meth:`Grid.axis` gives.
-    """
-    return _axis_cis(screen.kx, xs, out[0]), _axis_cis(-screen.ky, ys, out[1])
-
-
-def _phase_on_grid(screen: SparseScreen, tables, shift_x: float = 0.0,
-                   out=(None, None)) -> np.ndarray:
-    """Screen phase on the grid via a rank-2K real factorization.
+def _grid_tables(screen: SparseScreen, grid: Grid, shift_x: float = 0.0, out=(None, None)):
+    """The factors of one screen's phase on the grid: ``(ex, w)``.
 
     With c = a + i b, the screen is phi = Re sum_j c_j exp(-i (kx_j x + ky_j y)).
-    Writing W = c exp(-i ky y) (n x K) and E = exp(i kx x) (n x K),
-
-        phi(y, x) = Re sum_j W[y, j] conj(E[x, j])
-                  = sum_j W.re E.re + W.im E.im,
-
-    which is one real matmul ``W.view(float) @ E.view(float).T`` of n x 2K
-    factors with the (re, im) index interleaved: half the flops of the
-    equivalent complex product.  ``tables`` is the pair ``(ex, ey)`` of
-    :func:`_grid_tables`; the phase has a row per row of ``ey`` and a
-    column per row of ``ex``.  A shift s along x multiplies c by
-    exp(-i kx s), which keeps the shift exact.  ``out``, if given, is the
-    pair of C-contiguous arrays ``(phase, left)``, (ey rows, ex rows) real
-    and (ey rows, K) complex, that phi and W are written into; ``left`` may
-    be ``ey`` itself, which is then overwritten.  :func:`split_step` passes
-    row blocks of ``ey``.  In ensemble and series runs this matmul runs on
-    one OpenBLAS thread (see :func:`_run_jobs`).
+    ``w = c exp(-i ky y)`` is a complex (n, K) array over the whole axis.
+    ``ex`` is a real (2, n/2, K) array, cos(kx x) and sin(kx x) on the
+    x < 0 half of the axis only, x[0] = -(n/2) d ... x[n/2 - 1] = -d:
+    :meth:`Grid.axis` puts x[n/2] = 0 and x[n - j] = -x[j], so with
+    exp(-i kx x) = conj exp(i kx x) this half gives every other column
+    (see :func:`_phase_on_grid`).  Both come from :func:`_axis_cis`, with
+    c folded into the coarse factors of ``w``.  A shift s along x
+    multiplies c by exp(-i kx s), which keeps the shift exact.  ``out``, if
+    given, is the pair of C-contiguous arrays ``(ex, w)`` of those shapes
+    the factors are written into; the x table is staged, complex, in the
+    first rows of ``w``'s array.
     """
-    ex, ey = tables
     c = screen.amp_cos + 1j * screen.amp_sin
     if shift_x != 0.0:
         c *= np.exp(-1j * screen.kx * shift_x)
-    phase, left = out
-    left = np.multiply(ey, c, out=left)
-    return np.matmul(left.view(float), ex.view(float).T, out=phase)
+    xs = grid.axis()
+    half = grid.n // 2
+    ex, w = out
+    if w is None:
+        w = np.empty((grid.n, screen.n_components), complex)
+    if ex is None:
+        ex = np.empty((2, half, screen.n_components))
+    stage = _axis_cis(screen.kx, xs[:half], w[:half])
+    np.copyto(ex[0], stage.real)
+    np.copyto(ex[1], stage.imag)
+    return ex, _axis_cis(-screen.ky, xs, w, scale=c)
+
+
+def _phase_on_grid(tables, out=(None, None, None)) -> np.ndarray:
+    """Screen phase on the grid from the x < 0 half of the x axis.
+
+    With the factors W = c exp(-i ky y) and E = exp(i kx x) of
+    :func:`_grid_tables`, each (points, K),
+
+        phi(y, x) = Re sum_j W[y, j] conj(E[x, j]) = A + B,
+        A = W.re E.re^T,   B = W.im E.im^T,
+
+    and as E(-x) = conj E(x), phi(y, -x) = A - B; at x = 0, E = 1 and phi
+    is the row sum of W.re.  So A and B on the n/2 points x < 0 of the
+    ``ex`` table, two real (rows x K)(K x n/2) matmuls, give every column
+    with one add, one subtract and one sum: rows x n x K multiply-adds,
+    half as many as a table over the whole axis needs.  The x = 0 column
+    is left out of the matmuls so that they have n/2 columns, a power of
+    two: OpenBLAS then gives every element the same bits for any row block
+    and thread count, which it does not for n/2 + 1 columns.
+
+    ``tables`` is the pair ``(ex, w)`` of :func:`_grid_tables`, where
+    ``w`` may be a block of its rows; the phase has a row per row of ``w``
+    and the grid's n columns.  A is written into the phase's x < 0 columns and
+    B into a buffer of its own.  ``out``, if given, is the C-contiguous
+    ``(phase, split, b)`` the work is written into, all real: phi (w rows,
+    n), W's real and imaginary parts (2, w rows, K) and B (w rows, n/2).
+    In ensemble and series runs the matmuls run on one OpenBLAS thread
+    (see :func:`_run_jobs`).
+    """
+    ex, w = tables
+    rows, half = w.shape[0], ex.shape[1]
+    phase, split, b = out
+    if phase is None:
+        phase = np.empty((rows, 2 * half))
+    if split is None:
+        split = np.empty((2, *w.shape))
+    np.copyto(split[0], w.real)
+    np.copyto(split[1], w.imag)
+    a = np.matmul(split[0], ex[0].T, out=phase[:, :half])
+    b = np.matmul(split[1], ex[1].T, out=b)
+    np.subtract(a[:, :0:-1], b[:, :0:-1], out=phase[:, half + 1:])
+    a += b
+    np.sum(split[0], axis=1, out=phase[:, half])
+    return phase
 
 
 # ---------------------------------------------------------------------------
@@ -518,10 +564,15 @@ def split_step(fld: Field, screens: Sequence[SparseScreen], geom: ChannelGeometr
     Each screen's factor exp(i phi) is computed by :func:`_cis` into one
     n x n ``rotation`` buffer, in four blocks of n / 4 rows, each block's
     phase one :func:`_phase_on_grid` call into an (n / 4) x n ``phase``
-    buffer.  The screen's :func:`_grid_tables` are built with its rotation,
-    into two n x K buffers: exp(-i ky y) goes straight into the one for the
-    left factor W = c exp(-i ky y) and is multiplied by c in place.  All
-    are allocated once per call.  With ``_launched``, ``fld`` has already
+    buffer: two real (n / 4) x K by K x (n / 2) matmuls, n^2 K
+    multiply-adds per screen in all.  The screen's :func:`_grid_tables` are
+    built with its rotation: the left factor W = c exp(-i ky y) into an
+    n x K complex buffer and the x < 0 half of exp(i kx x) into a real
+    (2, n / 2, K) one.  Per block, W's real and imaginary parts go to a
+    real (2, n / 4, K) buffer and the mirrored product to an (n / 4) x
+    (n / 2) one.  All are allocated once per call, on the calling thread:
+    at n = 512, K = 256 they and the phase block hold 4.25 MiB beside the
+    field and the rotation.  With ``_launched``, ``fld`` has already
     taken the first half-slab step (the cached :func:`_launch` of
     :func:`_realization`), its ``leaked_power`` included, and only a copy
     of its values is made.
@@ -533,7 +584,6 @@ def split_step(fld: Field, screens: Sequence[SparseScreen], geom: ChannelGeometr
     are the same bits either way.
     """
     grid, k = fld.grid, geom.k
-    xs = grid.axis()
     steps = [geom.path_length]
     if screens:
         dz = screens[0].slab_thickness
@@ -548,22 +598,26 @@ def split_step(fld: Field, screens: Sequence[SparseScreen], geom: ChannelGeometr
     else:
         u, absorbed = _vacuum(u, grid, k, steps[0])
         leaked = fld.leaked_power + absorbed
-    n = grid.n
+    n, half = grid.n, grid.n // 2
     rows = n // 4  # a phase block; smaller blocks slow the matmul down
     rotation = np.empty_like(u)
     phase = np.empty((rows, n))
-    # the left factor and the x table, flat: any K takes contiguous (n, K) views
-    width = n * max((s.n_components for s in screens), default=0)
-    flat = np.empty((2, width), complex)
+    mirror = np.empty((rows, half))  # B of _phase_on_grid, the part odd in x
+    # W, the x table and W's parts, flat: any K takes contiguous views of them
+    width = max((s.n_components for s in screens), default=0)
+    wbuf = np.empty(n * width, complex)
+    xbuf = np.empty(n * width)
+    sbuf = np.empty(2 * rows * width)
 
     def rotate(i: int) -> None:
         screen = screens[i]
-        left, table = (b[: n * screen.n_components].reshape(n, -1) for b in flat)
-        ex, ey = _grid_tables(screen, xs, xs, (table, left))
+        size = screen.n_components
+        ex, w = _grid_tables(screen, grid, shift_x, (xbuf[: n * size].reshape(2, half, size),
+                                                     wbuf[: n * size].reshape(n, size)))
+        split = sbuf[: 2 * rows * size].reshape(2, rows, size)
         for start in range(0, n, rows):
             block = slice(start, start + rows)
-            _cis(_phase_on_grid(screen, (ex, ey[block]), shift_x, (phase, left[block])),
-                 rotation[block])
+            _cis(_phase_on_grid((ex, w[block]), (phase, split, mirror)), rotation[block])
 
     ahead = _helper.submit(rotate, 0) if _helper is not None and screens else None
     for i, step in enumerate(steps[1:]):
@@ -860,16 +914,18 @@ def _run_jobs(config: SimConfig, apertures: Sequence[float], jobs, workers: int 
     With ``workers > 1`` the jobs go to a process pool in chunks of 8.  Each
     pool worker sets its OpenBLAS to one thread before it starts: it
     inherits the parent's count (one per core), so every worker would
-    otherwise run that many busy-waiting BLAS threads for the n x 2K by
-    2K x n product of each screen's phase (:func:`_phase_on_grid`).  Pool
-    workers run :func:`split_step` without a helper thread.
+    otherwise run that many busy-waiting BLAS threads for the (n / 4) x K
+    by K x (n / 2) products of each screen's phase
+    (:func:`_phase_on_grid`).  Pool workers run :func:`split_step` without
+    a helper thread.
 
     With ``workers <= 1`` the run holds one :func:`_serial_helper` context,
     inline on one CPU: each screen's rotation is built on the helper thread
     one screen ahead of the FFTs, with OpenBLAS on one thread until the run
-    ends.  The records do not depend on any of this: OpenBLAS splits a
-    matmul over blocks of the output, not over the summed index, and the
-    helper computes the same values the calling thread would.
+    ends.  The records do not depend on any of this: the phase matmuls
+    have n/2 columns, a power of two, for which OpenBLAS gives each
+    element the same bits for any thread count (see :func:`_phase_on_grid`),
+    and the helper computes the same values the calling thread would.
     """
     if not apertures:
         raise ConfigError("need at least one aperture", field="apertures")

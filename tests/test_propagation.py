@@ -3,6 +3,7 @@
 import concurrent.futures as cf
 import ctypes
 import dataclasses
+import hashlib
 import math
 import os
 import threading
@@ -212,6 +213,23 @@ class TestScreens:
             assert np.array_equal(a.kx, b.kx)
             assert np.array_equal(a.amp_cos, b.amp_cos)
 
+    def test_fig2_screen_set_pinned(self):
+        # every bit of one FIG2 screen set: the draws' order and grouping
+        # may change only if no screen changes
+        screens = sample_screens(FIG2_SPEC, FIG2_GEOM, 10, 256, RngStream(5, 3))
+        digests = {name: hashlib.sha256(b"".join(getattr(s, name).tobytes()
+                                                 for s in screens)).hexdigest()
+                   for name in ("kx", "ky", "amp_cos", "amp_sin")}
+        assert digests == {
+            "kx": "ff31b075882175dfb4b4826aed3f0fb876b967579320c27e9708ebadc8fc009b",
+            "ky": "b356e483e01e0db6f95a76e52dc65c61237761dc5be990ffa8e6c82b7c6a12c8",
+            "amp_cos": "37e8a9186d4a384cb5bdeafec2de9942a70d0042386f6c44ee3f56c976a382b5",
+            "amp_sin": "4f2c28590d06714e2b5be069f3650fa8607fc44d9e329642ec1aa1854ea0dad9",
+        }
+        assert screens[0].kx[0].hex() == "-0x1.07c814afb395cp-5"
+        assert screens[9].amp_sin[-1].hex() == "-0x1.317696387663fp-14"
+        assert all(s.slab_thickness.hex() == "0x1.2c00000000000p+8" for s in screens)
+
     def test_component_count_and_slabs(self):
         s = self.screens(n_screens=6, n_components=100)
         assert len(s) == 6
@@ -312,16 +330,48 @@ class TestScreens:
                                                 (False, -0.0071)])
     def test_phase_on_grid_matches_pointwise(self, in_place, shift):
         s = self.screens()[0]
-        xs = Grid(n=64, extent=0.2).axis()
-        ys = xs + 0.0017  # distinct y axis, so a swap of x and y would show
-        ex, ey = _grid_tables(s, xs, ys)
-        # in place, as split_step does it: W = c exp(-i ky y) over that table
-        out = (np.empty((ys.size, xs.size)), ey) if in_place else (None, None)
-        got = _phase_on_grid(s, (ex, ey), shift_x=shift, out=out)
-        gx, gy = np.meshgrid(xs, ys)  # [iy, ix], the layout of the grid phase
+        grid = Grid(n=64, extent=0.2)
+        rows, half = grid.n, grid.n // 2
+        # into given buffers, as split_step does it, or into new ones
+        tables = ((np.empty((2, half, s.n_components)), np.empty((rows, s.n_components), complex))
+                  if in_place else (None, None))
+        ex, w = _grid_tables(s, grid, shift, tables)
+        out = ((np.empty((rows, grid.n)), np.empty((2, rows, s.n_components)),
+                np.empty((rows, half))) if in_place else (None,) * 3)
+        got = _phase_on_grid((ex, w), out)
+        assert got.shape == (grid.n, grid.n)
+        gx, gy = np.meshgrid(grid.axis(), grid.axis())  # [iy, ix], the grid phase's layout
         want = evaluate_phase(s, np.column_stack([gx.ravel(), gy.ravel()]),
                               shift_x=shift).reshape(gx.shape)
         assert np.max(np.abs(got - want)) <= 1e-12 * np.max(np.abs(want))
+
+    def test_mirrored_columns_at_fig2(self):
+        # the x table holds x < 0 only; the columns at x > 0 come from the
+        # mirror E(-x) = conj E(x) and x = 0 from a row sum, so check both
+        # sides of the fold, the centre and both edges, on a row block as
+        # split_step passes it
+        grid = default_grid(FIG2_GEOM, FIG2_SPEC, n=512)
+        n, half, rows = grid.n, grid.n // 2, grid.n // 4
+        s = sample_screens(FIG2_SPEC, FIG2_GEOM, 10, 256, RngStream(5, 3))[4]
+        ex, w = _grid_tables(s, grid, 0.0123)
+        assert ex.shape == (2, half, 256) and w.shape == (n, 256)
+        block = slice(rows, 2 * rows)
+        got = _phase_on_grid((ex, w[block]))
+        xs = grid.axis()
+        cols = np.array([0, 1, half - 1, half, half + 1, n - 1])
+        picked = np.array([0, 1, rows // 2, rows - 1])
+        gx, gy = np.meshgrid(xs[cols], xs[block][picked])
+        want = evaluate_phase(s, np.column_stack([gx.ravel(), gy.ravel()]),
+                              shift_x=0.0123).reshape(gx.shape)
+        assert np.max(np.abs(got[np.ix_(picked, cols)] - want)) <= 1e-12 * np.max(np.abs(want))
+
+    @pytest.mark.parametrize("points,shift", [([[math.nan, 0.0]], 0.0),
+                                              ([[0.0, 0.01], [0.0, math.inf]], 0.0),
+                                              ([[0.0, 0.0]], math.nan),
+                                              ([[0.0, 0.0]], -math.inf)])
+    def test_non_finite_input_raises(self, points, shift):
+        with pytest.raises(DomainError, match="finite"):
+            evaluate_phase(self.screens()[0], points, shift_x=shift)
 
     def test_zero_shift_is_identity(self):
         s = self.screens()[0]
@@ -415,13 +465,19 @@ class TestGridTables:
         # phasors; each component's error stays within a few units of
         # |k x| 2^-52 of exp(+-i k x) in 64-bit-mantissa arithmetic, with
         # |k x| that component's largest angle on the axis
-        xs = default_grid(FIG2_GEOM, FIG2_SPEC, n=n).axis()
+        grid = default_grid(FIG2_GEOM, FIG2_SPEC, n=n)
+        xs = grid.axis()
         screen = sample_screens(FIG2_SPEC, FIG2_GEOM, 10, 256, RngStream(0, 0))[0]
-        for table, k in zip(_grid_tables(screen, xs, xs), (screen.kx, -screen.ky)):
-            assert table.shape == (n, k.size)
-            theta = np.multiply.outer(xs.astype(np.longdouble), k.astype(np.longdouble))
-            err = np.maximum(np.abs(table.real - np.cos(theta)),
-                             np.abs(table.imag - np.sin(theta))).astype(float)
+        # unit amplitudes: c = 1 exactly, so W is the phasor table exp(-i ky y)
+        unit = dataclasses.replace(screen, amp_cos=np.ones(256), amp_sin=np.zeros(256))
+        ex, w = _grid_tables(unit, grid)
+        # the x table is the x < 0 half, as (cos, sin) planes
+        for (re, im), axis, k in (((ex[0], ex[1]), xs[: n // 2], screen.kx),
+                                  ((w.real, w.imag), xs, -screen.ky)):
+            assert re.shape == im.shape == (axis.size, k.size)
+            theta = np.multiply.outer(axis.astype(np.longdouble), k.astype(np.longdouble))
+            err = np.maximum(np.abs(re - np.cos(theta)),
+                             np.abs(im - np.sin(theta))).astype(float)
             largest = np.max(np.abs(theta), axis=0).astype(float)
             assert np.all(np.max(err, axis=0) <= (16.0 + 2.0 * largest) * EPS)
 
@@ -440,11 +496,10 @@ class TestSplitStepScreens:
         geom, grid = config.geometry, config.grid
         got = split_step(src, screens[0], geom, shift_x=0.013)
         # the same symmetric split step with np.exp(1j * phi) for the rotation
-        xs = grid.axis()
         dz = screens[0][0].slab_thickness
         u, _ = _vacuum(src.values.copy(), grid, geom.k, dz / 2.0)
         for i, screen in enumerate(screens[0]):
-            u = u * np.exp(1j * _phase_on_grid(screen, _grid_tables(screen, xs, xs), 0.013))
+            u = u * np.exp(1j * _phase_on_grid(_grid_tables(screen, grid, 0.013)))
             u, _ = _vacuum(u, grid, geom.k, dz if i + 1 < len(screens[0]) else dz / 2.0)
         assert np.max(np.abs(got.values - u)) <= 1e-13
 
