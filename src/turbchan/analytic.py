@@ -6,12 +6,9 @@ the Rytov variance and the Fresnel number.  The formulas assume a beam
 focused on the receiver (F0 = L) and weak fluctuations (sigma_R^2 < 0.5);
 outside that domain the values come back with ``validity`` False.
 
-The printed mean-transmittance expression adds a dimensionless term to a
-squared length inside the exponent; both the literal form and a
-dimensionally repaired variant
-``1 - exp(-2 a^2 / (W0^2 (Omega^-2 + 1.05 sigma_R^2 Omega^-7/6)))`` are
-provided, selected by ``eta_convention``, a :class:`~turbchan.pdt.EtaConvention`
-(the repaired ``consistent`` form is the default).
+The mean transmittance is 1 - exp(-2 a^2 / (W0^2 (Omega^-2 + 1.05 sigma_R^2
+Omega^-7/6))): the printed expression adds the dimensionless 1.05 term to a
+squared length, and this form restores the dimensions.
 """
 
 from __future__ import annotations
@@ -20,7 +17,6 @@ import math
 from dataclasses import dataclass
 
 from .errors import DomainError
-from .pdt import EtaConvention
 from .turbulence import (
     WEAK_TURBULENCE_RYTOV_LIMIT,
     ChannelGeometry,
@@ -51,20 +47,14 @@ class WeakTurbulenceParams:
     aux_v: float
     rytov2: float
     fresnel: float
-    eta_convention: EtaConvention
     validity: bool
     moment_consistent: bool
 
 
-def weak_turb_params(geom: ChannelGeometry, cn2: float,
-                     eta_convention=EtaConvention.consistent) -> WeakTurbulenceParams:
+def weak_turb_params(geom: ChannelGeometry, cn2: float) -> WeakTurbulenceParams:
     """Weak-turbulence parameter set for the given geometry and Cn2."""
     if not (cn2 >= 0.0 and math.isfinite(cn2)):
         raise DomainError("weak_turb_params: cn2 must be finite and >= 0")
-    try:
-        eta_convention = EtaConvention(eta_convention)
-    except ValueError:
-        raise DomainError(f"unknown eta_convention {eta_convention!r}") from None
     s2 = rytov_variance(geom, cn2)
     om = fresnel_number(geom)
     w0sq = geom.beam_radius**2
@@ -86,12 +76,8 @@ def weak_turb_params(geom: ChannelGeometry, cn2: float,
     )
     aux_v = om**-2 + 3.17 * s2 * om_m76
 
-    if eta_convention is EtaConvention.paper_literal:
-        # As printed: the 1.05 term is dimensionless next to a squared length.
-        mean_eta = 1.0 - math.exp(-a2 / (2.0 * (w0sq * om**-2 + 1.05 * s2 * om_m76)))
-    else:
-        w_eff2 = w0sq * (om**-2 + 1.05 * s2 * om_m76)
-        mean_eta = 1.0 - math.exp(-2.0 * a2 / w_eff2)
+    w_eff2 = w0sq * (om**-2 + 1.05 * s2 * om_m76)
+    mean_eta = 1.0 - math.exp(-2.0 * a2 / w_eff2)
 
     g = 1.0 + 2.0 * aux_v * om**2
     mean_eta2 = (1.0 - math.exp(-4.0 * a2 / (w0sq * om**-2 * g))) * (
@@ -109,7 +95,7 @@ def weak_turb_params(geom: ChannelGeometry, cn2: float,
     return WeakTurbulenceParams(
         sigma_bw2=sigma_bw2, mean_S=mean_S, mean_S2=mean_S2,
         mean_eta=mean_eta, mean_eta2=mean_eta2, aux_v=aux_v,
-        rytov2=s2, fresnel=om, eta_convention=eta_convention,
+        rytov2=s2, fresnel=om,
         validity=s2 < WEAK_TURBULENCE_RYTOV_LIMIT and geom.focused,
         moment_consistent=moment_consistent,
     )

@@ -22,21 +22,15 @@ Every family carries the same three members:
   read-only arrays.  An expectation <f(eta)> is ``_node_sum(weight, f(eta))``,
   a sum taken without BLAS (see :func:`fractional_moment`).
 
-The beam-wandering geometry functions carry a convention switch for the
-maximal transmittance: ``paper_literal`` keeps eta0 = 1 - exp(-a^2/S) as
-printed, ``consistent`` (default) uses eta0 = 1 - exp(-2 a^2/S), which is
-the exact on-axis transmittance of a Gaussian beam with second-moment spot
-size S and the zero-wander limit of the closed-form moments.  The shape and
-scale parameters lambda(S), R(S) always use the consistent form internally;
-with the literal form their defining logarithm turns negative for
-a^2/S < 0.3 and the model breaks down.
+The maximal transmittance of a Gaussian spot of second-moment size S is
+eta0 = 1 - exp(-2 a^2/S): the factor 2 makes it the exact on-axis
+transmittance, and the zero-wander limit of :func:`bw_moments`.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from enum import Enum
 from functools import cached_property
 from typing import Sequence, Union
 
@@ -49,17 +43,12 @@ from .numerics import _OnFirstUse, adaptive_quad, marcum_q1, solve2
 # turbchan.numerics)
 special = _OnFirstUse(globals(), "scipy.special")
 
-__all__ = ["EtaConvention", "MomentPair", "TruncLogNormal", "BetaPdt", "BeamWander",
-           "CircularBeam", "EllipticBeam", "TotalProb", "PdtModel",
-           "lognormal_from_moments", "beta_from_moments", "bw_geometry", "bw_moments",
+__all__ = ["MomentPair", "TruncLogNormal", "BetaPdt", "BeamWander", "CircularBeam",
+           "EllipticBeam", "TotalProb", "PdtModel", "lognormal_from_moments",
+           "beta_from_moments", "bw_geometry", "bw_moments",
            "match_bw", "circular_params_from_S", "circular_moments", "match_circular",
            "elliptic_params_from_samples", "elliptic_sample", "totalprob_model",
            "model_density", "model_cdf", "model_moments", "fractional_moment"]
-
-
-class EtaConvention(str, Enum):
-    paper_literal = "paper_literal"
-    consistent = "consistent"
 
 
 _MOMENT_SLACK = 1e-9  # relative tolerance on the moment inequalities
@@ -93,6 +82,8 @@ class MomentPair:
     @classmethod
     def from_samples(cls, values) -> "MomentPair":
         v = np.asarray(values, dtype=float)
+        if v.size == 0:
+            raise DomainError("MomentPair.from_samples: empty sample")
         return cls(float(np.mean(v)), float(np.mean(v * v)))
 
 
@@ -320,11 +311,12 @@ def beta_from_moments(m: MomentPair) -> BetaPdt:
 # ---------------------------------------------------------------------------
 
 
-def _bw_lambda_R(S, a):
-    """Shape lambda(S) and dimensionless scale R(S)/a, vectorized.
+def _bw_spot(S, a):
+    """Maximal transmittance eta0, shape lambda(S) and dimensionless scale
+    R(S)/a, vectorized.
 
-    Uses scaled Bessel forms throughout; the logarithm's eta0 is the
-    consistent (factor-2) one, without which lambda < 0 for a^2/S < 0.3.
+    Uses scaled Bessel forms throughout; lambda and R take the logarithm of
+    2 eta0 against 1 - I0(4 a^2/S) e^(-4 a^2/S).
     """
     S = np.asarray(S, dtype=float)
     x = 4.0 * a * a / S
@@ -335,29 +327,19 @@ def _bw_lambda_R(S, a):
         x * (1.0 - 0.75 * x + (5.0 / 12.0) * x * x),
         1.0 - i0e,
     )
-    two_eta0 = -2.0 * np.expm1(-0.5 * x)
-    ln_arg = np.log(two_eta0 / denom)
+    eta0 = -np.expm1(-0.5 * x)
+    ln_arg = np.log(2.0 * eta0 / denom)
     lam = 2.0 * x * i1e / denom / ln_arg
     r_dimless = ln_arg ** (-1.0 / lam)
-    return lam, r_dimless
+    return eta0, lam, r_dimless
 
 
-def _bw_shape(S, a: float, convention: EtaConvention):
-    """eta0, lambda and R, elementwise over an array of spot sizes S."""
-    lam, r_dim = _bw_lambda_R(S, a)
-    factor = 1.0 if EtaConvention(convention) is EtaConvention.paper_literal else 2.0
-    return -np.expm1(-factor * a * a / S), lam, a * r_dim
-
-
-def bw_geometry(S: float, a: float, convention=EtaConvention.consistent):
-    """Maximal transmittance eta0, shape lambda(S), and scale R(S).
-
-    The convention switches only eta0; lambda and R are
-    convention-independent.
-    """
+def bw_geometry(S: float, a: float):
+    """Maximal transmittance eta0, shape lambda(S), and scale R(S) in metres."""
     if not _positive(S, a):
         raise DomainError("bw_geometry: S and a must be finite and > 0")
-    return tuple(float(v) for v in _bw_shape(S, a, convention))
+    eta0, lam, r_dim = _bw_spot(S, a)
+    return float(eta0), float(lam), float(a * r_dim)
 
 
 def _bw_pdf(eta, eta0, lam, R, sigma_bw2):
@@ -412,7 +394,8 @@ class _SpotMixture:
     def _spots(self):
         """Columns eta0, lambda, R and mass, one row per spot size."""
         S, mass = self.spot_nodes()
-        return (*_bw_shape(S[:, None], self.aperture, self.convention), mass[:, None])
+        eta0, lam, r_dim = _bw_spot(S[:, None], self.aperture)
+        return eta0, lam, self.aperture * r_dim, mass[:, None]
 
     def _mix(self, kernel, eta: np.ndarray) -> np.ndarray:
         """sum_k mass_k kernel_k(eta), in blocks of 2^20 (components x points)."""
@@ -439,7 +422,6 @@ class BeamWander(_SpotMixture):
     sigma_bw2: float
     S: float
     aperture: float
-    convention: EtaConvention = EtaConvention.consistent
 
     def __post_init__(self):
         if not _positive(self.sigma_bw2, self.S, self.aperture):
@@ -453,9 +435,9 @@ class BeamWander(_SpotMixture):
 def bw_moments(S, sigma_bw2, a) -> tuple:
     """Closed-form <eta>, <eta^2> of a wandering Gaussian beam (Esposito).
 
-    Vectorized over S; exact for the physical beam, independent of the
-    eta0 convention.  Raises :class:`DomainError`, naming the parameter,
-    unless S > 0, sigma_bw2 >= 0 and a > 0 are finite.
+    Vectorized over S; exact for the physical beam, and at sigma_bw2 = 0
+    <eta> is the eta0 of :func:`bw_geometry`.  Raises :class:`DomainError`,
+    naming the parameter, unless S > 0, sigma_bw2 >= 0 and a > 0 are finite.
     """
     S = np.asarray(S, dtype=float)
     scalar = S.ndim == 0
@@ -553,7 +535,6 @@ class CircularBeam(_SpotMixture):
     mu_S: float
     sigma_S2: float
     aperture: float
-    convention: EtaConvention = EtaConvention.consistent
 
     def __post_init__(self):
         if not _positive(self.sigma_bw2, self.aperture):
@@ -569,11 +550,16 @@ class CircularBeam(_SpotMixture):
 
 
 def circular_params_from_S(mean_S: float, mean_S2: float) -> tuple[float, float]:
-    """Log-normal parameters (mu_S, sigma_S2) from the first two S moments."""
-    if not (mean_S > 0.0 and mean_S2 >= mean_S**2):
+    """Log-normal parameters (mu_S, sigma_S2) from the first two S moments.
+
+    mean_S2 may fall below mean_S^2 by the relative rounding slack of
+    :class:`MomentPair` (a sample of equal spots); sigma_S2 is then 0.
+    """
+    if not (0.0 < mean_S < math.inf
+            and mean_S**2 * (1.0 - _MOMENT_SLACK) <= mean_S2 < math.inf):
         raise DomainError("circular_params_from_S: need mean_S > 0, mean_S2 >= mean_S^2")
     mu_s = math.log(mean_S**2 / math.sqrt(mean_S2))
-    sigma_s2 = math.log(mean_S2 / mean_S**2)
+    sigma_s2 = max(math.log(mean_S2 / mean_S**2), 0.0)
     return mu_s, sigma_s2
 
 
@@ -715,6 +701,8 @@ def elliptic_params_from_samples(records: Sequence) -> tuple[float, np.ndarray]:
     orderings with weight 1/2) so the two squared semi-axes share the mean
     required by the model.  Sigma is returned as estimated: it is not PSD
     when |Sigma_12| > Sigma_11, and the model then uses its nearest PSD one.
+    Its diagonal, ln(<W_i^4> / <W_i^2>^2), is >= 0 but for rounding (records
+    of equal spots), which is clamped to 0.
     """
     if len(records) < 1000:
         raise DomainError("elliptic_params_from_samples: need >= 1000 records")
@@ -729,7 +717,7 @@ def elliptic_params_from_samples(records: Sequence) -> tuple[float, np.ndarray]:
     mean_w4 = float(np.mean(0.5 * (lam_hi**2 + lam_lo**2)))
     mean_cross = float(np.mean(lam_hi * lam_lo))
     mu_s = math.log(mean_w2**2 / math.sqrt(mean_w4))
-    sig_diag = math.log(mean_w4 / mean_w2**2)
+    sig_diag = max(math.log(mean_w4 / mean_w2**2), 0.0)
     sig_off = math.log(mean_cross / mean_w2**2)
     return mu_s, np.array([[sig_diag, sig_off], [sig_off, sig_diag]])
 
@@ -747,7 +735,7 @@ def _elliptic_eta0(w1sq, w2sq, a):
         pref = -2.0 * np.expm1(-0.5 * a * a * (1.0 / w1 - 1.0 / w2) ** 2)
         z = (w1 + w2) ** 2 / np.abs(w1sq - w2sq)
         xi = 4.0 * w1sq * w2sq / (w1 - w2) ** 2
-        lam_xi, rdim_xi = _bw_lambda_R(np.where(degenerate, 1.0, xi), a)
+        _, lam_xi, rdim_xi = _bw_spot(np.where(degenerate, 1.0, xi), a)
         expo = np.exp(-((z / rdim_xi) ** lam_xi))
         term2 = np.where(degenerate, 0.0, pref * expo)
     return np.clip(1.0 - term1 - term2, 0.0, 1.0)
@@ -767,7 +755,7 @@ def _elliptic_spot(theta1, theta2, cos2, a):
         + a * a / w2sq * (1.0 + 2.0 * (1.0 - cos2))
     )
     w_eff2 = 4.0 * a * a / special.wrightomega(ln_arg)  # W0(e^y) = omega(y)
-    return (_elliptic_eta0(w1sq, w2sq, a), *_bw_lambda_R(w_eff2, a))
+    return (_elliptic_eta0(w1sq, w2sq, a), *_bw_spot(w_eff2, a)[1:])
 
 
 # samples per block of elliptic_sample: the transform's temporaries stay near
@@ -885,8 +873,9 @@ def totalprob_model(sub: str, sigma_bw2: float, mean_S: float, m: MomentPair,
     """
     if sub not in ("lognormal", "beta"):
         raise DomainError(f"totalprob_model: unknown sub-model {sub!r}")
-    if not _positive(sigma_bw2, mean_S):
-        raise DomainError("totalprob_model: sigma_bw2 and mean_S must be finite and > 0")
+    if not _positive(sigma_bw2, mean_S, aperture):
+        raise DomainError("totalprob_model: sigma_bw2, mean_S and aperture must be finite "
+                          "and > 0")
     _, lam, R = bw_geometry(mean_S, aperture)
     sig = math.sqrt(sigma_bw2)
     profile = np.exp(-((sig * _XI_NODES / R) ** lam))

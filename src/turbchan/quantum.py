@@ -62,7 +62,6 @@ __all__ = [
     "EmpiricalChannel",
     "ChannelSpec",
     "PhotonStats",
-    "loss_pmf",
     "channel_pmf",
     "quadrature_moments",
     "ergodicity_report",
@@ -355,14 +354,6 @@ def _cutoff(state: InputState, n_max) -> int:
         raise DomainError(f"channel_pmf: n_max={n_max} for {state} (mean photon number "
                           f"{state.mean_n:g}) exceeds the cap of 2^26 pmf entries")
     return int(n_max)
-
-
-def loss_pmf(state: InputState, eta: float, n_max: Optional[int] = None) -> PhotonStats:
-    """Photon statistics after a fixed-transmittance loss channel:
-    ``channel_pmf(state, FixedEta(eta), n_max)``.  One node seeds every
-    entry in log space up to n_max = 2^15 - 1 (a coherent |alpha|^2 up to
-    about 3e4)."""
-    return channel_pmf(state, FixedEta(eta), n_max)
 
 
 def channel_pmf(state: InputState, channel: ChannelSpec,

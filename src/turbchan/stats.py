@@ -94,6 +94,8 @@ def ks_stat(sample: EmpiricalSample, cdf) -> float:
     vals = sample.values
     n = vals.size
     model = np.asarray(cdf(vals), dtype=float)
+    if np.isnan(model).any():
+        raise DomainError("ks_stat: the model CDF is NaN at a sample point")
     hi = np.arange(1, n + 1) / n
     lo = np.arange(0, n) / n
     return float(np.max(np.maximum(np.abs(hi - model), np.abs(lo - model))))
@@ -142,6 +144,8 @@ def kde(sample: EmpiricalSample, bandwidth: float | None = None):
 
     def density(eta):
         x = np.atleast_1d(np.asarray(eta, dtype=float))
+        if np.isnan(x).any():
+            raise DomainError("kde: eta is NaN")
         out = np.zeros_like(x)
         lo = np.searchsorted(centers, x - reach)
         hi = np.searchsorted(centers, x + reach, side="right")
@@ -157,10 +161,11 @@ def kde(sample: EmpiricalSample, bandwidth: float | None = None):
 def corr_fn(series, lags) -> list[tuple[float, float]]:
     """Normalized transmittance correlation function G(tau).
 
-    ``series`` is a sequence of (t, eta) with uniform spacing; each
-    requested lag must be a multiple of dt.  Means and variances are
-    estimated separately on the two overlapping windows (the leading and
-    trailing segments), matching the lag-dependent normalization
+    ``series`` is a sequence of (t, eta) at strictly increasing, uniformly
+    spaced times; each requested lag must be finite, >= 0 and a multiple of
+    dt.  Means and variances are estimated separately on the two overlapping
+    windows (the leading and trailing segments), matching the lag-dependent
+    normalization
     G = <d_eta(t) d_eta(t+tau)> / sqrt(<d_eta(t)^2><d_eta(t+tau)^2>).
     """
     arr = np.asarray(series, dtype=float)
@@ -173,16 +178,21 @@ def corr_fn(series, lags) -> list[tuple[float, float]]:
     n = eta.size
     if n < 3:
         raise DomainError("corr_fn: series too short")
-    dt = t[1] - t[0]
-    if not np.allclose(np.diff(t), dt, rtol=1e-6, atol=1e-12 * max(abs(dt), 1.0)):
+    steps = np.diff(t)
+    dt = steps[0]
+    if not np.all(steps > 0.0):
+        raise DomainError("corr_fn: times must be strictly increasing")
+    if not np.allclose(steps, dt, rtol=1e-6, atol=1e-12 * max(dt, 1.0)):
         raise DomainError("corr_fn: series must be uniformly sampled")
     out = []
     for tau in lags:
+        if not 0.0 <= tau < math.inf:
+            raise DomainError(f"corr_fn: lag {tau} must be finite and >= 0")
         k = tau / dt
         ki = int(round(k))
         if abs(k - ki) > 1e-6:
             raise DomainError(f"corr_fn: lag {tau} is not a multiple of dt={dt}")
-        if ki < 0 or n < 10 * max(ki, 1):
+        if n < 10 * max(ki, 1):
             raise DomainError(
                 f"corr_fn: series of length {n} too short for lag index {ki}"
             )

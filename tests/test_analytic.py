@@ -7,7 +7,6 @@ import pytest
 
 from turbchan.analytic import weak_turb_params
 from turbchan.errors import DomainError
-from turbchan.pdt import EtaConvention
 from turbchan.turbulence import ChannelGeometry
 
 FIG2 = ChannelGeometry(wavelength=809e-9, path_length=3000.0, beam_radius=0.0278,
@@ -15,7 +14,7 @@ FIG2 = ChannelGeometry(wavelength=809e-9, path_length=3000.0, beam_radius=0.0278
 CN2 = 1e-15
 
 
-def independent_fig2_values(a, convention):
+def independent_fig2_values(a):
     """Duplicate plug-in arithmetic at 50 digits, straight from the formulas."""
     with mpmath.workdps(50):
         lam = mpmath.mpf("809e-9")
@@ -38,14 +37,9 @@ def independent_fig2_values(a, convention):
             - mpmath.mpf("0.05") * s2**4 * om ** (-mpmath.mpf(2) / 3)
         )
         a = mpmath.mpf(repr(a))
-        if convention is EtaConvention.paper_literal:
-            meta = 1 - mpmath.exp(
-                -(a**2) / (2 * (w0sq * om**-2 + mpmath.mpf("1.05") * s2 * om ** (-mpmath.mpf(7) / 6)))
-            )
-        else:
-            meta = 1 - mpmath.exp(
-                -2 * a**2 / (w0sq * (om**-2 + mpmath.mpf("1.05") * s2 * om ** (-mpmath.mpf(7) / 6)))
-            )
+        meta = 1 - mpmath.exp(
+            -2 * a**2 / (w0sq * (om**-2 + mpmath.mpf("1.05") * s2 * om ** (-mpmath.mpf(7) / 6)))
+        )
         v = om**-2 + mpmath.mpf("3.17") * s2 * om ** (-mpmath.mpf(7) / 6)
         g = 1 + 2 * v * om**2
         meta2 = (1 - mpmath.exp(-4 * a**2 / (w0sq * om**-2 * g))) * (
@@ -68,23 +62,11 @@ class TestZeroTurbulenceLimit:
 
 
 class TestFig2PlugIn:
-    @pytest.mark.parametrize("convention", [EtaConvention.paper_literal,
-                                            EtaConvention.consistent],
-                             ids=["literal", "consistent"])
-    def test_duplicate_arithmetic(self, convention):
-        p = weak_turb_params(FIG2, CN2, eta_convention=convention)
-        oracle = independent_fig2_values(0.02, convention)
+    def test_duplicate_arithmetic(self):
+        p = weak_turb_params(FIG2, CN2)
+        oracle = independent_fig2_values(0.02)
         for name, val in oracle.items():
             assert getattr(p, name) == pytest.approx(val, rel=1e-12), name
-        assert p.eta_convention is convention
-
-    def test_conventions_differ_only_in_mean_eta(self):
-        lit = weak_turb_params(FIG2, CN2, EtaConvention.paper_literal)
-        con = weak_turb_params(FIG2, CN2, EtaConvention.consistent)
-        assert weak_turb_params(FIG2, CN2, "paper_literal") == lit
-        assert lit.mean_eta != con.mean_eta
-        assert lit.mean_eta2 == con.mean_eta2
-        assert lit.sigma_bw2 == con.sigma_bw2
 
     def test_fig2_is_inside_validity(self):
         p = weak_turb_params(FIG2, CN2)
@@ -110,7 +92,7 @@ class TestFlagsAndErrors:
     def test_fig2_pair_inconsistency_reported(self):
         # at a = 2 cm the printed eta/eta^2 pair violates variance >= 0;
         # the record carries the flag instead of raising
-        p = weak_turb_params(FIG2, CN2, EtaConvention.consistent)
+        p = weak_turb_params(FIG2, CN2)
         assert p.mean_eta2 < p.mean_eta**2
         assert not p.moment_consistent
         assert p.validity
@@ -135,7 +117,3 @@ class TestFlagsAndErrors:
     def test_non_finite_cn2_raises(self, cn2):
         with pytest.raises(DomainError):
             weak_turb_params(FIG2, cn2)
-
-    def test_bad_convention_raises(self):
-        with pytest.raises(DomainError):
-            weak_turb_params(FIG2, CN2, "blue")

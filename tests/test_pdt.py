@@ -14,7 +14,15 @@ from scipy import stats as sps
 from turbchan import pdt
 from turbchan.errors import DomainError, SolverError
 from turbchan.numerics import RngStream, adaptive_quad
-from turbchan.propagation import SampleRecord
+from turbchan.propagation import SampleRecord, ensemble_summary
+
+
+def equal_spot_records(n, S, jitter=0.0, seed=0):
+    """n records of one circular spot S, as a cn2 = 0 ensemble gives them;
+    ``jitter`` spreads the spot sizes by that much relative."""
+    sizes = S * (1.0 + jitter * np.random.default_rng(seed).uniform(-1.0, 1.0, n))
+    return [SampleRecord(eta=0.5, x0=0.0, y0=0.0, sxx=float(s), syy=float(s), sxy=0.0,
+                         realization_index=i) for i, s in enumerate(sizes)]
 
 
 def offset_aperture_eta(r0, S, a, nodes=96):
@@ -57,6 +65,11 @@ class TestMomentPair:
                 pdt.MomentPair(m1, m2_bad_hi)
         m2_good = lo + (hi - lo) * (0.1 + 0.8 * frac)
         pdt.MomentPair(m1, m2_good)
+
+    def test_empty_sample_raises(self):
+        # numpy's mean of an empty slice once warned and gave NaN
+        with pytest.raises(DomainError, match="empty sample"):
+            pdt.MomentPair.from_samples([])
 
 
 _NAN, _INF = math.nan, math.inf
@@ -216,11 +229,8 @@ def test_nan_eta_rejected(model):
 
 
 class TestBwGeometry:
-    def test_eta0_conventions(self):
-        eta0_lit = pdt.bw_geometry(4.0, 2.0, "paper_literal")[0]
-        eta0_con = pdt.bw_geometry(4.0, 2.0, "consistent")[0]
-        assert eta0_lit == pytest.approx(1.0 - math.exp(-1.0), rel=1e-12)
-        assert eta0_con == pytest.approx(1.0 - math.exp(-2.0), rel=1e-12)
+    def test_eta0(self):
+        assert pdt.bw_geometry(4.0, 2.0)[0] == pytest.approx(1.0 - math.exp(-2.0), rel=1e-12)
 
     def test_large_spot_kills_transmittance(self):
         assert pdt.bw_geometry(1e9, 1.0)[0] < 1e-8
@@ -229,14 +239,9 @@ class TestBwGeometry:
         # numeric scan over a^2/S in [1e-3, 1e3] with scaled Bessel forms
         a = 1.0
         ratios = np.logspace(-3, 3, 61)
-        lam, rdim = pdt._bw_lambda_R(a * a / ratios, a)
+        _, lam, rdim = pdt._bw_spot(a * a / ratios, a)
         assert np.all(np.isfinite(lam)) and np.all(lam > 0.0)
         assert np.all(np.isfinite(rdim)) and np.all(rdim > 0.0)
-
-    def test_lambda_R_convention_independent(self):
-        _, lam1, r1 = pdt.bw_geometry(3e-4, 0.02, "paper_literal")
-        _, lam2, r2 = pdt.bw_geometry(3e-4, 0.02, "consistent")
-        assert lam1 == lam2 and r1 == r2
 
     def test_small_aperture_shape_limit(self):
         # a^2/S -> 0: the transmittance profile becomes Gaussian in r0
@@ -248,17 +253,17 @@ class TestBwDensity:
     BW = pdt.BeamWander(sigma_bw2=1e-4, S=4e-4, aperture=0.02)
 
     def test_zero_outside_support(self):
-        eta0 = pdt.bw_geometry(self.BW.S, self.BW.aperture, self.BW.convention)[0]
+        eta0 = pdt.bw_geometry(self.BW.S, self.BW.aperture)[0]
         assert pdt.model_density(self.BW, eta0 + 1e-6) == 0.0
         assert pdt.model_density(self.BW, -0.1) == 0.0
 
     def test_unit_integral(self):
-        eta0 = pdt.bw_geometry(self.BW.S, self.BW.aperture, self.BW.convention)[0]
+        eta0 = pdt.bw_geometry(self.BW.S, self.BW.aperture)[0]
         total = adaptive_quad(lambda e: pdt.model_density(self.BW, e), 0.0, eta0, 1e-9)
         assert total == pytest.approx(1.0, abs=1e-6)
 
     def test_cdf_step_limit_small_wander(self):
-        eta0 = pdt.bw_geometry(self.BW.S, self.BW.aperture, self.BW.convention)[0]
+        eta0 = pdt.bw_geometry(self.BW.S, self.BW.aperture)[0]
         narrow = pdt.BeamWander(sigma_bw2=1e-12, S=4e-4, aperture=0.02)
         assert pdt.model_cdf(narrow, eta0 * 0.99) < 1e-12
         assert pdt.model_cdf(narrow, eta0 * (1 + 1e-12)) == 1.0
@@ -270,7 +275,7 @@ class TestBwDensity:
 
     def test_sampling_oracle_ks(self):
         # draws via eta = eta0 exp(-(r0/R)^lambda), r0 Rayleigh
-        eta0, lam, R = pdt.bw_geometry(self.BW.S, self.BW.aperture, self.BW.convention)
+        eta0, lam, R = pdt.bw_geometry(self.BW.S, self.BW.aperture)
         gen = RngStream(7, 0).generator()
         r0 = math.sqrt(self.BW.sigma_bw2) * np.hypot(
             gen.standard_normal(20000), gen.standard_normal(20000)
@@ -400,6 +405,25 @@ class TestCircular:
         assert math.exp(mu + s2 / 2) == pytest.approx(mean_s, rel=1e-12)
         assert math.exp(2 * mu + 2 * s2) == pytest.approx(mean_s2, rel=1e-12)
 
+    def test_params_from_equal_spots(self):
+        # equal spots: ensemble_summary's mean_S2 rounds below mean_S^2 in
+        # about 4 of 10 such samples, which raised DomainError
+        gen = np.random.default_rng(3)
+        for _ in range(40):
+            S = float(np.exp(gen.uniform(math.log(1e-5), math.log(1e-2))))
+            summ = ensemble_summary(equal_spot_records(int(gen.integers(2, 300)), S))
+            mu, s2 = pdt.circular_params_from_S(summ["mean_S"], summ["mean_S2"])
+            assert 0.0 <= s2 < 1e-14  # rounding only: CircularBeam takes one spot
+            assert math.exp(mu) == pytest.approx(S, rel=1e-14)
+            cb = pdt.CircularBeam(1e-4, mu, s2, 0.02)
+            bw = pdt.BeamWander(1e-4, math.exp(mu), 0.02)
+            assert cb.spot_nodes()[0].size == 1
+            assert pdt.model_moments(cb) == pdt.model_moments(bw)
+
+    def test_params_below_slack_rejected(self):
+        with pytest.raises(DomainError, match="circular_params_from_S"):
+            pdt.circular_params_from_S(1e-3, 1e-6 * (1.0 - 1e-8))
+
     def test_degenerate_equals_bw(self):
         cb = pdt.CircularBeam(1e-4, math.log(4e-4), 0.0, 0.02)
         bw = pdt.BeamWander(1e-4, 4e-4, 0.02)
@@ -413,11 +437,10 @@ class TestCircular:
 
     @pytest.mark.parametrize("cb", [
         pdt.CircularBeam(1e-4, math.log(4e-4), 0.2, 0.02),
-        pdt.CircularBeam(1e-4, math.log(4e-4), 0.2, 0.02, "paper_literal"),
         # the circular-beam fit of the benchmark's pdt_photon records (seed 7)
         pdt.CircularBeam(7.949231888223333e-05, -6.704201330198932, 0.01582727787537576,
                          0.02),
-    ], ids=["wide", "literal", "benchmark_fit"])
+    ], ids=["wide", "benchmark_fit"])
     def test_matches_per_spot_loop(self, cb):
         # the mixture written out as a loop over the spot nodes, with the
         # beam-wandering density and CDF spelled out per spot
@@ -425,7 +448,7 @@ class TestCircular:
         spots, masses = cb.spot_nodes()
         dens, cdf = np.zeros_like(es), np.zeros_like(es)
         for s, w in zip(spots, masses):
-            eta0, lam, R = pdt.bw_geometry(float(s), cb.aperture, cb.convention)
+            eta0, lam, R = pdt.bw_geometry(float(s), cb.aperture)
             inside = (es > 0.0) & (es < eta0)
             xi = np.log(eta0 / es[inside])
             r2s2 = R * R / cb.sigma_bw2
@@ -439,7 +462,7 @@ class TestCircular:
         assert np.max(np.abs(pdt.model_cdf(cb, es) - cdf)) <= 1e-14
         for p in (0.0, 0.5, 1.0, 2.0):
             want = sum(w * pdt.fractional_moment(
-                pdt.BeamWander(cb.sigma_bw2, float(s), cb.aperture, cb.convention), p)
+                pdt.BeamWander(cb.sigma_bw2, float(s), cb.aperture), p)
                 for s, w in zip(spots, masses))
             assert pdt.fractional_moment(cb, p) == pytest.approx(want, rel=1e-13, abs=0.0)
 
@@ -603,19 +626,32 @@ class TestElliptic:
         mean_w4 = np.mean([((r.sxx + r.syy) / 2) ** 2 for r in recs])
         assert mu_s == pytest.approx(math.log(mean_w2**2 / math.sqrt(mean_w4)), rel=1e-12)
 
+    @pytest.mark.parametrize("jitter", [0.0, 1e-9], ids=["equal", "jitter-1e-9"])
+    def test_params_from_equal_spots(self, jitter):
+        # Sigma's diagonal once came out negative by rounding (-4.4e-16 at
+        # jitter 1e-9), which EllipticBeam rejects; the model is BeamWander
+        # at S = e^mu_S
+        S = 1.24e-3
+        mu_s, sigma = pdt.elliptic_params_from_samples(equal_spot_records(1000, S, jitter, 3))
+        assert np.all(np.diag(sigma) >= 0.0) and np.all(np.abs(sigma) < 1e-14)
+        got = pdt.model_moments(pdt.EllipticBeam(1e-4, mu_s, sigma, 0.02))
+        want = pdt.model_moments(pdt.BeamWander(1e-4, math.exp(mu_s), 0.02))
+        assert got.m1 == pytest.approx(want.m1, rel=0.0, abs=1e-12)
+        assert got.m2 == pytest.approx(want.m2, rel=0.0, abs=1e-12)
+
     def test_needs_enough_records(self):
         recs, _ = self.synthetic_records(n=100)
         with pytest.raises(DomainError):
             pdt.elliptic_params_from_samples(recs)
 
     def test_degenerate_circular_limit(self):
-        # W1 = W2 fixed: on-axis transmittance equals the consistent
-        # circular eta0 (the elliptic formula reduces to the factor-2 form)
+        # W1 = W2 fixed: on-axis transmittance equals the circular eta0
+        # (the elliptic formula reduces to the factor-2 form)
         W2 = 4e-4
         model = pdt.EllipticBeam(sigma_bw2=1e-28, mu_S=math.log(W2),
                                  Sigma=np.zeros((2, 2)), aperture=0.02)
         vals = pdt.elliptic_sample(model, 0.02, 50, RngStream(3, 0))
-        eta0 = pdt.bw_geometry(W2, 0.02, "consistent")[0]
+        eta0 = pdt.bw_geometry(W2, 0.02)[0]
         assert np.allclose(vals, eta0, atol=1e-6)
 
     def test_samples_clamped_to_unit_interval(self):
@@ -667,7 +703,7 @@ class TestElliptic:
         sin2 = 1.0 - cos2
         ln_arg = (np.log(4.0 * a * a / (w1 * w2)) + a * a / w1sq * (1.0 + 2.0 * cos2)
                   + a * a / w2sq * (1.0 + 2.0 * sin2))
-        lam, rdim = pdt._bw_lambda_R(4.0 * a * a / special.wrightomega(ln_arg), a)
+        _, lam, rdim = pdt._bw_spot(4.0 * a * a / special.wrightomega(ln_arg), a)
         want = pdt._elliptic_eta0(w1sq, w2sq, a) * np.exp(-((r0 / a / rdim) ** lam))
         got = pdt.elliptic_sample(model, a, n, RngStream(5, 0))
         assert np.max(np.abs(got - want)) <= 1e-10
@@ -807,6 +843,12 @@ class TestTotalProb:
         with pytest.raises(DomainError):
             pdt.totalprob_model("gamma", 1e-4, 4e-4, self.TARGET, 0.02)
 
+    @pytest.mark.parametrize("a", [math.nan, math.inf, 0.0, -0.02])
+    def test_bad_aperture_rejected(self, a):
+        # a NaN aperture once raised from bw_geometry
+        with pytest.raises(DomainError, match="^totalprob_model: .*aperture"):
+            pdt.totalprob_model("beta", 1e-4, 4e-4, self.TARGET, a)
+
 
 class TestGenericOps:
     def models(self):
@@ -878,7 +920,7 @@ def bw_quad_moment(model, p):
     (the BeamWander CDF), and eta = eta0 exp(-u^(lambda/2)); the range is
     cut at 50/rate, with breakpoints at the mean 1/rate and at the knee u = 1.
     """
-    eta0, lam, R = pdt.bw_geometry(model.S, model.aperture, model.convention)
+    eta0, lam, R = pdt.bw_geometry(model.S, model.aperture)
     rate = 0.5 * R * R / model.sigma_bw2
     pts = [u for u in (1.0 / rate, 1.0) if u < 50.0 / rate]
     val, _ = integrate.quad(lambda u: rate * math.exp(-rate * u - p * u ** (lam / 2.0)),

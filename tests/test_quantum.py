@@ -27,7 +27,6 @@ from turbchan.quantum import (
     Thermal,
     channel_pmf,
     ergodicity_report,
-    loss_pmf,
     _pmf_matrix,
     quadrature_moments,
 )
@@ -41,35 +40,35 @@ def quad_vec_pmf(state, model):
     """Mixture pmf by adaptive vector quadrature of the density, plus atoms."""
     n_max = state.cutoff()
     pmf, _ = integrate.quad_vec(
-        lambda e: pdt.model_density(model, e) * loss_pmf(state, e, n_max).pmf,
+        lambda e: pdt.model_density(model, e) * channel_pmf(state, FixedEta(e), n_max).pmf,
         0.0, 1.0, epsabs=1e-13, epsrel=1e-11,
     )
     for w, loc in getattr(model, "atoms", None) or []:
-        pmf = pmf + w * loss_pmf(state, loc, n_max).pmf
+        pmf = pmf + w * channel_pmf(state, FixedEta(loc), n_max).pmf
     return pmf
 
 
 class TestLossPmf:
     def test_single_photon_bernoulli(self):
         for eta in (0.0, 0.3, 1.0):
-            ps = loss_pmf(Fock(1), eta)
+            ps = channel_pmf(Fock(1), FixedEta(eta))
             assert ps.pmf[0] == pytest.approx(1.0 - eta, abs=1e-15)
             assert ps.pmf[1] == pytest.approx(eta, abs=1e-15)
 
     def test_identity_channel(self):
         st = Coherent(1.5 + 0.5j)
-        before = loss_pmf(st, 1.0)
+        before = channel_pmf(st, FixedEta(1.0))
         assert before.mean == pytest.approx(st.mean_n, rel=1e-9)
         # the 1e-9 tail cutoff feeds ~n_max^2 * tail into the variance
         assert before.mandel_q == pytest.approx(0.0, abs=1e-7)
 
     def test_poisson_example(self):
-        ps = loss_pmf(Coherent(2.0), 0.25)  # mean 1
+        ps = channel_pmf(Coherent(2.0), FixedEta(0.25))  # mean 1
         assert ps.mean == pytest.approx(1.0, rel=1e-9)
         assert ps.pmf[0] == pytest.approx(math.exp(-1.0), rel=1e-12)
 
     def test_thermal_geometric(self):
-        ps = loss_pmf(Thermal(2.0), 0.5)  # mean 1
+        ps = channel_pmf(Thermal(2.0), FixedEta(0.5))  # mean 1
         n = np.arange(ps.pmf.size)
         expected = 1.0 / 2.0 * (1.0 / 2.0) ** n
         assert np.allclose(ps.pmf, expected, rtol=1e-12)
@@ -79,14 +78,14 @@ class TestLossPmf:
 
     def test_tail_contract(self):
         for state in (Coherent(3.0), Fock(7), Thermal(4.0)):
-            ps = loss_pmf(state, 1.0)
+            ps = channel_pmf(state, FixedEta(1.0))
             assert ps.tail_bound <= 1e-9
         with pytest.raises(DomainError):
-            loss_pmf(Coherent(4.0), 1.0, n_max=5)
+            channel_pmf(Coherent(4.0), FixedEta(1.0), n_max=5)
 
     def test_eta_domain(self):
         with pytest.raises(DomainError):
-            loss_pmf(Fock(1), 1.2)
+            channel_pmf(Fock(1), FixedEta(1.2))
 
     @pytest.mark.parametrize("alpha", [math.nan, math.inf, complex(1.0, math.nan),
                                        complex(0.0, -math.inf)])
@@ -98,7 +97,7 @@ class TestLossPmf:
     def test_coherent_rejects_alpha_too_large_to_square(self, alpha):
         # abs(alpha) ** 2 once raised a bare OverflowError from mean_n
         with pytest.raises(DomainError, match=re.escape("finite |alpha|^2")):
-            loss_pmf(Coherent(alpha), 0.5)
+            channel_pmf(Coherent(alpha), FixedEta(0.5))
         assert Coherent(1.34e154).mean_n < math.inf
 
 
@@ -157,7 +156,7 @@ class TestChannelPmf:
         assert len(model.atoms) == 64
         assert not model.node_models
         st = Coherent(2.0)
-        want = sum(w * loss_pmf(st, loc, st.cutoff()).pmf for w, loc in model.atoms)
+        want = sum(w * channel_pmf(st, FixedEta(loc), st.cutoff()).pmf for w, loc in model.atoms)
         got = channel_pmf(st, PdtChannel(model), st.cutoff()).pmf
         assert np.max(np.abs(got - want)) <= 1e-15
 
@@ -235,21 +234,14 @@ class TestChannelNodes:
     """Every channel is its point set ``nodes``; channel_pmf and
     quadrature_moments are sums over it."""
 
-    @pytest.mark.parametrize("state", [Coherent(2.0), Fock(3), Thermal(1.7)])
-    def test_fixed_eta_is_loss_pmf(self, state):
-        for eta in (0.0, 0.37, 1.0):
-            got = channel_pmf(state, FixedEta(eta)).pmf
-            assert got.tobytes() == loss_pmf(state, eta).pmf.tobytes()
-
     def test_fixed_eta_tail_cut_raises(self):
         with pytest.raises(DomainError):
             channel_pmf(Coherent(4.0), FixedEta(1.0), n_max=5)
 
     @pytest.mark.parametrize("call", [
-        lambda state: loss_pmf(state, 1.0, n_max=5),
         lambda state: channel_pmf(state, FixedEta(1.0), n_max=5),
         lambda state: channel_pmf(state, PdtChannel(BETA22), n_max=5),
-    ], ids=["loss_pmf", "channel_pmf-fixed", "channel_pmf-beta"])
+    ], ids=["channel_pmf-fixed", "channel_pmf-beta"])
     def test_tail_cut_names_the_cutoff(self, call):
         state = Coherent(4.0)
         with pytest.raises(DomainError, match=f"suggest n_max >= {state.cutoff()}$"):
@@ -386,7 +378,7 @@ class TestLargeCoherentMean:
     def test_fixed_eta_keeps_q_zero(self, mean_n):
         # Q was 2.6e-4 at mean 5e5: the pmf's shortfall from 1 entered the
         # variance times mean^2; the cut itself accounts for Q = -4e-9
-        ps = loss_pmf(Coherent(math.sqrt(mean_n)), 1.0)
+        ps = channel_pmf(Coherent(math.sqrt(mean_n)), FixedEta(1.0))
         assert abs(ps.mandel_q) <= 1e-8
 
     @pytest.mark.parametrize("mean_n", [1e2, 1e4])
@@ -401,7 +393,7 @@ class TestLargeCoherentMean:
         # raised "tail 2.26e-09 exceeds 1e-09" at its own suggested cutoff:
         # the seeds' rounding, not lost mass; what is left out is the
         # Poisson tail beyond n_max
-        ps = loss_pmf(Coherent(2e3), 1.0)
+        ps = channel_pmf(Coherent(2e3), FixedEta(1.0))
         n_max = ps.pmf.size - 1
         assert n_max == Coherent(2e3).cutoff()
         assert ps.tail_bound == pytest.approx(sps.poisson.sf(n_max, 4e6), rel=0.0, abs=1e-12)
@@ -425,7 +417,7 @@ def oracle_pmf(state, eta, n):
 
 
 class TestPerEntryOracles:
-    """Each pmf entry after a fixed loss, seeded in log space (loss_pmf)
+    """Each pmf entry after a fixed loss, seeded in log space (a FixedEta channel)
     and stepped from the seeds (a one-node column sum), at rel 1e-13."""
 
     ETAS = [0.0, 1e-300, 0.2, 0.5, 0.9, 1.0]
@@ -434,7 +426,7 @@ class TestPerEntryOracles:
     @pytest.mark.parametrize("eta", ETAS)
     @pytest.mark.parametrize("state", STATES, ids=repr)
     def test_loss_pmf(self, state, eta):
-        got = loss_pmf(state, eta).pmf
+        got = channel_pmf(state, FixedEta(eta)).pmf
         want = oracle_pmf(state, eta, np.arange(got.size))
         np.testing.assert_allclose(got, want, rtol=1e-13, atol=0.0)
 
@@ -582,14 +574,14 @@ def test_bad_state_rejected(build):
 
 
 def test_fock_accepts_numpy_integers():
-    ps = loss_pmf(Fock(np.int64(3)), 0.5)
-    assert np.max(np.abs(ps.pmf - loss_pmf(Fock(3), 0.5).pmf)) == 0.0
+    ps = channel_pmf(Fock(np.int64(3)), FixedEta(0.5))
+    assert np.max(np.abs(ps.pmf - channel_pmf(Fock(3), FixedEta(0.5)).pmf)) == 0.0
 
 
 @pytest.mark.parametrize("call", [
-    lambda n_max: loss_pmf(Coherent(2.0), 0.5, n_max),
     lambda n_max: channel_pmf(Coherent(2.0), FixedEta(0.5), n_max),
-], ids=["loss_pmf", "channel_pmf"])
+    lambda n_max: channel_pmf(Coherent(2.0), PdtChannel(BETA22), n_max),
+], ids=["channel_pmf", "pdt_channel"])
 def test_n_max_must_be_a_non_negative_integer(call):
     # -1 once raised ZeroDivisionError, 2.5 numpy's TypeError
     for bad in (-1, 2.5, np.float64(30.0)):
@@ -607,8 +599,8 @@ class TestNMaxSizing:
         # n_max < N: the tail contract names the cutoff, and at eta = 0 the
         # truncated pmf is exact (both once raised "below Fock occupation")
         with pytest.raises(DomainError, match="suggest n_max >= 4$"):
-            loss_pmf(Fock(4), 0.5, n_max=2)
-        assert loss_pmf(Fock(4), 0.0, n_max=2).pmf.tolist() == [1.0, 0.0, 0.0]
+            channel_pmf(Fock(4), FixedEta(0.5), n_max=2)
+        assert channel_pmf(Fock(4), FixedEta(0.0), n_max=2).pmf.tolist() == [1.0, 0.0, 0.0]
 
     def test_poisson_tail(self):
         n = Coherent(2.0).cutoff()
@@ -628,7 +620,7 @@ class TestNMaxSizing:
     def test_cutoff_follows_largest_transmittance(self):
         # at eta = 1 the cutoff is 1 006 368, where the mass above
         # n = 504 505 is below 1e-10
-        ps = loss_pmf(Coherent(1e3), 0.5)
+        ps = channel_pmf(Coherent(1e3), FixedEta(0.5))
         assert ps.pmf.size == 504_506
         assert ps.tail_bound <= 1e-9
 
@@ -649,7 +641,7 @@ class TestNMaxSizing:
 
     def test_large_coherent_state(self):
         # the cutoff once stopped at n = 10 000 and left half the mass out
-        ps = loss_pmf(Coherent(100.0), 1.0)
+        ps = channel_pmf(Coherent(100.0), FixedEta(1.0))
         assert ps.mean == pytest.approx(1e4, rel=1e-9)
         assert ps.tail_bound <= 1e-9
 
@@ -679,7 +671,7 @@ class TestNMaxSizing:
         tracemalloc.start()
         try:
             with pytest.raises(DomainError, match=re.escape(named)) as err:
-                loss_pmf(state, 0.5, n_max)
+                channel_pmf(state, FixedEta(0.5), n_max)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
@@ -692,7 +684,7 @@ class TestNMaxSizing:
         # scipy's Poisson quantile is NaN from |alpha|^2 = 9.9e10 on,
         # which once raised ValueError converting it to an integer
         with pytest.raises(DomainError, match="alpha"):
-            loss_pmf(Coherent(alpha), 0.5)
+            channel_pmf(Coherent(alpha), FixedEta(0.5))
 
     def test_cutoff_at_cap_is_accepted(self):
         # n_max + 1 = 2^26 entries is the largest cutoff _cutoff lets through

@@ -94,6 +94,12 @@ class TestKsStat:
         d_t = ks_stat(EmpiricalSample(transformed), lambda e: np.clip(e, 0.0, 1.0))
         assert d_raw == pytest.approx(d_t, abs=1e-12)
 
+    def test_nan_model_cdf_raises(self):
+        # a NaN CDF value once gave a NaN distance, with no error
+        sample = EmpiricalSample(np.array([0.2, 0.5, 0.7]))
+        with pytest.raises(DomainError, match="ks_stat: .*NaN"):
+            ks_stat(sample, lambda e: np.where(e > 0.4, math.nan, e))
+
 
 class TestHistogramKde:
     def test_histogram_unit_integral(self):
@@ -190,6 +196,13 @@ class TestHistogramKde:
         with pytest.raises(DomainError):
             kde(EmpiricalSample(np.array([0.2, 0.5, 0.7])), bandwidth=h)
 
+    def test_kde_rejects_nan_point(self):
+        # the density at NaN was 0.0
+        density = kde(EmpiricalSample(np.array([0.2, 0.5, 0.7])))
+        for eta in (math.nan, np.array([0.3, math.nan])):
+            with pytest.raises(DomainError, match="kde: eta is NaN"):
+                density(eta)
+
     def test_silverman_positive(self):
         gen = np.random.default_rng(2)
         assert silverman_bandwidth(EmpiricalSample(gen.random(100))) > 0.0
@@ -252,6 +265,23 @@ class TestCorrFn:
         series[10, 1] = math.nan
         with pytest.raises(DomainError):
             corr_fn(series, [1e-3])
+
+    @pytest.mark.parametrize("times,lag,match", [
+        # dt = 0 once ended in "cannot convert float NaN to integer"
+        (np.zeros(100), 0.0, "times must be strictly increasing"),
+        # decreasing times once read as "too short for lag index -1"
+        (-np.arange(100) * 1e-3, 1e-3, "times must be strictly increasing"),
+        (np.r_[0.0, np.arange(99) * 1e-3], 0.0, "times must be strictly increasing"),
+        (np.arange(100) * 1e-3, math.nan, "lag nan must be finite and >= 0"),
+        (np.arange(100) * 1e-3, math.inf, "lag inf must be finite and >= 0"),
+        (np.arange(100) * 1e-3, -1e-3, "lag -0.001 must be finite and >= 0"),
+    ], ids=["constant-times", "decreasing-times", "repeated-time", "nan-lag", "inf-lag",
+            "negative-lag"])
+    def test_bad_time_axis_or_lag_rejected(self, times, lag, match):
+        series = make_series(100)
+        series[:, 0] = times
+        with pytest.raises(DomainError, match=f"^corr_fn: {match}"):
+            corr_fn(series, [lag])
 
 
 class TestAutocorrTime:
