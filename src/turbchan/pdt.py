@@ -344,7 +344,10 @@ def bw_geometry(S: float, a: float):
 
 def _bw_pdf(eta, eta0, lam, R, sigma_bw2):
     """Beam-wandering PDT on (0, eta0), zero outside; eta0, lam and R are
-    columns, one row per spot size, broadcast against the points eta."""
+    columns, one row per spot size, broadcast against the points eta.  At
+    sigma_bw2 = 0 each spot is a point mass at its eta0, with no density."""
+    if sigma_bw2 == 0.0:
+        return np.zeros(np.broadcast_shapes(np.shape(eta), np.shape(eta0)))
     with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
         xi = np.log(eta0 / eta)
         r2s2 = R * R / sigma_bw2
@@ -355,7 +358,8 @@ def _bw_pdf(eta, eta0, lam, R, sigma_bw2):
 
 def _bw_cdf(eta, eta0, lam, R, sigma_bw2):
     """Closed-form CDF exp(-R^2 ln(eta0/eta)^(2/lam) / 2 s2), broadcast as
-    in :func:`_bw_pdf`."""
+    in :func:`_bw_pdf`.  At sigma_bw2 = 0 the exponent is -inf below eta0:
+    a step at eta0."""
     with np.errstate(divide="ignore", invalid="ignore"):
         inside = np.exp(-0.5 * R * R / sigma_bw2 * np.log(eta0 / eta) ** (2.0 / lam))
     return np.where(eta >= eta0, 1.0, np.where(eta > 0.0, inside, 0.0))
@@ -371,7 +375,10 @@ def _bw_rule(eta0, lam, R, mass, sigma_bw2):
     cut where its tail is e^-45.  eta(t) has a knee at t = 1, steep for
     large lambda (lambda ~ 10 at a^2/S = 20), so panels split at t = 1 and
     at eta/eta0 = e^-80 where these lie below the cut, with 64 nodes each.
+    At sigma_bw2 = 0 the point set is each eta0 with its mass.
     """
+    if sigma_bw2 == 0.0:
+        return eta0[:, 0].copy(), mass[:, 0].copy()
     s = math.sqrt(sigma_bw2) / R
     t_max = s * math.sqrt(90.0)
     edges = np.hstack([0.0 * t_max, np.minimum(1.0, t_max),
@@ -424,8 +431,9 @@ class BeamWander(_SpotMixture):
     aperture: float
 
     def __post_init__(self):
-        if not _positive(self.sigma_bw2, self.S, self.aperture):
-            raise DomainError("BeamWander: parameters must be finite and > 0")
+        if not (0.0 <= self.sigma_bw2 < math.inf and _positive(self.S, self.aperture)):
+            raise DomainError("BeamWander: S and aperture must be finite and > 0, "
+                              "sigma_bw2 finite and >= 0")
 
     def spot_nodes(self):
         """The one spot size, with mass 1."""
@@ -537,8 +545,9 @@ class CircularBeam(_SpotMixture):
     aperture: float
 
     def __post_init__(self):
-        if not _positive(self.sigma_bw2, self.aperture):
-            raise DomainError("CircularBeam: sigma_bw2 and aperture must be finite and > 0")
+        if not (0.0 <= self.sigma_bw2 < math.inf and _positive(self.aperture)):
+            raise DomainError("CircularBeam: aperture must be finite and > 0, "
+                              "sigma_bw2 finite and >= 0")
         if not math.isfinite(self.mu_S):
             raise DomainError(f"CircularBeam: mu_S={self.mu_S} must be finite")
         if not 0.0 <= self.sigma_S2 < math.inf:
@@ -660,8 +669,9 @@ class EllipticBeam(_SpotMixture):
         if not np.allclose(self.Sigma, self.Sigma.T) or np.any(np.diag(self.Sigma) < 0.0):
             raise DomainError(f"EllipticBeam: Sigma={self.Sigma.tolist()} must be symmetric "
                               "with variances >= 0")
-        if not _positive(self.sigma_bw2, self.aperture):
-            raise DomainError("EllipticBeam: sigma_bw2 and aperture must be finite and > 0")
+        if not (0.0 <= self.sigma_bw2 < math.inf and _positive(self.aperture)):
+            raise DomainError("EllipticBeam: aperture must be finite and > 0, "
+                              "sigma_bw2 finite and >= 0")
         if not math.isfinite(self.mu_S):
             raise DomainError(f"EllipticBeam: mu_S={self.mu_S} must be finite")
 

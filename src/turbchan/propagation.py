@@ -266,7 +266,9 @@ def _band_tables(spectrum: VonKarmanTatarskii, kappa_min: Optional[float],
         f = kap**2 * spectral_density(spectrum, kap)
         cum = np.concatenate([[0.0], np.cumsum((f[1:] + f[:-1]) * np.diff(lk) / 2)])
         integrals[b] = cum[-1]
-        cdf = cum / cum[-1]
+        # a band of zero variance (cn2 = 0) draws its magnitudes uniform in
+        # log kappa; their amplitudes are zero
+        cdf = cum / cum[-1] if cum[-1] > 0.0 else np.linspace(0.0, 1.0, lk.size)
         cdf.flags.writeable = kap.flags.writeable = False
         tables.append((cdf, kap))
     integrals.flags.writeable = False
@@ -739,6 +741,11 @@ class SimConfig:
     kappa_max: Optional[float] = None
 
     def __post_init__(self):
+        for name, kind in (("geometry", ChannelGeometry), ("spectrum", VonKarmanTatarskii),
+                           ("grid", Grid)):
+            if not isinstance(getattr(self, name), kind):
+                raise ConfigError(f"{name} = {getattr(self, name)!r} must be a "
+                                  f"{kind.__name__}", field=name)
         _require_integers(seed=self.seed, n_screens=self.n_screens,
                           n_components=self.n_components, n_bands=self.n_bands,
                           n_realizations=self.n_realizations)
@@ -908,8 +915,9 @@ def _serial_helper():
 def _run_jobs(config: SimConfig, apertures: Sequence[float], jobs, workers: int = 1):
     """Map :func:`_realization` over ``jobs``, in order, into :func:`_collect`.
 
-    An empty aperture list, or a NaN or negative radius, raises before any
-    propagation; +inf takes all the power on the grid.
+    An empty aperture list, a NaN or negative radius, or a ``workers`` that
+    is not an integer >= 1 raises before any propagation; +inf takes all the
+    power on the grid.
 
     With ``workers > 1`` the jobs go to a process pool in chunks of 8.  Each
     pool worker sets its OpenBLAS to one thread before it starts: it
@@ -919,7 +927,7 @@ def _run_jobs(config: SimConfig, apertures: Sequence[float], jobs, workers: int 
     (:func:`_phase_on_grid`).  Pool workers run :func:`split_step` without
     a helper thread.
 
-    With ``workers <= 1`` the run holds one :func:`_serial_helper` context,
+    With ``workers == 1`` the run holds one :func:`_serial_helper` context,
     inline on one CPU: each screen's rotation is built on the helper thread
     one screen ahead of the FFTs, with OpenBLAS on one thread until the run
     ends.  The records do not depend on any of this: the phase matmuls
@@ -933,8 +941,10 @@ def _run_jobs(config: SimConfig, apertures: Sequence[float], jobs, workers: int 
     if not all(a >= 0.0 for a in apertures):
         raise ConfigError(f"aperture radii {apertures} must be >= 0 (not NaN)",
                           field="apertures")
+    if not (isinstance(workers, numbers.Integral) and workers >= 1):
+        raise ConfigError(f"workers = {workers!r} must be an integer >= 1", field="workers")
     run = functools.partial(_realization, config, apertures)
-    if workers <= 1:
+    if workers == 1:
         with _serial_helper() as helper:
             return _collect(map(functools.partial(run, helper=helper), jobs), apertures)
     import concurrent.futures as cf

@@ -20,16 +20,14 @@ saddle-point form, whose terms do not cancel: it is good to about
 beyond, where P < e^(-n/100).  Against 40 digits: 3e-15 relative at
 m = 4, 1.4e-13 at m = 900, 1.1e-12 at m = 1e4 on entries >= 1e-250, and
 1.2e-14 within 10 standard deviations of m = 4e6.  (The direct n ln m - m - ln n! would lose
-about n ln m ulp: at m = 4e6 its pmf sums to 1 - 2.3e-9.)  A mixture seeds
+about n ln m ulp: at m = 4e6 its pmf sums to 1 - 2.3e-9.)  A pmf seeds
 only every 32nd photon number n0 = 0, 32, 64, ... that way and steps from
 each to the next 31 by the state's ratio, with no ``exp``; the steps add at
 most 62 roundings, 7e-15, to an entry.  An entry lost to a seed that
 underflows is below 1e-268 (scanned over |alpha|^2 eta up to 1e5).  On 50
 nodes at |alpha|^2 = 900 the pmf is 1.6e-13 off a 40-digit sum on entries
->= 1e-250, where seeding every entry is 2.6e-13 off.  Fock states, which
-have no ratio, and mixtures of fewer than 2^15 pmf entries (nodes x photon
-numbers), where a step's Python overhead costs more than the ``exp``s it
-saves, seed every entry.
+>= 1e-250, where seeding every entry is 2.6e-13 off; on one node, 8.7e-14
+against 1.4e-13.  Fock states, which have no ratio, seed every entry.
 """
 
 from __future__ import annotations
@@ -73,10 +71,8 @@ TAIL_BOUND = 1e-9
 # seed photon numbers of consecutive transmittances: 512 kB whatever n_max
 # is, unless the seeds of one transmittance are more
 _BLOCK_ELEMENTS = 1 << 16
-# photon numbers from one log-space pmf entry to the next in channel_pmf ...
+# photon numbers from one log-space pmf entry to the next in channel_pmf
 _SEED_SPACING = 32
-# ... where nodes x (n_max + 1) reaches this; below it every entry is seeded
-_MIN_STEPPED_ENTRIES = 1 << 15
 # most pmf entries (n_max + 1) a call may ask for: 512 MiB of float64
 MAX_PMF_ENTRIES = 1 << 26
 
@@ -364,10 +360,9 @@ def channel_pmf(state: InputState, channel: ChannelSpec,
     ``channel.nodes`` (eta_i, w_i).  Every ``_SEED_SPACING``-th (32nd) entry
     is seeded in log space and the entries between follow by the state's
     ratio (see :func:`_weighted_columns`), so that 31 of 32 entries cost a
-    multiplication each, not an ``exp``.  States without a ratio (Fock) and
-    point sets with nodes x (n_max + 1) below ``_MIN_STEPPED_ENTRIES``
-    (2^15; 1425 nodes at |alpha|^2 = 4) seed every entry.  The accuracy of
-    both is stated in the module docstring.
+    multiplication each, not an ``exp``.  States without a ratio (Fock)
+    seed every entry.  The accuracy of both is stated in the module
+    docstring.
 
     The nodes go in blocks whose working array, (seeds x nodes), holds at
     most ``_BLOCK_ELEMENTS`` entries, so that memory stays bounded for long
@@ -388,8 +383,7 @@ def channel_pmf(state: InputState, channel: ChannelSpec,
     eta, weight = channel.nodes
     eta_max = float(eta.max())
     n_max = _cutoff(state, state.cutoff(eta_max) if n_max is None else n_max)
-    stepped = state.ratio is not None and eta.size * (n_max + 1) >= _MIN_STEPPED_ENTRIES
-    spacing = _SEED_SPACING if stepped else 1
+    spacing = 1 if state.ratio is None else _SEED_SPACING
     seeds = -(-(n_max + 1) // spacing)
     rows = max(_BLOCK_ELEMENTS // seeds, 1)
     pmf = np.zeros((seeds, spacing))

@@ -287,6 +287,54 @@ class TestBwDensity:
         assert d <= 1.63 / math.sqrt(draws.size)
 
 
+class TestZeroWander:
+    """sigma_bw2 = 0: each spot a point mass at its eta0, as match_bw and a
+    cn2 = 0 ensemble's summary give it."""
+
+    MODELS = [
+        pdt.BeamWander(0.0, 1e-3, 0.02),
+        pdt.CircularBeam(0.0, math.log(4e-4), 0.1, 0.02),
+        pdt.EllipticBeam(0.0, math.log(4e-4), 0.05 * np.eye(2), 0.02),
+    ]
+
+    def test_beam_wander_moments(self):
+        got = pdt.model_moments(pdt.BeamWander(0.0, 1e-3, 0.02))
+        want = pdt.bw_moments(1e-3, 0.0, 0.02)
+        assert (got.m1, got.m2) == pytest.approx(want, rel=1e-15, abs=0.0)
+
+    def test_circular_moments(self):
+        model = pdt.CircularBeam(0.0, math.log(4e-4), 0.1, 0.02)
+        got = pdt.model_moments(model)
+        want = pdt.circular_moments(model.mu_S, model.sigma_S2, 0.0, 0.02)
+        assert (got.m1, got.m2) == pytest.approx(want, rel=0.0, abs=1e-12)
+
+    def test_match_bw_answer_builds(self):
+        S, s2 = pdt.match_bw(pdt.MomentPair(0.5, 0.25), 0.02)
+        assert s2 == 0.0
+        assert pdt.model_moments(pdt.BeamWander(s2, S, 0.02)).m1 == pytest.approx(
+            0.5, rel=1e-14)
+
+    @pytest.mark.parametrize("model", MODELS, ids=["beam_wander", "circular", "elliptic"])
+    def test_point_masses(self, model):
+        eta0, mass = (np.ravel(v) for v in (model._spots[0], model._spots[3]))
+        eta, weight = model.nodes
+        assert np.array_equal(eta, eta0) and np.array_equal(weight, mass)
+        es = np.linspace(0.0, 1.0, 101)
+        assert np.all(pdt.model_density(model, es) == 0.0)
+        want = np.array([mass[eta0 <= e].sum() for e in es])
+        np.testing.assert_allclose(pdt.model_cdf(model, es), want, rtol=0.0, atol=1e-15)
+        assert pdt.model_cdf(model, eta0.min() * (1.0 - 1e-12)) == 0.0
+
+    @pytest.mark.parametrize("s2", [-1e-6, math.nan, math.inf])
+    def test_bad_wander_rejected(self, s2):
+        with pytest.raises(DomainError, match="sigma_bw2"):
+            pdt.BeamWander(s2, 1e-3, 0.02)
+        with pytest.raises(DomainError, match="sigma_bw2"):
+            pdt.CircularBeam(s2, math.log(4e-4), 0.1, 0.02)
+        with pytest.raises(DomainError, match="sigma_bw2"):
+            pdt.EllipticBeam(s2, math.log(4e-4), 0.05 * np.eye(2), 0.02)
+
+
 class TestEsposito:
     def test_zero_wander_limit(self):
         m1, m2 = pdt.bw_moments(4e-4, 0.0, 0.02)
@@ -890,10 +938,13 @@ class TestGenericOps:
             if isinstance(model, pdt.TotalProb):
                 continue  # its CDF is this quadrature
             # a spot mixture's component densities are singular at their own
-            # eta0: quad takes the pieces between them one by one
+            # eta0: quad takes the pieces between them one by one; a peak
+            # within 1e-12 of a piece's end (1 - 3.7e-15 for a CircularBeam
+            # spot) is left in it, as quad cannot split off so thin a sliver
             peaks = np.ravel(model._spots[0]) if isinstance(model, pdt._SpotMixture) else []
             for lo, hi in ((0.0, 0.3), (0.3, 0.6), (0.6, 1.0)):
-                edges = np.unique(np.clip([lo, hi, *peaks], lo, hi))
+                inner = [p for p in peaks if lo + 1e-12 < p < hi - 1e-12]
+                edges = np.unique([lo, hi, *inner])
                 got = sum(integrate.quad(lambda e: pdt.model_density(model, e), x0, x1,
                                          epsabs=1e-10, limit=200)[0]
                           for x0, x1 in zip(edges[:-1], edges[1:]))

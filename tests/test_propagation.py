@@ -8,6 +8,7 @@ import math
 import os
 import threading
 import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
@@ -848,6 +849,38 @@ class TestEnsemble:
             run(small_config(wind_speed=10.0, dt=1e-3, duration=0.002), apertures)
         assert err.value.field == "apertures"
         assert calls == []
+
+    @pytest.mark.parametrize("field, value", [
+        ("workers", -3), ("workers", 0), ("workers", 2.5), ("workers", "2"), ("workers", None),
+        ("grid", None), ("geometry", None), ("spectrum", None),
+    ])
+    def test_bad_input_raises_before_propagation(self, field, value, monkeypatch):
+        calls = []
+        monkeypatch.setattr(propagation, "split_step", lambda *a, **k: calls.append(a))
+        with pytest.raises(ConfigError) as err:
+            if field == "workers":
+                run_ensemble(small_config(), workers=value)
+            else:
+                run_ensemble(small_config(**{field: value}))
+        assert err.value.field == field
+        assert calls == []
+
+    def test_zero_cn2_runs_as_vacuum(self):
+        # every band has zero variance, so every screen has zero amplitudes
+        cfg = small_config(spectrum=VonKarmanTatarskii(cn2=0.0, outer_scale=1000.0,
+                                                       inner_scale=1e-3))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            records = run_ensemble(cfg)
+        assert len(records) == 4
+        assert {dataclasses.replace(r, realization_index=0) for r in records} == {
+            dataclasses.replace(records[0], realization_index=0)}
+        geom = cfg.geometry
+        vacuum = transmittance(split_step(gaussian_source(geom, cfg.grid), [], geom),
+                               geom.aperture_radius)
+        for r in records:
+            assert r.eta == pytest.approx(vacuum, rel=0.0, abs=1e-12)
+        assert ensemble_summary(records)["sigma_bw2"] < 1e-30
 
     def test_second_call_builds_no_constants(self):
         cfg = small_config(n_realizations=2)
