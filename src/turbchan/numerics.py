@@ -192,20 +192,14 @@ def adaptive_quad(f, lo: float, hi: float, tol: float = 1e-10) -> float:
     ``hi`` (or ``lo``) may be infinite; integrable endpoint singularities
     are handled by the underlying adaptive scheme.  Raises
     :class:`NumericsError` carrying the best estimate when the error
-    estimate cannot be brought under ``tol``.  ``scipy.integrate`` is
-    imported on the first call, not with the module.
+    estimate cannot be brought under ``tol`` in 800 subintervals.
+    ``scipy.integrate`` is imported on the first call, not with the module.
     """
     from scipy import integrate  # imported here: it is slow to import
 
-    kwargs = dict(epsabs=tol, epsrel=max(1e-12, tol * 1e-2), limit=200)
     with np.errstate(all="ignore"):
-        result = integrate.quad(f, lo, hi, full_output=1, **kwargs)
-    value, abserr = result[0], result[1]
-    if len(result) >= 4 and abserr > tol:
-        kwargs["limit"] = 800
-        with np.errstate(all="ignore"):
-            result = integrate.quad(f, lo, hi, full_output=1, **kwargs)
-        value, abserr = result[0], result[1]
+        value, abserr, *_ = integrate.quad(f, lo, hi, full_output=1, epsabs=tol,
+                                           epsrel=max(1e-12, tol * 1e-2), limit=800)
     if abserr > max(tol, 1e-13 * abs(value)) * 1.01:
         raise NumericsError(
             f"adaptive_quad: error estimate {abserr:.3e} exceeds tol {tol:.3e}",

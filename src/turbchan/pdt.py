@@ -574,6 +574,8 @@ def circular_params_from_S(mean_S: float, mean_S2: float) -> tuple[float, float]
 
 def circular_moments(mu_S: float, sigma_S2: float, sigma_bw2: float, a: float):
     """S-averaged closed-form moment pair of the circular-beam model."""
+    if not 0.0 <= sigma_S2 < math.inf:
+        raise DomainError(f"circular_moments: sigma_S2={sigma_S2} must be finite and >= 0")
     s, mass = _lognormal_spots(mu_S, sigma_S2)
     m1v, m2v = bw_moments(s, sigma_bw2, a)
     return float(mass @ m1v), float(mass @ m2v)
@@ -782,15 +784,15 @@ def _elliptic_eta(theta1, theta2, phi, r0x, r0y, a):
         return eta0 * np.exp(-(((r0 / a) / rdim) ** lam))
 
 
-def elliptic_sample(model: EllipticBeam, a: float, n: int, stream) -> np.ndarray:
+def elliptic_sample(model: EllipticBeam, n: int, stream) -> np.ndarray:
     """Monte Carlo transmittance draws from the elliptic-beam model.
 
     Draws from the :class:`~turbchan.numerics.RngStream` ``stream`` (Theta1,
     Theta2) bivariate normal, an orientation uniform on (0, pi/2], and a
     Gaussian centroid; evaluates the approximate transmittance through the
-    effective-spot (Lambert W) formula.  The samples lie in [0, 1]: eta0 is
-    clipped to [0, 1], and the wander factor exp(-(r0/R)^lambda) lies in
-    [0, 1].  The aperture radius ``a`` must be finite and > 0.
+    effective-spot (Lambert W) formula at the model's own aperture radius.
+    The samples lie in [0, 1]: eta0 is clipped to [0, 1], and the wander
+    factor exp(-(r0/R)^lambda) lies in [0, 1].
 
     The three random arrays are drawn whole, in that order; the transform
     then runs over blocks of ``_ELLIPTIC_BLOCK`` (8192) samples into one
@@ -803,8 +805,6 @@ def elliptic_sample(model: EllipticBeam, a: float, n: int, stream) -> np.ndarray
     """
     if n < 1:
         raise DomainError("elliptic_sample: n must be >= 1")
-    if not _positive(a):
-        raise DomainError(f"elliptic_sample: aperture radius a={a} must be finite and > 0")
     gen = stream.generator()
     (s11, _), (s21, s22) = _psd_2x2(model.Sigma)
     l11 = math.sqrt(s11)
@@ -819,7 +819,7 @@ def elliptic_sample(model: EllipticBeam, a: float, n: int, stream) -> np.ndarray
         block = slice(lo, lo + _ELLIPTIC_BLOCK)
         g1, g2 = g[block, 0], g[block, 1]
         eta[block] = _elliptic_eta(l11 * g1 + model.mu_S, (l21 * g1 + l22 * g2) + model.mu_S,
-                                   phi[block], r0xy[block, 0], r0xy[block, 1], a)
+                                   phi[block], r0xy[block, 0], r0xy[block, 1], model.aperture)
     return eta
 
 

@@ -215,10 +215,8 @@ def _require_integers(**values) -> None:
             raise ConfigError(f"{name} = {value!r} must be an integer", field=f"sim.{name}")
 
 
-def _band_counts(n_components: int, n_bands: int) -> np.ndarray:
-    counts = np.full(n_bands, n_components // n_bands, dtype=int)
-    counts[: n_components % n_bands] += 1
-    return counts
+# log-spaced spectral bands of every screen
+_N_BANDS = 16
 
 
 def _band_limits(spectrum: VonKarmanTatarskii, kappa_min: Optional[float],
@@ -244,22 +242,22 @@ def _band_limits(spectrum: VonKarmanTatarskii, kappa_min: Optional[float],
 
 @functools.lru_cache(maxsize=64)
 def _band_tables(spectrum: VonKarmanTatarskii, kappa_min: Optional[float],
-                 kappa_max: Optional[float], n_bands: int):
+                 kappa_max: Optional[float]):
     """Per-band variance integrals and inverse-CDF tables for |kappa| draws.
 
-    Bands are log-spaced between the :func:`_band_limits`; within a band the
-    magnitude is importance-sampled from kappa * Phi_n(kappa), so every
-    component carries an equal share of its band's phase variance and the
-    sampled correlation function is unbiased.
+    ``_N_BANDS`` bands are log-spaced between the :func:`_band_limits`;
+    within a band the magnitude is importance-sampled from
+    kappa * Phi_n(kappa), so every component carries an equal share of its
+    band's phase variance and the sampled correlation function is unbiased.
 
     Returns ``(integrals, [(cdf, kappa) per band])``, built once per key and
     process and shared, hence read-only.
     """
     kappa_min, kappa_max = _band_limits(spectrum, kappa_min, kappa_max)
-    edges = np.exp(np.linspace(math.log(kappa_min), math.log(kappa_max), n_bands + 1))
-    integrals = np.empty(n_bands)
+    edges = np.exp(np.linspace(math.log(kappa_min), math.log(kappa_max), _N_BANDS + 1))
+    integrals = np.empty(_N_BANDS)
     tables = []
-    for b in range(n_bands):
+    for b in range(_N_BANDS):
         lk = np.linspace(math.log(edges[b]), math.log(edges[b + 1]), 257)
         kap = np.exp(lk)
         # integrand of the 1-D radial variance integral, in log kappa
@@ -276,28 +274,28 @@ def _band_tables(spectrum: VonKarmanTatarskii, kappa_min: Optional[float],
 
 
 def sample_screens(spectrum: VonKarmanTatarskii, geom: ChannelGeometry, n_screens: int,
-                   n_components: int, stream: RngStream, *, n_bands: int = 16,
+                   n_components: int, stream: RngStream, *,
                    kappa_min: Optional[float] = None,
                    kappa_max: Optional[float] = None) -> list[SparseScreen]:
     """Draw one set of sparse-spectrum screens for the whole path.
 
     Each of the ``n_screens`` slabs (thickness L / n_screens) gets
-    ``n_components`` plane waves: magnitudes importance-sampled per
-    log-spaced band, directions uniform on the circle, cos/sin amplitudes
-    Gaussian with variance = band variance / components in band.
+    ``n_components`` plane waves: magnitudes importance-sampled in each of
+    16 log-spaced bands between ``kappa_min`` and ``kappa_max``, directions
+    uniform on the circle, cos/sin amplitudes Gaussian with variance = band
+    variance / components in band.
     """
-    _require_integers(n_screens=n_screens, n_components=n_components, n_bands=n_bands)
+    _require_integers(n_screens=n_screens, n_components=n_components)
     if n_screens < 1:
         raise ConfigError("need n_screens >= 1", field="sim.n_screens")
     if n_components < 64:
         raise ConfigError("need n_components >= 64", field="sim.n_components")
-    if n_bands < 1:
-        raise ConfigError("need n_bands >= 1", field="sim.n_bands")
-    integrals, tables = _band_tables(spectrum, kappa_min, kappa_max, n_bands)
+    integrals, tables = _band_tables(spectrum, kappa_min, kappa_max)
     dz = geom.path_length / n_screens
     # phase variance of each band in one slab
     band_var = (2.0 * math.pi) ** 2 * geom.k * geom.k * dz * integrals
-    counts = _band_counts(n_components, n_bands)
+    counts = np.full(_N_BANDS, n_components // _N_BANDS, dtype=int)
+    counts[: n_components % _N_BANDS] += 1
     gen = stream.generator()
     screens = []
     for _ in range(n_screens):
@@ -724,14 +722,14 @@ def beam_stats(fld: Field) -> tuple[np.ndarray, np.ndarray]:
 
 @dataclass(frozen=True)
 class SimConfig:
-    """Everything needed to reproduce a Monte Carlo run."""
+    """Everything needed to reproduce a Monte Carlo run; the screens split
+    ``n_components`` over 16 log-spaced bands (see :func:`sample_screens`)."""
 
     geometry: ChannelGeometry
     spectrum: VonKarmanTatarskii
     grid: Grid
     n_screens: int = 10
     n_components: int = 256
-    n_bands: int = 16
     seed: int = 0
     wind_speed: float = 0.0
     dt: float = 0.0
@@ -747,8 +745,7 @@ class SimConfig:
                 raise ConfigError(f"{name} = {getattr(self, name)!r} must be a "
                                   f"{kind.__name__}", field=name)
         _require_integers(seed=self.seed, n_screens=self.n_screens,
-                          n_components=self.n_components, n_bands=self.n_bands,
-                          n_realizations=self.n_realizations)
+                          n_components=self.n_components, n_realizations=self.n_realizations)
         if not self.duration < math.inf:
             raise ConfigError(f"duration = {self.duration} must be finite",
                               field="sim.duration")
@@ -756,8 +753,6 @@ class SimConfig:
             raise ConfigError("need n_screens >= 5", field="sim.n_screens")
         if self.n_components < 64:
             raise ConfigError("need n_components >= 64", field="sim.n_components")
-        if self.n_bands < 1:
-            raise ConfigError("need n_bands >= 1", field="sim.n_bands")
         if self.duration > 0.0 and not 0.0 < self.dt < math.inf:
             raise ConfigError("time series needs a finite dt > 0", field="sim.dt")
         if self.duration > 0.0 and not 0.5 < self.duration / self.dt < math.inf:
@@ -873,8 +868,7 @@ def _realization(config: SimConfig, apertures: Sequence[float], job, helper=None
 def _screens(config: SimConfig, stream_index: int) -> list[SparseScreen]:
     return sample_screens(config.spectrum, config.geometry, config.n_screens,
                           config.n_components, RngStream(config.seed, stream_index),
-                          n_bands=config.n_bands, kappa_min=config.kappa_min,
-                          kappa_max=config.kappa_max)
+                          kappa_min=config.kappa_min, kappa_max=config.kappa_max)
 
 
 def _one_blas_thread() -> None:
@@ -1038,9 +1032,14 @@ def screen_structure_function(screens: Sequence[SparseScreen],
     Uses the per-screen conditional expectation
     D_screen(d) = sum_j (a_j^2 + b_j^2)(1 - cos(kappa_j . d)), averaged over
     screens and over 8 orientations of d; the screen average converges to
-    the spectral-integral structure function.
+    the spectral-integral structure function.  Raises :class:`DomainError`
+    for no screens or a separation that is not finite.
     """
     seps = np.asarray(separations, dtype=float)
+    if not np.all(np.isfinite(seps)):
+        raise DomainError("screen_structure_function: separations must be finite")
+    if len(screens) == 0:
+        raise DomainError("screen_structure_function: need at least one screen")
     directions = 8
     angles = np.linspace(0.0, math.pi, directions, endpoint=False)
     dirs = np.stack([np.cos(angles), np.sin(angles)], axis=1)

@@ -24,10 +24,15 @@ about n ln m ulp: at m = 4e6 its pmf sums to 1 - 2.3e-9.)  A pmf seeds
 only every 32nd photon number n0 = 0, 32, 64, ... that way and steps from
 each to the next 31 by the state's ratio, with no ``exp``; the steps add at
 most 62 roundings, 7e-15, to an entry.  An entry lost to a seed that
-underflows is below 1e-268 (scanned over |alpha|^2 eta up to 1e5).  On 50
-nodes at |alpha|^2 = 900 the pmf is 1.6e-13 off a 40-digit sum on entries
->= 1e-250, where seeding every entry is 2.6e-13 off; on one node, 8.7e-14
-against 1.4e-13.  Fock states, which have no ratio, seed every entry.
+underflows is below 1e-268 (scanned over |alpha|^2 eta up to 1e5).  An
+entry stepped from a subnormal seed s keeps only that seed's bits, a
+relative error up to 2.5e-324 / s: at |alpha|^2 = 2500 and eta = 0.9 the
+entry at n = 728 (8.5e-307) is 8.1e-7 off.  Where that error exceeds
+1e-13 the entry is below 1e-256 (same scan), under the 1e-250 floor of
+these figures.  On 50 nodes at |alpha|^2 = 900 the pmf is 1.6e-13 off a
+40-digit sum on entries >= 1e-250, where seeding every entry is 2.6e-13
+off; on one node, 8.7e-14 against 1.4e-13.  Fock states, which have no
+ratio, seed every entry.
 """
 
 from __future__ import annotations
@@ -129,6 +134,12 @@ def _bd0(x: np.ndarray, mu: np.ndarray, out: np.ndarray) -> np.ndarray:
     return out
 
 
+def _check_eta_max(state, eta_max) -> None:
+    """Raise :class:`DomainError` unless 0 <= ``eta_max`` <= 1 (NaN included)."""
+    if not 0.0 <= eta_max <= 1.0:
+        raise DomainError(f"{type(state).__name__}.cutoff: eta_max={eta_max} must lie in [0, 1]")
+
+
 @dataclass(frozen=True)
 class Coherent:
     alpha: complex
@@ -148,6 +159,7 @@ class Coherent:
     def cutoff(self, eta_max: float = 1.0) -> int:
         """Smallest n_max leaving at most 0.1 ``TAIL_BOUND`` out at
         transmittance ``eta_max``, and so at any lower one."""
+        _check_eta_max(self, eta_max)
         mu = self.mean_n * eta_max
         if mu == 0.0:
             return 0
@@ -201,6 +213,7 @@ class Fock:
         return float(self.n)
 
     def cutoff(self, eta_max: float = 1.0) -> int:
+        _check_eta_max(self, eta_max)
         return self.n
 
     def log_pmf(self, eta, n):
@@ -228,6 +241,7 @@ class Thermal:
         return self.nbar
 
     def cutoff(self, eta_max: float = 1.0) -> int:
+        _check_eta_max(self, eta_max)
         # the tail at transmittance eta_max is (m / (1 + m))^(n + 1), m = nbar eta_max
         m = self.nbar * eta_max
         r = m / (1.0 + m)

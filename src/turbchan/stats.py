@@ -1,8 +1,8 @@
 """Empirical distribution tools for sampled transmittances.
 
-ECDF, two-sided Kolmogorov-Smirnov statistic, normalized histogram,
-boundary-reflected Gaussian KDE, the two-time correlation function with
-lag-dependent normalization, postselection, and joint histograms.
+The two-sided Kolmogorov-Smirnov statistic of a sample against a model CDF,
+the two-time correlation function with lag-dependent normalization, the
+integrated autocorrelation time, and postselection on pairs at one lag.
 """
 
 from __future__ import annotations
@@ -17,14 +17,9 @@ from .errors import DomainError, EmptySelectionError
 __all__ = [
     "EmpiricalSample",
     "PairSample",
-    "ecdf",
     "ks_stat",
-    "histogram",
-    "kde",
-    "silverman_bandwidth",
     "corr_fn",
     "conditional_pdt",
-    "two_time_hist",
     "integrated_autocorr_time",
 ]
 
@@ -47,10 +42,6 @@ class EmpiricalSample:
             raise DomainError("EmpiricalSample: values must lie in [0, 1]")
         object.__setattr__(self, "values", np.sort(np.clip(v, 0.0, 1.0)))
 
-    @property
-    def count(self) -> int:
-        return self.values.size
-
 
 @dataclass(frozen=True)
 class PairSample:
@@ -65,6 +56,8 @@ class PairSample:
         e2 = np.asarray(self.eta2, dtype=float)
         if e1.shape != e2.shape or e1.ndim != 1 or e1.size == 0:
             raise DomainError("PairSample: eta1/eta2 must be equal-length 1-D arrays")
+        if not 0.0 <= self.tau < math.inf:
+            raise DomainError(f"PairSample: tau={self.tau} must be finite and >= 0")
         for e in (e1, e2):
             if not np.all(np.isfinite(e)):
                 raise DomainError("PairSample: values must be finite")
@@ -72,17 +65,6 @@ class PairSample:
                 raise DomainError("PairSample: values must lie in [0, 1]")
         object.__setattr__(self, "eta1", np.clip(e1, 0.0, 1.0))
         object.__setattr__(self, "eta2", np.clip(e2, 0.0, 1.0))
-
-
-def ecdf(sample: EmpiricalSample):
-    """Right-continuous empirical CDF as a callable."""
-    vals = sample.values
-    n = vals.size
-
-    def f(eta):
-        return np.searchsorted(vals, np.asarray(eta, dtype=float), side="right") / n
-
-    return f
 
 
 def ks_stat(sample: EmpiricalSample, cdf) -> float:
@@ -99,63 +81,6 @@ def ks_stat(sample: EmpiricalSample, cdf) -> float:
     hi = np.arange(1, n + 1) / n
     lo = np.arange(0, n) / n
     return float(np.max(np.maximum(np.abs(hi - model), np.abs(lo - model))))
-
-
-def histogram(sample: EmpiricalSample, bins: int):
-    """Unit-integral histogram on [0, 1]; returns (density, edges)."""
-    if bins < 2:
-        raise DomainError("histogram: need bins >= 2")
-    density, edges = np.histogram(sample.values, bins=bins, range=(0.0, 1.0),
-                                  density=True)
-    return density, edges
-
-
-def silverman_bandwidth(sample: EmpiricalSample) -> float:
-    v = sample.values
-    n = v.size
-    std = float(np.std(v))
-    iqr = float(np.subtract(*np.percentile(v, [75, 25])))
-    scale = min(std, iqr / 1.349) if iqr > 0 else std
-    if scale <= 0.0:
-        scale = max(std, 1e-3)
-    return 0.9 * scale * n ** (-0.2)
-
-
-def kde(sample: EmpiricalSample, bandwidth: float | None = None):
-    """Gaussian KDE with mass reflected at 0 and 1; returns a callable.
-
-    Each point sums only the kernels centred within sqrt(74) h (8.6 h) of
-    it, over the sorted samples and their reflections about both edges
-    (found by ``searchsorted``); any other kernel carries at most exp(-37)
-    of its peak.  With at most three such kernels per sample (the sample
-    and its two reflections), the density falls by at most
-    3 exp(-37) / (h sqrt(2 pi)).
-    """
-    h = silverman_bandwidth(sample) if bandwidth is None else float(bandwidth)
-    if not 0.0 < h < math.inf:
-        raise DomainError(f"kde: bandwidth={h} must be finite and > 0")
-    v = sample.values  # sorted
-    n = v.size
-    reach = math.sqrt(74.0) * h
-    near_0 = v[: np.searchsorted(v, reach)]
-    near_1 = v[np.searchsorted(v, 1.0 - reach, side="right"):]
-    # ascending: reflections about 0, the samples, reflections about 1
-    centers = np.concatenate((-near_0[::-1], v, 2.0 - near_1[::-1]))
-
-    def density(eta):
-        x = np.atleast_1d(np.asarray(eta, dtype=float))
-        if np.isnan(x).any():
-            raise DomainError("kde: eta is NaN")
-        out = np.zeros_like(x)
-        lo = np.searchsorted(centers, x - reach)
-        hi = np.searchsorted(centers, x + reach, side="right")
-        for k in np.flatnonzero((x >= 0.0) & (x <= 1.0)):
-            z = (x[k] - centers[lo[k]:hi[k]]) / h
-            out[k] = np.exp(-0.5 * z * z).sum()
-        out /= n * h * math.sqrt(2.0 * math.pi)
-        return out if np.ndim(eta) else float(out[0])
-
-    return density
 
 
 def corr_fn(series, lags) -> list[tuple[float, float]]:
@@ -247,11 +172,3 @@ def conditional_pdt(pairs: PairSample, eta_min: float) -> EmpiricalSample:
         )
     return EmpiricalSample(values=pairs.eta2[mask])
 
-
-def two_time_hist(pairs: PairSample, bins: int):
-    """Normalized joint histogram of (eta1, eta2); returns (density, edges)."""
-    if bins < 2:
-        raise DomainError("two_time_hist: need bins >= 2")
-    h, ex, ey = np.histogram2d(pairs.eta1, pairs.eta2, bins=bins,
-                               range=[[0.0, 1.0], [0.0, 1.0]], density=True)
-    return h, ex

@@ -446,6 +446,12 @@ class TestMatchBw:
 
 
 class TestCircular:
+    @pytest.mark.parametrize("sigma_s2", [-0.1, math.nan, math.inf])
+    def test_moments_reject_bad_spot_variance(self, sigma_s2):
+        # -0.1 once gave the sigma_S2 = 0 moments, which CircularBeam rejects
+        with pytest.raises(DomainError, match="circular_moments: sigma_S2=.* finite and >= 0"):
+            pdt.circular_moments(-7.0, sigma_s2, 1e-4, 0.02)
+
     def test_parameter_map_inverts_lognormal_moments(self):
         mean_s, mean_s2 = 4e-4, 2.2e-7
         mu, s2 = pdt.circular_params_from_S(mean_s, mean_s2)
@@ -698,22 +704,21 @@ class TestElliptic:
         W2 = 4e-4
         model = pdt.EllipticBeam(sigma_bw2=1e-28, mu_S=math.log(W2),
                                  Sigma=np.zeros((2, 2)), aperture=0.02)
-        vals = pdt.elliptic_sample(model, 0.02, 50, RngStream(3, 0))
+        vals = pdt.elliptic_sample(model, 50, RngStream(3, 0))
         eta0 = pdt.bw_geometry(W2, 0.02)[0]
         assert np.allclose(vals, eta0, atol=1e-6)
 
     def test_samples_clamped_to_unit_interval(self):
         model = pdt.EllipticBeam(sigma_bw2=4e-4, mu_S=math.log(2e-4),
                                  Sigma=0.3 * np.eye(2), aperture=0.02)
-        vals = pdt.elliptic_sample(model, 0.02, 20000, RngStream(4, 0))
+        vals = pdt.elliptic_sample(model, 20000, RngStream(4, 0))
         assert np.all((vals >= 0.0) & (vals <= 1.0))
 
     @pytest.mark.parametrize("a", [math.nan, math.inf, -0.02, 0.0])
     def test_rejects_bad_aperture(self, a):
-        model = pdt.EllipticBeam(sigma_bw2=4e-4, mu_S=math.log(2e-4),
-                                 Sigma=0.3 * np.eye(2), aperture=0.02)
         with pytest.raises(DomainError, match="aperture"):
-            pdt.elliptic_sample(model, a, 100, RngStream(4, 0))
+            pdt.EllipticBeam(sigma_bw2=4e-4, mu_S=math.log(2e-4), Sigma=0.3 * np.eye(2),
+                             aperture=a)
 
     def test_cdf_available_through_model_cdf(self):
         model = pdt.EllipticBeam(sigma_bw2=1e-4, mu_S=math.log(4e-4),
@@ -730,9 +735,9 @@ class TestElliptic:
 
     @pytest.mark.parametrize("n", [1, 6, 7, 8, 50])
     def test_block_size_does_not_change_samples(self, n, monkeypatch):
-        want = pdt.elliptic_sample(self.FIT, 0.02, n, RngStream(9, 0))
+        want = pdt.elliptic_sample(self.FIT, n, RngStream(9, 0))
         monkeypatch.setattr(pdt, "_ELLIPTIC_BLOCK", 7)
-        got = pdt.elliptic_sample(self.FIT, 0.02, n, RngStream(9, 0))
+        got = pdt.elliptic_sample(self.FIT, n, RngStream(9, 0))
         assert got.tobytes() == want.tobytes()
 
     def test_matches_former_matmul(self):
@@ -753,7 +758,7 @@ class TestElliptic:
                   + a * a / w2sq * (1.0 + 2.0 * sin2))
         _, lam, rdim = pdt._bw_spot(4.0 * a * a / special.wrightomega(ln_arg), a)
         want = pdt._elliptic_eta0(w1sq, w2sq, a) * np.exp(-((r0 / a / rdim) ** lam))
-        got = pdt.elliptic_sample(model, a, n, RngStream(5, 0))
+        got = pdt.elliptic_sample(model, n, RngStream(5, 0))
         assert np.max(np.abs(got - want)) <= 1e-10
 
     def test_singular_sigma_keeps_its_variance(self):
@@ -768,7 +773,7 @@ class TestElliptic:
         phi = gen.random(n) * (0.5 * math.pi)
         r0xy = gen.normal(0.0, math.sqrt(model.sigma_bw2), (n, 2))
         want = pdt._elliptic_eta(theta, theta, phi, r0xy[:, 0], r0xy[:, 1], a)
-        got = pdt.elliptic_sample(model, a, n, RngStream(5, 0))
+        got = pdt.elliptic_sample(model, n, RngStream(5, 0))
         assert np.max(np.abs(got - want)) <= 1e-12
         assert np.std(got) > 0.3
 
@@ -785,8 +790,8 @@ class TestElliptic:
         assert abs(sigma[0, 1]) > sigma[0, 0] > 0.0
         model = pdt.EllipticBeam(8.1e-5, mu_s, sigma, 0.02)
         projected = pdt.EllipticBeam(8.1e-5, mu_s, pdt._psd_2x2(sigma), 0.02)
-        got = pdt.elliptic_sample(model, 0.02, 2000, RngStream(7, 0))
-        want = pdt.elliptic_sample(projected, 0.02, 2000, RngStream(7, 0))
+        got = pdt.elliptic_sample(model, 2000, RngStream(7, 0))
+        want = pdt.elliptic_sample(projected, 2000, RngStream(7, 0))
         assert got.tobytes() == want.tobytes()
 
     def test_nodes_memory_bounded(self):
@@ -821,7 +826,7 @@ class TestElliptic:
         # about 1e-3 alone)
         model = pdt.EllipticBeam(*SEED1_ELLIPTIC, aperture=0.02)
         es = np.linspace(0.0, 1.0, 2001)
-        draws = np.sort(pdt.elliptic_sample(model, 0.02, 1_000_000, RngStream(2026, 0)))
+        draws = np.sort(pdt.elliptic_sample(model, 1_000_000, RngStream(2026, 0)))
         ecdf = np.searchsorted(draws, es, side="right") / draws.size
         assert np.max(np.abs(pdt.model_cdf(model, es) - ecdf)) <= 2e-3
         assert model.nodes[0].size <= 50_000
@@ -843,12 +848,12 @@ def test_elliptic_rule_against_3m_draws(sigma_bw2, mu_S, sigma, tol):
     es = np.linspace(0.0, 1.0, 2001)
     counts, sums, n = np.zeros(es.size), np.zeros(3), 0
     for k in range(3):
-        draws = np.sort(pdt.elliptic_sample(model, 0.02, 1_000_000, RngStream(20260, k)))
+        draws = np.sort(pdt.elliptic_sample(model, 1_000_000, RngStream(20260, k)))
         counts += np.searchsorted(draws, es, side="right")
         sums += [draws.sum(), (draws**2).sum(), (draws**4).sum()]
         n += draws.size
     ecdf = counts / n
-    former = np.sort(pdt.elliptic_sample(model, 0.02, 200_000, RngStream(0, 0)))
+    former = np.sort(pdt.elliptic_sample(model, 200_000, RngStream(0, 0)))
     former_err = np.max(np.abs(np.searchsorted(former, es, side="right") / former.size - ecdf))
     err = np.max(np.abs(pdt.model_cdf(model, es) - ecdf))
     assert err <= tol and err < former_err

@@ -245,15 +245,6 @@ class TestScreens:
         assert np.all(kmag >= kmin * (1 - 1e-9))
         assert np.all(kmag <= kmax * (1 + 1e-9))
 
-    @pytest.mark.parametrize("n_bands", [0, -1])
-    def test_n_bands_below_one_raises(self, n_bands):
-        with pytest.raises(ConfigError) as err:
-            small_config(n_bands=n_bands)
-        assert err.value.field == "sim.n_bands"
-        with pytest.raises(ConfigError) as err:
-            sample_screens(FIG2_SPEC, FIG2_GEOM, 5, 96, RngStream(0, 0), n_bands=n_bands)
-        assert err.value.field == "sim.n_bands"
-
     @pytest.mark.parametrize("kappa_min,kappa_max,field", [
         (None, math.inf, "sim.kappa_max"),
         (None, math.nan, "sim.kappa_max"),
@@ -310,7 +301,6 @@ class TestScreens:
         assert np.all(kmag <= 1e3 * (1 + 1e-9))
 
     @pytest.mark.parametrize("name,value", [("n_components", 96.5), ("n_components", 128.0),
-                                            ("n_bands", 2.5), ("n_bands", "16"),
                                             ("n_screens", 2.5), ("n_screens", 0),
                                             ("n_screens", -1)])
     def test_screen_counts_must_be_integers(self, name, value):
@@ -412,13 +402,25 @@ class TestScreens:
         screens = []
         for i in range(250):
             screens += sample_screens(VonKarmanTatarskii(cn2), FIG2_GEOM, 1, 256,
-                                      RngStream(123, i), n_bands=24,
-                                      kappa_min=1e-3, kappa_max=1.26e4)
+                                      RngStream(123, i), kappa_min=1e-3,
+                                      kappa_max=1.26e4)
         seps = np.logspace(math.log10(0.01), math.log10(0.5), 6)
         d_est = screen_structure_function(screens, seps)
         dz = FIG2_GEOM.path_length
         d_theory = 2.914 * FIG2_GEOM.k**2 * cn2 * dz * seps ** (5.0 / 3.0)
         assert np.all(np.abs(d_est / d_theory - 1.0) < 0.12)
+
+    @pytest.mark.parametrize("screens,seps,match", [
+        # NaN once came back as D = NaN, inf as a warning from cos, and no
+        # screens as 0 / 0
+        (1, [0.01, math.nan], "separations must be finite"),
+        (1, [math.inf], "separations must be finite"),
+        (0, [0.01], "need at least one screen"),
+    ], ids=["nan-separation", "inf-separation", "no-screens"])
+    def test_structure_function_bad_input_raises(self, screens, seps, match):
+        drawn = sample_screens(FIG2_SPEC, FIG2_GEOM, 5, 96, RngStream(0, 0))[:screens]
+        with pytest.raises(DomainError, match=f"^screen_structure_function: {match}"):
+            screen_structure_function(drawn, seps)
 
 
 EPS = np.finfo(float).eps
@@ -755,8 +757,8 @@ class TestTransmittanceAndStats:
 class TestSimConfigIntegers:
     @pytest.mark.parametrize("name,value", [
         ("seed", 1.5), ("seed", 1.0), ("seed", "1"), ("n_screens", 5.5),
-        ("n_screens", 6.0), ("n_components", 128.5), ("n_bands", 16.0),
-        ("n_bands", 2.5), ("n_realizations", 4.5), ("n_realizations", None)])
+        ("n_screens", 6.0), ("n_components", 128.5), ("n_realizations", 4.5),
+        ("n_realizations", None)])
     def test_non_integer_rejected(self, name, value):
         with pytest.raises(ConfigError) as err:
             small_config(**{name: value})

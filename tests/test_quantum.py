@@ -636,6 +636,15 @@ class TestNMaxSizing:
         with pytest.raises(DomainError, match=re.escape("nbar=1e+17 at eta_max=0.5 ")):
             Thermal(1e17).cutoff(0.5)
 
+    @pytest.mark.parametrize("eta_max", [math.nan, -0.5, 1.5, math.inf])
+    @pytest.mark.parametrize("state", [Coherent(1.0), Thermal(1.0), Fock(3)],
+                             ids=["coherent", "thermal", "fock"])
+    def test_cutoff_rejects_transmittance_outside_unit_interval(self, state, eta_max):
+        # Thermal raised a bare ValueError at NaN and -0.5, Coherent called
+        # NaN "too large" and gave 14 at 1.5, Fock ignored eta_max
+        with pytest.raises(DomainError, match=re.escape(f"eta_max={eta_max} must lie in [0, 1]")):
+            state.cutoff(eta_max)
+
     def test_mixture_cutoff_at_largest_node(self):
         vals = np.array([0.1, 0.3, 0.45])
         st = Coherent(30.0)

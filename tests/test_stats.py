@@ -1,4 +1,4 @@
-"""ECDF, KS, histogram/KDE, correlation function, postselection."""
+"""Samples, KS, correlation function, autocorrelation time, postselection."""
 
 import math
 
@@ -12,29 +12,12 @@ from turbchan.stats import (
     PairSample,
     conditional_pdt,
     corr_fn,
-    ecdf,
-    histogram,
     integrated_autocorr_time,
-    kde,
     ks_stat,
-    silverman_bandwidth,
-    two_time_hist,
 )
 
 
-class TestEcdf:
-    def test_step_values(self):
-        f = ecdf(EmpiricalSample(np.array([0.2, 0.4])))
-        assert f(0.1) == 0.0
-        assert f(0.3) == 0.5
-        assert f(0.4) == 1.0
-        assert f(0.9) == 1.0
-
-    def test_right_continuity(self):
-        f = ecdf(EmpiricalSample(np.array([0.5])))
-        assert f(0.5) == 1.0
-        assert f(0.5 - 1e-12) == 0.0
-
+class TestEmpiricalSample:
     def test_empty_rejected(self):
         with pytest.raises(DomainError):
             EmpiricalSample(np.array([]))
@@ -69,7 +52,7 @@ class TestKsStat:
     def test_against_own_ecdf(self):
         vals = np.linspace(0.05, 0.95, 100)
         sample = EmpiricalSample(vals)
-        d = ks_stat(sample, ecdf(sample))
+        d = ks_stat(sample, lambda e: np.searchsorted(vals, e, side="right") / vals.size)
         assert d <= 1.0 / vals.size + 1e-12
 
     def test_shifted_sample_detected(self):
@@ -99,113 +82,6 @@ class TestKsStat:
         sample = EmpiricalSample(np.array([0.2, 0.5, 0.7]))
         with pytest.raises(DomainError, match="ks_stat: .*NaN"):
             ks_stat(sample, lambda e: np.where(e > 0.4, math.nan, e))
-
-
-class TestHistogramKde:
-    def test_histogram_unit_integral(self):
-        gen = np.random.default_rng(0)
-        sample = EmpiricalSample(gen.random(5000))
-        dens, edges = histogram(sample, 40)
-        assert float(np.sum(dens * np.diff(edges))) == pytest.approx(1.0, abs=1e-12)
-
-    def test_histogram_needs_bins(self):
-        with pytest.raises(DomainError):
-            histogram(EmpiricalSample(np.array([0.5])), 1)
-
-    def test_kde_matches_beta22(self):
-        gen = np.random.default_rng(42)
-        draws = gen.beta(2.0, 2.0, 100_000)
-        sample = EmpiricalSample(draws)
-        h = silverman_bandwidth(sample)
-        f = kde(sample)  # Silverman default
-        # interior sup; inside the boundary layer reflection carries an
-        # O(f'(0) h) bias that is bounded separately
-        es = np.linspace(2 * h, 1.0 - 2 * h, 201)
-        sup = np.max(np.abs(f(es) - sps.beta.pdf(es, 2.0, 2.0)))
-        assert sup <= 0.05
-        edge = np.linspace(0.0, 1.0, 401)
-        bias_bound = 6.0 * h * math.sqrt(2.0 / math.pi)  # f'(0) = 6 for Beta(2,2)
-        assert np.max(np.abs(f(edge) - sps.beta.pdf(edge, 2.0, 2.0))) <= bias_bound + 0.05
-
-    def test_kde_reflection_conserves_mass(self):
-        # heavy mass near 0 leaks without reflection
-        gen = np.random.default_rng(9)
-        draws = np.abs(gen.normal(0.0, 0.03, 20_000))
-        draws = draws[draws <= 1.0]
-        f = kde(EmpiricalSample(draws), bandwidth=0.02)
-        es = np.linspace(0.0, 1.0, 4001)
-        integral = np.trapezoid(f(es), es)
-        assert integral == pytest.approx(1.0, abs=1e-4)
-
-    @staticmethod
-    def all_reflections(v, h, x):
-        """The KDE with every sample reflected about both edges."""
-        out = sum(np.exp(-0.5 * ((x[:, None] - c[None, :]) / h) ** 2).sum(axis=1)
-                  for c in (v, -v, 2.0 - v))
-        return out / (v.size * h * math.sqrt(2.0 * math.pi))
-
-    def test_kde_matches_all_reflections(self):
-        sample = EmpiricalSample(np.random.default_rng(42).beta(2.0, 2.0, 20_000))
-        h = silverman_bandwidth(sample)
-        x = np.linspace(0.0, 1.0, 201)
-        want = self.all_reflections(sample.values, h, x)
-        np.testing.assert_allclose(kde(sample)(x), want, rtol=1e-13, atol=0.0)
-
-    def test_kde_windows_match_all_samples(self):
-        # the samples of test_kde_reflection_conserves_mass, at shuffled
-        # points where the density is above 0.1, so that the kernels left
-        # out (each below exp(-37) of its peak) stay below rel 1e-14;
-        # points outside [0, 1] get 0
-        gen = np.random.default_rng(9)
-        draws = np.abs(gen.normal(0.0, 0.03, 20_000))
-        sample = EmpiricalSample(draws[draws <= 1.0])
-        h = 0.02
-        x = gen.permutation(np.linspace(0.0, 0.12, 201))
-        want = self.all_reflections(sample.values, h, x)
-        np.testing.assert_allclose(kde(sample, bandwidth=h)(x), want, rtol=1e-13, atol=0.0)
-        assert np.all(kde(sample, bandwidth=h)(np.array([-0.1, 1.5])) == 0.0)
-
-    def test_kde_far_reflections_below_bound(self):
-        # no sample within 8.6 h of an edge: nothing is reflected, and no
-        # kernel reaches an edge; the density there is 0, where the
-        # all-samples sum is about 1e-50
-        sample = EmpiricalSample(np.random.default_rng(4).uniform(0.3, 0.7, 5000))
-        h = 0.02
-        x = np.linspace(0.0, 1.0, 201)
-        want = self.all_reflections(sample.values, h, x)
-        got = kde(sample, bandwidth=h)(x)
-        diff = want - got
-        # the all-samples sum over the kernels centred farther than 8.6 h
-        # from each point, which kde leaves out
-        v = sample.values
-        dropped = sum(
-            np.where(np.abs(x[:, None] - c[None, :]) > math.sqrt(74.0) * h,
-                     np.exp(-0.5 * ((x[:, None] - c[None, :]) / h) ** 2), 0.0).sum(axis=1)
-            for c in (v, -v, 2.0 - v)) / (v.size * h * math.sqrt(2.0 * math.pi))
-        # where they show in that sum, kde adds nothing: it is below the sum
-        shown = dropped > 1e-14 * want
-        assert shown[0] and shown[-1] and got[0] == got[-1] == 0.0
-        assert np.all(diff[shown] >= 0.0)
-        # elsewhere the two sums differ only in the order of their terms
-        np.testing.assert_allclose(got[~shown], want[~shown], rtol=1e-13, atol=0.0)
-        assert diff.max() < 2.0 * math.exp(-37.0) / (h * math.sqrt(2.0 * math.pi))
-
-    @pytest.mark.parametrize("h", [math.nan, math.inf])
-    def test_kde_rejects_non_finite_bandwidth(self, h):
-        # NaN gave a NaN density, inf a density of 0
-        with pytest.raises(DomainError):
-            kde(EmpiricalSample(np.array([0.2, 0.5, 0.7])), bandwidth=h)
-
-    def test_kde_rejects_nan_point(self):
-        # the density at NaN was 0.0
-        density = kde(EmpiricalSample(np.array([0.2, 0.5, 0.7])))
-        for eta in (math.nan, np.array([0.3, math.nan])):
-            with pytest.raises(DomainError, match="kde: eta is NaN"):
-                density(eta)
-
-    def test_silverman_positive(self):
-        gen = np.random.default_rng(2)
-        assert silverman_bandwidth(EmpiricalSample(gen.random(100))) > 0.0
 
 
 def make_series(n, rho=0.9, seed=1):
@@ -333,45 +209,17 @@ class TestConditionalPdt:
     def test_count_matches_threshold(self):
         p = self.pairs()
         sel = conditional_pdt(p, 0.6)
-        assert sel.count == int(np.sum(p.eta1 >= 0.6))
+        assert sel.values.size == int(np.sum(p.eta1 >= 0.6))
 
 
-class TestTwoTimeHist:
-    def test_marginal_consistency(self):
-        p = TestConditionalPdt().pairs()
-        bins = 25
-        h, edges = two_time_hist(p, bins)
-        w = 1.0 / bins
-        marg1 = h.sum(axis=1) * w
-        ref1, _ = np.histogram(p.eta1, bins=bins, range=(0.0, 1.0), density=True)
-        assert np.allclose(marg1, ref1, atol=1e-12)
-
-    def test_perfect_correlation_on_diagonal(self):
-        gen = np.random.default_rng(1)
-        e = gen.random(2000)
-        h, _ = two_time_hist(PairSample(e, e, 0.0), 20)
-        off_diag = h - np.diag(np.diag(h))
-        assert np.all(off_diag == 0.0)
-
-    def test_independent_pairs_low_mutual_information(self):
-        gen = np.random.default_rng(12)
-        n, bins = 40_000, 10
-        p = PairSample(gen.random(n), gen.random(n), 1.0)
-        h, _ = two_time_hist(p, bins)
-        pj = h / (bins * bins) / (h.sum() / (bins * bins))
-        pj = h / h.sum()
-        px = pj.sum(axis=1, keepdims=True)
-        py = pj.sum(axis=0, keepdims=True)
-        with np.errstate(divide="ignore", invalid="ignore"):
-            mi = np.nansum(pj * np.log(pj / (px * py)))
-        # plug-in MI bias is ~ (bins-1)^2 / (2 n)
-        assert mi <= 3.0 * (bins - 1) ** 2 / (2.0 * n) + 0.01
-
-    def test_bins_validated(self):
-        with pytest.raises(DomainError):
-            two_time_hist(PairSample(np.array([0.5]), np.array([0.5]), 0.0), 1)
-
+class TestPairSample:
     def test_nan_pair_rejected(self):
         # two_time_hist once dropped such a pair without a word
         with pytest.raises(DomainError):
             PairSample(np.array([0.5, math.nan]), np.array([0.5, 0.5]), 0.0)
+
+    @pytest.mark.parametrize("tau", [math.nan, math.inf, -1.0])
+    def test_bad_lag_rejected(self, tau):
+        # such a lag was once stored as given
+        with pytest.raises(DomainError, match="PairSample: tau=.* must be finite and >= 0"):
+            PairSample(np.array([0.5]), np.array([0.5]), tau)
